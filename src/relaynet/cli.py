@@ -401,9 +401,7 @@ def run_with_replan(scenario: Scenario, mode: str, noise_seed: int | None,
                 raise ReplanBudgetError(
                     f"replan budget of {budget} exhausted under noise seed {noise_seed}"
                 ) from stall
-            # same seed and plan, so the prefix re-executes identically
-            traces.append(execute_mission(cur_plan, sc, noise_seed=noise_seed,
-                                          until_tick=stall.tick))
+            traces.append(stall.trace)
             gmap = goal_maps[-1]
             reached_local = stall.reached
             remaining = [g for i, g in enumerate(sc.goals) if i not in reached_local]
@@ -461,19 +459,6 @@ def _do_compare(sc: Scenario, out_dir: str) -> int:
     for m, plan in plans.items():
         (out / f"plan_{m.lower()}.svg").write_text(render_svg(sc, plan))
     return EXIT_OK
-
-
-def cmd_plan(scenario_path: str, mode: str, out_dir: str) -> int:
-    return _do_plan(load_scenario(scenario_path), mode, out_dir)
-
-
-def cmd_run(scenario_path: str, mode: str, noise_seed: int | None, out_dir: str) -> int:
-    return _do_run(load_scenario(scenario_path), mode, noise_seed, out_dir,
-                   FsPath(scenario_path).name)
-
-
-def cmd_compare(scenario_path: str, out_dir: str) -> int:
-    return _do_compare(load_scenario(scenario_path), out_dir)
 
 
 def compare_scenario(sc: Scenario) -> tuple[dict[str, Metrics | None], dict[str, DeploymentPlan]]:

@@ -13,7 +13,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .eikonal import base_velocity, solve_eikonal
 from .gridmap import CellIndex, GridMap, WorldPoint, count_traversals
-from .radio import CoverageBook, RadioParams, coverage_distance, rss
+from .radio import CoverageBook, RadioParams, coverage_distance
 
 
 class InfeasibleRelayError(RuntimeError):
@@ -92,28 +92,26 @@ class FeasibilityReport:
     reason: str = ""
 
 
-def build_conn_graph(grid: GridMap, positions: list[WorldPoint], params: RadioParams) -> ConnGraph:
-    """Edges join position pairs whose deterministic rss clears gamma both ways."""
+def build_conn_graph(grid: GridMap, positions: list[WorldPoint], params: RadioParams, *,
+                     book: CoverageBook | None = None) -> ConnGraph:
+    """Edges join position pairs whose deterministic rss clears gamma (the
+    rss is exactly reciprocal, so one direction decides both)."""
     for p in positions:
         if not grid.is_free_cell(grid.to_cell(p)):
             raise ValueError(f"node position {p} lies on an obstacle cell")
-    edges = set()
+    if book is None:
+        book = CoverageBook(grid, params)
     n = len(positions)
-    for i in range(n):
-        for j in range(i + 1, n):
-            fwd = rss(grid, positions[i], positions[j], params)
-            bwd = rss(grid, positions[j], positions[i], params)
-            assert abs(fwd - bwd) < 1e-9, "deterministic rss must be reciprocal"
-            if fwd >= params.gamma and bwd >= params.gamma:
-                edges.add((i, j))
-    return ConnGraph(positions=tuple(tuple(p) for p in positions), edges=frozenset(edges))
+    edges = frozenset((i, j) for i in range(n) for j in range(i + 1, n)
+                      if book.rss(positions[i], positions[j]) >= params.gamma)
+    return ConnGraph(positions=tuple(tuple(p) for p in positions), edges=edges)
 
 
-def min_hop_tree(graph: ConnGraph) -> ConnTree:
-    """Level-synchronized BFS from node 0; equal-depth parent ties go to the
-    lower parent index."""
-    n = len(graph.positions)
-    adj = graph.adjacency()
+def bfs_tree(adj: list[list[int]]) -> tuple[list[int | None], list[int | None]]:
+    """Level-synchronized BFS from node 0 over adjacency lists: (parent,
+    depth), None where unreachable. Equal-depth parent ties go to the lower
+    parent index."""
+    n = len(adj)
     parent: list[int | None] = [None] * n
     depth: list[int | None] = [None] * n
     depth[0] = 0
@@ -127,6 +125,12 @@ def min_hop_tree(graph: ConnGraph) -> ConnTree:
                     parent[v] = u
                     nxt.append(v)
         level = nxt
+    return parent, depth
+
+
+def min_hop_tree(graph: ConnGraph) -> ConnTree:
+    """Min-hop tree of the graph rooted at node 0 (see bfs_tree)."""
+    parent, depth = bfs_tree(graph.adjacency())
     return ConnTree(parent=tuple(parent), depth=tuple(depth))
 
 
@@ -186,25 +190,6 @@ def hungarian_assign(costs) -> Assignment:
     return Assignment(pairs=pairs, total_cost=total)
 
 
-def _mutual(grid: GridMap, a: WorldPoint, b: WorldPoint, params: RadioParams) -> bool:
-    return rss(grid, a, b, params) >= params.gamma
-
-
-def _bfs_depths(n: int, adj: list[list[int]]) -> list[int | None]:
-    depth: list[int | None] = [None] * n
-    depth[0] = 0
-    level = [0]
-    while level:
-        nxt = []
-        for u in sorted(level):
-            for v in adj[u]:
-                if depth[v] is None:
-                    depth[v] = depth[u] + 1
-                    nxt.append(v)
-        level = nxt
-    return depth
-
-
 def plan_relays(grid: GridMap, goals: list[WorldPoint], tree: ConnTree,
                 free_robots: list[WorldPoint], params: RadioParams, *,
                 bs: WorldPoint, transmitters: list[WorldPoint] | None = None,
@@ -243,18 +228,8 @@ def plan_relays(grid: GridMap, goals: list[WorldPoint], tree: ConnTree,
     def node_list() -> list[WorldPoint]:
         return base_positions + committed
 
-    def pair_adj(positions: list[WorldPoint]) -> list[list[int]]:
-        n = len(positions)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if _mutual(grid, positions[i], positions[j], params):
-                    adj[i].append(j)
-                    adj[j].append(i)
-        return adj
-
-    def goal_depths(positions: list[WorldPoint], adj: list[list[int]]) -> list[int | None]:
-        depth = _bfs_depths(len(positions), adj)
+    def goal_depths(adj: list[list[int]]) -> list[int | None]:
+        depth = bfs_tree(adj)[1]
         return [depth[goal_node(gi)] for gi in range(len(goals))]
 
     def candidate_cells() -> list[CellIndex]:
@@ -276,8 +251,8 @@ def plan_relays(grid: GridMap, goals: list[WorldPoint], tree: ConnTree,
                 [gi for gi, d in enumerate(depths) if d is None],
             )
         positions = node_list()
-        adj = pair_adj(positions)
-        depths = goal_depths(positions, adj)
+        adj = build_conn_graph(grid, positions, params, book=book).adjacency()
+        depths = goal_depths(adj)
         unreachable = [gi for gi, d in enumerate(depths) if d is None]
 
         cands = candidate_cells()
@@ -285,12 +260,12 @@ def plan_relays(grid: GridMap, goals: list[WorldPoint], tree: ConnTree,
         best_score = None
         for cell in cands:
             cpos = grid.to_world(cell)
-            cadj = [i for i, p in enumerate(positions) if _mutual(grid, cpos, p, params)]
-            ext_adj = [list(a) for a in adj] + [list(cadj)]
+            cadj = [i for i, p in enumerate(positions) if book.rss(cpos, p) >= params.gamma]
+            ext_adj = [list(a) for a in adj] + [cadj]
             ci = len(positions)
             for i in cadj:
                 ext_adj[i].append(ci)
-            new_depths = goal_depths(positions + [cpos], ext_adj)
+            new_depths = goal_depths(ext_adj)
             connected = sum(1 for gi in unreachable if new_depths[gi] is not None)
             reduced = sum(
                 1 for gi in range(len(goals))

@@ -174,46 +174,42 @@ def parse_map(text: str) -> GridMap:
     return GridMap(width=width, height=height, resolution=resolution, materials=np.vstack(rows))
 
 
-def _sample_cells(grid: GridMap, a: WorldPoint, b: WorldPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Cells under the a-b segment, supersampled at steps <= resolution/2.
+_RUN_CODES = np.array([WALL, GLASS], dtype=np.uint8)
 
-    Endpoints are put in canonical order first so counts are exactly symmetric.
+
+def segment_runs(grid: GridMap, ax, ay, bx, by, n: int) -> np.ndarray:
+    """Wall and glass runs along segments a-b, each sampled at n + 1 evenly
+    spaced points; the first axis of the result holds (walls, glass).
+
+    The coordinates are floats for one segment, or (k, 1) arrays for k
+    segments sharing n. Callers pass the endpoints in canonical order, so
+    counts are exactly symmetric.
     """
-    if (b[0], b[1]) < (a[0], a[1]):
-        a, b = b, a
-    ax, ay = a
-    bx, by = b
-    d = math.hypot(bx - ax, by - ay)
-    n = max(1, math.ceil(d / (grid.resolution * 0.5)))
     t = np.linspace(0.0, 1.0, n + 1)
     xs = ax + t * (bx - ax)
     ys = ay + t * (by - ay)
-    cols = np.clip((xs / grid.resolution).astype(np.int64), 0, grid.width - 1)
-    rows = np.clip((ys / grid.resolution).astype(np.int64), 0, grid.height - 1)
-    return cols, rows
-
-
-def _run_count(mask: np.ndarray) -> int:
-    """Number of maximal contiguous True runs in mask."""
-    if mask.size == 0:
-        return 0
-    runs = int(mask[0])
-    if mask.size > 1:
-        runs += int(np.count_nonzero(mask[1:] & ~mask[:-1]))
-    return runs
+    # samples lie between in-bounds endpoints, so only the far edge needs folding
+    cols = np.minimum((xs / grid.resolution).astype(np.int64), grid.width - 1)
+    rows = np.minimum((ys / grid.resolution).astype(np.int64), grid.height - 1)
+    mats = grid.materials[rows, cols]
+    hit = mats == _RUN_CODES.reshape((2,) + (1,) * mats.ndim)
+    return hit[..., 0] + (hit[..., 1:] > hit[..., :-1]).sum(axis=-1)
 
 
 def count_traversals(grid: GridMap, a: WorldPoint, b: WorldPoint) -> TraversalCount:
     """Wall and glass crossings of the straight segment a-b.
 
     A physical wall usually spans several cells, so each maximal run of
-    Wall cells along the segment counts as one wall (same for glass).
+    Wall cells along the segment counts as one wall (same for glass). The
+    segment is supersampled at steps <= resolution/2.
     """
     grid.require_in_bounds(a)
     grid.require_in_bounds(b)
-    cols, rows = _sample_cells(grid, a, b)
-    mats = grid.materials[rows, cols]
-    return TraversalCount(_run_count(mats == WALL), _run_count(mats == GLASS))
+    if (b[0], b[1]) < (a[0], a[1]):
+        a, b = b, a
+    n = max(1, math.ceil(math.hypot(b[0] - a[0], b[1] - a[1]) / (grid.resolution * 0.5)))
+    walls, glass = segment_runs(grid, a[0], a[1], b[0], b[1], n).tolist()
+    return TraversalCount(walls, glass)
 
 
 def line_of_sight(grid: GridMap, a: WorldPoint, b: WorldPoint) -> bool:

@@ -12,6 +12,7 @@ from .clustering import VISIT_CAP, cluster_goals, visit_order
 from .connectivity import (
     FeasibilityReport,
     InfeasibleRelayError,
+    bfs_tree,
     build_conn_graph,
     check_feasibility,
     hungarian_assign,
@@ -21,7 +22,7 @@ from .connectivity import (
 )
 from .eikonal import Path, ca_fmm_path
 from .gridmap import CellIndex, GridMap, WorldPoint
-from .radio import CoverageBook, RadioParams, path_loss
+from .radio import CoverageBook, RadioParams
 
 MODES = ("FMM", "CA-FMM", "DP-FMM", "DPA-FMM")
 
@@ -52,11 +53,16 @@ class DeadlockError(RuntimeError):
 
 
 class GoalConnectivityStallError(RuntimeError):
-    def __init__(self, message: str, tick: int, positions: list[WorldPoint], reached: set[int]):
+    """A robot held disconnected at its goal too long; trace is the mission
+    up to and including the stall tick, as until_tick=tick would return it."""
+
+    def __init__(self, message: str, tick: int, positions: list[WorldPoint], reached: set[int],
+                 trace: MissionTrace):
         super().__init__(message)
         self.tick = tick
         self.positions = positions
         self.reached = reached
+        self.trace = trace
 
 
 def normalize_mode(mode: str) -> str:
@@ -215,16 +221,6 @@ class _Tx:
     active: bool = True
 
 
-def _det_rss(grid: GridMap, params: RadioParams, a: WorldPoint, b: WorldPoint,
-             cache: dict) -> float:
-    key = (a, b) if a <= b else (b, a)
-    val = cache.get(key)
-    if val is None:
-        val = params.p_tx - path_loss(grid, key[0], key[1], params)
-        cache[key] = val
-    return val
-
-
 class _Planner:
     """Shared state for the wave-structured DP/DPA planners."""
 
@@ -233,7 +229,6 @@ class _Planner:
         self.grid = sc.map
         self.params = sc.radio
         self.book = CoverageBook(sc.map, sc.radio)
-        self.rss_cache: dict = {}
         self.N = len(sc.robot_starts)
         self.segs: list[list[PlanSegment]] = [[] for _ in range(self.N)]
         self.robot_pos: list[WorldPoint] = [tuple(p) for p in sc.robot_starts]
@@ -243,36 +238,27 @@ class _Planner:
         for robot, pos in fixed_relays:
             pos = tuple(pos)
             cell = self.grid.to_cell(pos)
-            parent = self._best_coverer(pos, exclude=set())
+            parent = self.strongest(pos, gated=False)
             self.txs.append(_Tx(pos, cell, robot, parent))
             self.fixed_robots.add(robot)
             self.robot_pos[robot] = pos
 
-    def rss(self, a: WorldPoint, b: WorldPoint) -> float:
-        return _det_rss(self.grid, self.params, tuple(a), tuple(b), self.rss_cache)
-
     def active_txs(self) -> list[int]:
         return [i for i, t in enumerate(self.txs) if t.active]
 
-    def _best_coverer(self, p: WorldPoint, exclude: set[int]) -> int | None:
-        best, best_rss = None, -math.inf
-        for i in self.active_txs():
-            if i in exclude:
-                continue
-            r = self.rss(self.txs[i].pos, p)
-            if r > best_rss:
-                best, best_rss = i, r
-        return best
+    def tx_candidates(self, exclude: set[int] = frozenset()) -> list[tuple[int, WorldPoint]]:
+        return [(i, self.txs[i].pos) for i in self.active_txs() if i not in exclude]
 
-    def covered_by(self, p: WorldPoint, exclude: set[int] = frozenset()) -> int | None:
-        """Index of the strongest active transmitter covering p, or None."""
+    def strongest(self, p: WorldPoint, candidates: list[tuple] | None = None,
+                  gated: bool = True):
+        """Key of the (key, position) candidate, by default the active
+        transmitters, with the strongest rss at p; the first one on ties.
+        With gated only rss >= gamma counts. None when no candidate qualifies."""
         best, best_rss = None, -math.inf
-        for i in self.active_txs():
-            if i in exclude:
-                continue
-            r = self.rss(self.txs[i].pos, p)
-            if r >= self.params.gamma and r > best_rss:
-                best, best_rss = i, r
+        for key, pos in self.tx_candidates() if candidates is None else candidates:
+            r = self.book.rss(pos, p)
+            if r > best_rss and (not gated or r >= self.params.gamma):
+                best, best_rss = key, r
         return best
 
     def uplink_chain(self, ti: int) -> list[int]:
@@ -298,27 +284,16 @@ class _Planner:
         gamma = self.params.gamma
         children = [i for i, t in enumerate(self.txs)
                     if t.active and t.parent == old_ti and i != old_ti]
-        flux = set(children) | {old_ti}
-
-        def settled_coverer(p: WorldPoint) -> int | None:
-            best, best_rss = None, -math.inf
-            for i in self.active_txs():
-                if i in flux:
-                    continue
-                r = self.rss(self.txs[i].pos, p)
-                if r >= gamma and r > best_rss:
-                    best, best_rss = i, r
-            return best
-
-        parent_ti = settled_coverer(post)
+        settled = self.tx_candidates(exclude=set(children) | {old_ti})
+        parent_ti = self.strongest(post, settled)
         if parent_ti is None:
             return None
         rehome: dict[int, int | str] = {}
         for child in children:
             cpos = self.txs[child].pos
-            target: int | str | None = settled_coverer(cpos)
-            best_rss = -math.inf if target is None else self.rss(self.txs[target].pos, cpos)
-            from_post = self.rss(tuple(post), cpos)
+            target: int | str | None = self.strongest(cpos, settled)
+            best_rss = -math.inf if target is None else self.book.rss(self.txs[target].pos, cpos)
+            from_post = self.book.rss(post, cpos)
             if from_post >= gamma and from_post > best_rss:
                 target = "new"
             if target is None:
@@ -408,7 +383,7 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
         if not unplanned:
             break
         progressed = False
-        frontier = sorted(g for g in unplanned if pl.covered_by(goals[g]) is not None)
+        frontier = sorted(g for g in unplanned if pl.strongest(goals[g]) is not None)
         if frontier:
             avail = [r for r in range(N) if assigned_goal[r] is None and r not in pl.fixed_robots]
             if avail:
@@ -417,7 +392,7 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
                 asn = hungarian_assign(costs)
                 for ai, fi in asn.pairs:
                     robot, g = avail[ai], frontier[fi]
-                    parent_ti = pl.covered_by(goals[g])
+                    parent_ti = pl.strongest(goals[g])
                     goal_cell = grid.to_cell(goals[g])
                     path = pl.plan_leg(pl.robot_pos[robot], goals[g], pl.source_positions(),
                                        pl.parked_cells(exclude_robot=robot))
@@ -441,7 +416,7 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
                     if assigned_goal[r] is not None and not relay_done[r] and r not in pl.fixed_robots]
             tx_pos = [pl.txs[i].pos for i in pl.active_txs() if pl.txs[i].robot is not None]
             nodes = [tuple(sc.bs)] + tx_pos + [goals[g] for g in remaining]
-            tree = min_hop_tree(build_conn_graph(grid, nodes, params))
+            tree = min_hop_tree(build_conn_graph(grid, nodes, params, book=pl.book))
             try:
                 rp = plan_relays(grid, [goals[g] for g in remaining], tree,
                                  [pl.robot_pos[r] for r in free], params,
@@ -454,7 +429,7 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
                     f"relay synthesis failed for goals {sorted(remaining[i] for i in e.goals)}"
                 ) from e
             # only posts whose coverage is already materialized may be manned now
-            eligible = [i for i, post in enumerate(rp.positions) if pl.covered_by(post) is not None]
+            eligible = [i for i, post in enumerate(rp.positions) if pl.strongest(post) is not None]
             if free and eligible:
                 costs = [[movement_cost(grid, pl.robot_pos[r], rp.positions[i]) for i in eligible]
                          for r in free]
@@ -543,7 +518,7 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
         active = pl.active_txs()
         tx_pos = [pl.txs[i].pos for i in active if pl.txs[i].robot is not None]
         nodes = [tuple(sc.bs)] + tx_pos + [goals[g] for g in remaining]
-        tree = min_hop_tree(build_conn_graph(grid, nodes, params))
+        tree = min_hop_tree(build_conn_graph(grid, nodes, params, book=pl.book))
         try:
             rp = plan_relays(grid, [goals[g] for g in remaining], tree,
                              [pl.robot_pos[r] for r in available], params,
@@ -555,7 +530,7 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
             ) from e
 
         # entry resolution: posts chain off active transmitters in commit order
-        placed: list[tuple[str, int]] = [("tx", i) for i in active]
+        placed = [(("tx", i), pl.txs[i].pos) for i in active]
         entry_of_post: list[tuple[str, int]] = []
         post_pos = [tuple(p) for p in rp.positions]
 
@@ -564,13 +539,8 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
             return pl.txs[i].pos if kind == "tx" else post_pos[i]
 
         for pi, post in enumerate(post_pos):
-            best, best_rss = None, -math.inf
-            for key in placed:
-                r = pl.rss(pos_of(key), post)
-                if r > best_rss:
-                    best, best_rss = key, r
-            entry_of_post.append(best)
-            placed.append(("post", pi))
+            entry_of_post.append(pl.strongest(post, placed, gated=False))
+            placed.append((("post", pi), post))
 
         # group frontier goals and posts under their strongest coverer
         groups: dict[tuple[str, int], dict] = {}
@@ -581,11 +551,7 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
         for pi in range(len(post_pos)):
             group_for(entry_of_post[pi])["posts"].append(pi)
         for g in remaining:
-            best, best_rss = None, -math.inf
-            for key in placed:
-                r = pl.rss(pos_of(key), goals[g])
-                if r >= params.gamma and r > best_rss:
-                    best, best_rss = key, r
+            best = pl.strongest(goals[g], placed)
             if best is not None:
                 group_for(best)["goals"].append(g)
 
@@ -765,40 +731,18 @@ def _point_along(points: list[WorldPoint], s: float) -> WorldPoint:
     return points[-1]
 
 
-def _tick_tree(grid: GridMap, params: RadioParams, bs: WorldPoint,
-               positions: list[WorldPoint], noise_seed: int | None, tick: int,
-               det_cache: dict) -> tuple[list[int | None], list[bool]]:
+def _tick_tree(book: CoverageBook, bs: WorldPoint, positions: list[WorldPoint],
+               noise: RadioParams | None, tick: int) -> tuple[list[int | None], list[bool]]:
     nodes = [tuple(bs)] + [tuple(p) for p in positions]
     n = len(nodes)
-    if noise_seed is None:
-        p = params
-        mode, key = "deterministic", ()
-    else:
-        p = params.with_(seed=noise_seed)
-        mode, key = "stochastic", (tick,)
+    gamma = book.params.gamma
     adj: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if mode == "deterministic":
-                val = _det_rss(grid, p, nodes[i], nodes[j], det_cache)
-            else:
-                val = p.p_tx - path_loss(grid, nodes[i], nodes[j], p, mode, key)
-            if val >= p.gamma:
+            if book.rss(nodes[i], nodes[j], noise, (tick,)) >= gamma:
                 adj[i].append(j)
                 adj[j].append(i)
-    parent: list[int | None] = [None] * n
-    depth: list[int | None] = [None] * n
-    depth[0] = 0
-    level = [0]
-    while level:
-        nxt = []
-        for u in sorted(level):
-            for v in adj[u]:
-                if depth[v] is None:
-                    depth[v] = depth[u] + 1
-                    parent[v] = u
-                    nxt.append(v)
-        level = nxt
+    parent, depth = bfs_tree(adj)
     connected = [depth[i + 1] is not None for i in range(len(positions))]
     return parent, connected
 
@@ -818,6 +762,8 @@ def execute_mission(plan: DeploymentPlan, scenario: Scenario,
     N = len(scenario.robot_starts)
     if len(plan.robots) != N:
         raise ValueError(f"plan covers {len(plan.robots)} robots, scenario has {N}")
+    book = CoverageBook(grid, params)
+    noise = None if noise_seed is None else params.with_(seed=noise_seed)
     speed = scenario.speed()
     pos: list[WorldPoint] = [tuple(p) for p in scenario.robot_starts]
     queues: list[list[PlanSegment]] = [list(s) for s in plan.robots]
@@ -828,7 +774,6 @@ def execute_mission(plan: DeploymentPlan, scenario: Scenario,
     pending_goal: list[int | None] = [None] * N
     hold_ticks = [0] * N
     waiting_logged = [False] * N
-    det_cache: dict = {}
 
     positions_log: list[list[WorldPoint]] = []
     parents_log: list[list[int | None]] = []
@@ -880,7 +825,7 @@ def execute_mission(plan: DeploymentPlan, scenario: Scenario,
                         budget = 0.0
                         moved = True
 
-        parents, connected = _tick_tree(grid, params, scenario.bs, pos, noise_seed, tick, det_cache)
+        parents, connected = _tick_tree(book, scenario.bs, pos, noise, tick)
         positions_log.append([tuple(p) for p in pos])
         parents_log.append(parents)
         connected_log.append(connected)
@@ -926,14 +871,11 @@ def execute_mission(plan: DeploymentPlan, scenario: Scenario,
                     changed = True
 
         done = all(not q for q in queues) and all(g is None for g in pending_goal)
-        if done:
-            return MissionTrace(positions=positions_log, parents=parents_log,
-                                connected=connected_log, active=active_log, events=events,
-                                reached_goals=reached, completed=True)
-        if until_tick is not None and tick >= until_tick:
-            return MissionTrace(positions=positions_log, parents=parents_log,
-                                connected=connected_log, active=active_log, events=events,
-                                reached_goals=reached, completed=False)
+        trace = MissionTrace(positions=positions_log, parents=parents_log,
+                             connected=connected_log, active=active_log, events=events,
+                             reached_goals=reached, completed=done)
+        if done or (until_tick is not None and tick >= until_tick):
+            return trace
 
         for r in range(N):
             if pending_goal[r] is not None and noise_seed is not None and not connected[r]:
@@ -941,7 +883,7 @@ def execute_mission(plan: DeploymentPlan, scenario: Scenario,
                 if hold_ticks[r] > hold_limit:
                     raise GoalConnectivityStallError(
                         f"robot {r} held disconnected at goal {pending_goal[r]} for {hold_ticks[r]} ticks",
-                        tick, [tuple(p) for p in pos], set(reached),
+                        tick, [tuple(p) for p in pos], set(reached), trace,
                     )
         if tick > 0 and not moved and not fired:
             holding = [r for r in range(N) if pending_goal[r] is not None]

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gridmap import FREE, GLASS, WALL, CellIndex, GridMap, WorldPoint, count_traversals
+from .gridmap import FREE, CellIndex, GridMap, WorldPoint, count_traversals, segment_runs
 
 MIN_SEPARATION = 0.1   # meters; clamp below this to dodge the log10 singularity
 NO_SIGNAL = -math.inf  # rss sentinel on obstacle cells
@@ -126,20 +126,12 @@ def rss(grid: GridMap, tx: WorldPoint, rx: WorldPoint, params: RadioParams,
 
 
 def _traversal_field(grid: GridMap, tx: WorldPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Wall/glass run counts from tx to every cell center.
-
-    Uses exactly the same canonical-order supersampling as count_traversals,
-    batched by sample count, so per-cell results match the scalar path.
-    """
+    """Wall/glass run counts from tx to every cell center."""
     res = grid.resolution
     H, W = grid.height, grid.width
-    cx = (np.arange(W) + 0.5) * res
-    cy = (np.arange(H) + 0.5) * res
-    ex = np.broadcast_to(cx[None, :], (H, W)).ravel()
-    ey = np.broadcast_to(cy[:, None], (H, W)).ravel().copy()
-    ex = ex.copy()
-    tx0 = np.full(ex.shape, float(tx[0]))
-    ty0 = np.full(ey.shape, float(tx[1]))
+    ex = np.tile((np.arange(W) + 0.5) * res, H)
+    ey = np.repeat((np.arange(H) + 0.5) * res, W)
+    tx0, ty0 = float(tx[0]), float(tx[1])
     swap = (ex < tx0) | ((ex == tx0) & (ey < ty0))
     sx = np.where(swap, ex, tx0)
     sy = np.where(swap, ey, ty0)
@@ -147,24 +139,13 @@ def _traversal_field(grid: GridMap, tx: WorldPoint) -> tuple[np.ndarray, np.ndar
     fy = np.where(swap, ty0, ey)
     d = np.hypot(ex - tx0, ey - ty0)
     nsteps = np.maximum(1, np.ceil(d / (res * 0.5))).astype(np.int64)
-    walls = np.zeros(H * W, dtype=np.int32)
-    glass = np.zeros(H * W, dtype=np.int32)
-    mats = grid.materials
+    runs = np.empty((2, H * W), dtype=np.int64)
     for n in np.unique(nsteps):
         sel = np.nonzero(nsteps == n)[0]
-        t = np.linspace(0.0, 1.0, int(n) + 1)
-        xs = sx[sel, None] + t[None, :] * (fx[sel] - sx[sel])[:, None]
-        ys = sy[sel, None] + t[None, :] * (fy[sel] - sy[sel])[:, None]
-        cols = np.clip((xs / res).astype(np.int64), 0, W - 1)
-        rows = np.clip((ys / res).astype(np.int64), 0, H - 1)
-        m = mats[rows, cols]
-        for out, code in ((walls, WALL), (glass, GLASS)):
-            hit = m == code
-            runs = hit[:, 0].astype(np.int32)
-            if hit.shape[1] > 1:
-                runs = runs + np.count_nonzero(hit[:, 1:] & ~hit[:, :-1], axis=1).astype(np.int32)
-            out[sel] = runs
-    return walls.reshape(H, W), glass.reshape(H, W)
+        runs[:, sel] = segment_runs(grid, sx[sel, None], sy[sel, None],
+                                    fx[sel, None], fy[sel, None], int(n))
+    walls, glass = runs.reshape(2, H, W)
+    return walls, glass
 
 
 def coverage_field(grid: GridMap, tx: WorldPoint, params: RadioParams) -> RssField:
@@ -237,12 +218,16 @@ def coverage_distance(params: RadioParams) -> float:
 
 
 class CoverageBook:
-    """Memo of single-source coverage fields over one grid, keyed by source cell."""
+    """Radio memo over one grid: single-source coverage fields keyed by
+    source cell, and deterministic link losses keyed by the canonical point
+    pair (a loss is exactly reciprocal, so one entry serves both directions).
+    """
 
     def __init__(self, grid: GridMap, params: RadioParams):
         self.grid = grid
         self.params = params
         self._fields: dict[CellIndex, RssField] = {}
+        self._losses: dict[tuple[WorldPoint, WorldPoint], float] = {}
 
     def field_at(self, src: WorldPoint) -> RssField:
         cell = self.grid.to_cell(src)
@@ -256,3 +241,19 @@ class CoverageBook:
         if not sources:
             return empty_field(self.grid, self.params)
         return combine_coverage([self.field_at(s) for s in sources])
+
+    def rss(self, a: WorldPoint, b: WorldPoint, noise: RadioParams | None = None,
+            key: tuple[int, ...] = ()) -> float:
+        """rss between a and b: deterministic and memoised, or with noise
+        (these params under the noise seed) rss(grid, a, b, noise,
+        "stochastic", key). Every path_loss call is then a memo miss or a
+        noisy link; bench/tracing.py counts them per link.
+        """
+        if noise is not None:
+            return noise.p_tx - path_loss(self.grid, a, b, noise, "stochastic", key)
+        a, b = tuple(a), tuple(b)
+        pair = (a, b) if a <= b else (b, a)
+        loss = self._losses.get(pair)
+        if loss is None:
+            loss = self._losses[pair] = path_loss(self.grid, pair[0], pair[1], self.params)
+        return self.params.p_tx - loss

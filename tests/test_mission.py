@@ -281,6 +281,18 @@ class TestNoiseHold:
             execute_mission(plan, sc, noise_seed=3, hold_limit=4)
         assert exc.value.reached == set()
 
+    def test_stall_carries_the_until_tick_trace(self, fig2):
+        from relaynet.mission import GoalConnectivityStallError
+
+        plan = plan_deployment(fig2, "FMM")
+        with pytest.raises(GoalConnectivityStallError) as exc:
+            execute_mission(plan, fig2, noise_seed=0)
+        stall = exc.value
+        rerun = execute_mission(plan, fig2, noise_seed=0, until_tick=stall.tick)
+        assert not stall.trace.completed
+        assert stall.trace == rerun
+        assert stall.trace.to_json() == rerun.to_json()
+
 
 class TestMetrics:
     def test_single_robot_straight_run(self):
