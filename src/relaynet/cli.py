@@ -55,7 +55,7 @@ class ReplanBudgetError(RuntimeError):
 
 _RADIO_KEYS = {f.name for f in dataclasses.fields(RadioParams)} - {"seed"}
 _SCENARIO_KEYS = {"map", "bs", "robot_starts", "goals", "radio", "w_c", "speed", "seed", "knobs"}
-_KNOB_KEYS = {"relay_stride", "visit_cap"}
+_KNOB_MINIMA = {"relay_stride": 1, "visit_cap": 0}
 _EXPERIMENT_KEYS = {"map_size", "obstacle_density", "goal_counts", "trials", "modes", "seed_base", "radio"}
 
 
@@ -64,6 +64,20 @@ def _point(value, what: str) -> WorldPoint:
             or not all(isinstance(v, (int, float)) for v in value)):
         raise SchemaError(f"{what} must be an [x, y] pair, got {value!r}")
     return (float(value[0]), float(value[1]))
+
+
+def _points(value, what: str) -> list[WorldPoint]:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list of [x, y] pairs, got {value!r}")
+    return [_point(p, f"{what} entry") for p in value]
+
+
+def _number(value, what: str, minimum: float, inclusive: bool) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
+            or value < minimum or (value == minimum and not inclusive)):
+        bound = ">=" if inclusive else ">"
+        raise SchemaError(f"{what} must be a finite number {bound} {minimum}, got {value!r}")
+    return float(value)
 
 
 def load_scenario(path: str | FsPath) -> Scenario:
@@ -82,8 +96,9 @@ def load_scenario(path: str | FsPath) -> Scenario:
         if key not in data:
             raise SchemaError(f"{path}: missing required key {key!r}")
 
-    map_path = path.parent / data["map"]
-    grid = parse_map(map_path.read_text())
+    if not isinstance(data["map"], str):
+        raise SchemaError(f"{path}: map must be a file name, got {data['map']!r}")
+    grid = parse_map((path.parent / data["map"]).read_text())
 
     radio_block = data.get("radio", {})
     if not isinstance(radio_block, dict):
@@ -99,23 +114,31 @@ def load_scenario(path: str | FsPath) -> Scenario:
     except (TypeError, RadioConfigError) as e:
         raise SchemaError(f"{path}: bad radio parameters: {e}") from e
 
+    # absent optional fields take the Scenario defaults
     knobs = data.get("knobs", {})
-    unknown = set(knobs) - _KNOB_KEYS
+    if not isinstance(knobs, dict):
+        raise SchemaError(f"{path}: knobs must be an object, got {knobs!r}")
+    unknown = set(knobs) - set(_KNOB_MINIMA)
     if unknown:
         raise SchemaError(f"{path}: unknown knob keys {sorted(unknown)}")
-
-    sc = Scenario(
-        map=grid,
-        bs=_point(data["bs"], "bs"),
-        robot_starts=[_point(p, "robot_starts entry") for p in data["robot_starts"]],
-        goals=[_point(p, "goals entry") for p in data["goals"]],
-        radio=radio,
-        w_c=float(data.get("w_c", 1.0)),
-        robot_speed=float(data["speed"]) if "speed" in data else None,
-        relay_stride=int(knobs.get("relay_stride", 2)),
-        visit_cap=int(knobs.get("visit_cap", 9)),
-    )
+    for key, value in knobs.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < _KNOB_MINIMA[key]:
+            raise SchemaError(f"{path}: knob {key} must be an integer >= {_KNOB_MINIMA[key]}, "
+                              f"got {value!r}")
+    optional = dict(knobs)
     try:
+        if "w_c" in data:
+            optional["w_c"] = _number(data["w_c"], "w_c", 0.0, inclusive=True)
+        if "speed" in data:
+            optional["robot_speed"] = _number(data["speed"], "speed", 0.0, inclusive=False)
+        sc = Scenario(
+            map=grid,
+            bs=_point(data["bs"], "bs"),
+            robot_starts=_points(data["robot_starts"], "robot_starts"),
+            goals=_points(data["goals"], "goals"),
+            radio=radio,
+            **optional,
+        )
         sc.validate(initial=True)
     except ValueError as e:
         raise SchemaError(f"{path}: {e}") from e
@@ -412,18 +435,7 @@ def run_with_replan(scenario: Scenario, mode: str, noise_seed: int | None,
             cur_plan = plan_deployment(sc, "DPA-FMM")
             for r in range(len(merged_plan)):
                 merged_plan[r].extend(cur_plan.robots[r])
-    used = sum(1 for segs in merged_plan if any(s.purpose != "wait-until" for s in segs))
-    full_plan = DeploymentPlan(mode=plan.mode, robots=merged_plan, robots_used=used)
-    if len(traces) == 1:
-        trace = traces[0]
-        trace = MissionTrace(positions=trace.positions, parents=trace.parents,
-                             connected=trace.connected, active=trace.active,
-                             events=trace.events,
-                             reached_goals={goal_maps[0][g] for g in trace.reached_goals},
-                             completed=trace.completed)
-    else:
-        trace = _merge_traces(traces, goal_maps)
-    return trace, full_plan, replans
+    return _merge_traces(traces, goal_maps), DeploymentPlan.of(plan.mode, merged_plan), replans
 
 
 def _do_plan(sc: Scenario, mode: str, out_dir: str) -> int:

@@ -70,15 +70,11 @@ class Assignment:
 class RelayPlan:
     positions: list[WorldPoint]
     newly_covered: list[list[int]]        # goal indices first connected by each relay
-    assignment: list[tuple[int, int]]     # (free robot index, relay index)
-    assignment_costs: list[float]
 
     def to_dict(self) -> dict:
         return {
             "positions": [list(p) for p in self.positions],
             "newly_covered": self.newly_covered,
-            "assignment": [list(a) for a in self.assignment],
-            "assignment_costs": self.assignment_costs,
         }
 
 
@@ -190,40 +186,30 @@ def hungarian_assign(costs) -> Assignment:
     return Assignment(pairs=pairs, total_cost=total)
 
 
-def plan_relays(grid: GridMap, goals: list[WorldPoint], tree: ConnTree,
-                free_robots: list[WorldPoint], params: RadioParams, *,
-                bs: WorldPoint, transmitters: list[WorldPoint] | None = None,
+def plan_relays(grid: GridMap, goals: list[WorldPoint], free_robots: list[WorldPoint],
+                params: RadioParams, *, bs: WorldPoint,
+                transmitters: list[WorldPoint] | None = None,
                 stride: int = 2, book: CoverageBook | None = None) -> RelayPlan:
     """Greedy relay-position synthesis over the covered free cells.
 
-    Candidates are free cells inside the combined coverage of the current
-    transmitters, sampled on a stride lattice. Each greedy round commits the
-    candidate scoring best on (goals newly connected, goal depths reduced,
-    cheapest reachable free robot), then recomputes coverage. When no single
-    candidate connects an unreachable goal, a bridge relay is committed at
-    the covered cell closest to the nearest unreachable goal, provided it
-    makes strict progress; otherwise the remaining goals are reported
-    infeasible. Finally free robots are assigned to the committed positions
-    by minimal movement cost.
-
-    tree must be the min-hop tree over nodes [bs, *transmitters, *goals].
+    Candidates are free cells inside the combined coverage of the base
+    station, the transmitters and the relays committed so far, sampled on a
+    stride lattice. Each greedy round commits the candidate scoring best on
+    (goals newly connected, goal depths reduced, cheapest reachable free
+    robot), then recomputes coverage. When no single candidate connects an
+    unreachable goal, a bridge relay is committed at the covered cell
+    closest to the nearest unreachable goal, provided it makes strict
+    progress; otherwise the remaining goals are reported infeasible.
     """
     transmitters = list(transmitters) if transmitters else []
     if book is None:
         book = CoverageBook(grid, params)
     n_tx = len(transmitters)
     goal_node = lambda gi: 1 + n_tx + gi
-    expected_nodes = 1 + n_tx + len(goals)
-    if len(tree.depth) != expected_nodes:
-        raise ValueError(
-            f"tree has {len(tree.depth)} nodes, expected {expected_nodes} "
-            "(bs + transmitters + goals)"
-        )
 
     base_positions = [tuple(bs)] + [tuple(t) for t in transmitters] + [tuple(g) for g in goals]
     committed: list[WorldPoint] = []
     newly_covered: list[list[int]] = []
-    depths = [tree.depth[goal_node(gi)] for gi in range(len(goals))]
 
     def node_list() -> list[WorldPoint]:
         return base_positions + committed
@@ -245,15 +231,12 @@ def plan_relays(grid: GridMap, goals: list[WorldPoint], tree: ConnTree,
 
     guard = 4 * len(goals) + 16
     while True:
-        if len(committed) > guard:
-            raise InfeasibleRelayError(
-                "relay synthesis exceeded its commit budget",
-                [gi for gi, d in enumerate(depths) if d is None],
-            )
         positions = node_list()
         adj = build_conn_graph(grid, positions, params, book=book).adjacency()
         depths = goal_depths(adj)
         unreachable = [gi for gi, d in enumerate(depths) if d is None]
+        if len(committed) > guard:
+            raise InfeasibleRelayError("relay synthesis exceeded its commit budget", unreachable)
 
         cands = candidate_cells()
         best = None
@@ -281,12 +264,11 @@ def plan_relays(grid: GridMap, goals: list[WorldPoint], tree: ConnTree,
             score = (connected, reduced, -min_cost)
             if best_score is None or score > best_score:
                 best_score = score
-                best = (cell, cpos, new_depths, [gi for gi in unreachable if new_depths[gi] is not None])
+                best = (cpos, [gi for gi in unreachable if new_depths[gi] is not None])
         if best is not None:
-            _, cpos, new_depths, covered_goals = best
+            cpos, covered_goals = best
             committed.append(cpos)
             newly_covered.append(covered_goals)
-            depths = new_depths
             continue
 
         if not unreachable:
@@ -317,15 +299,7 @@ def plan_relays(grid: GridMap, goals: list[WorldPoint], tree: ConnTree,
         committed.append(bridge)
         newly_covered.append([])
 
-    assignment: list[tuple[int, int]] = []
-    assignment_costs: list[float] = []
-    if committed and free_robots:
-        costs = [[movement_cost(grid, fr, rp) for rp in committed] for fr in free_robots]
-        asn = hungarian_assign(costs)
-        assignment = [tuple(p) for p in asn.pairs]
-        assignment_costs = [costs[r][c] for r, c in assignment]
-    return RelayPlan(positions=committed, newly_covered=newly_covered,
-                     assignment=assignment, assignment_costs=assignment_costs)
+    return RelayPlan(positions=committed, newly_covered=newly_covered)
 
 
 def check_feasibility(grid: GridMap, bs: WorldPoint, goals: list[WorldPoint],

@@ -46,8 +46,8 @@ class GridMap:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise MapParseError("map must be at least 1x1 cells")
-        if self.resolution <= 0:
-            raise MapParseError("resolution must be > 0")
+        if not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise MapParseError(f"resolution must be finite and > 0, got {self.resolution!r}")
         if self.materials.shape != (self.height, self.width):
             raise MapParseError(
                 f"raster shape {self.materials.shape} does not match "
@@ -146,8 +146,8 @@ def parse_map(text: str) -> GridMap:
     resolution = float(header.get("resolution", DEFAULT_RESOLUTION))
     if width < 1 or height < 1:
         raise MapParseError("width and height must be >= 1")
-    if resolution <= 0:
-        raise MapParseError("resolution must be > 0")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise MapParseError(f"resolution must be finite and > 0, got {resolution!r}")
 
     rows = []
     for r in range(height):

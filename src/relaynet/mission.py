@@ -12,6 +12,7 @@ from .clustering import VISIT_CAP, cluster_goals, visit_order
 from .connectivity import (
     FeasibilityReport,
     InfeasibleRelayError,
+    RelayPlan,
     bfs_tree,
     build_conn_graph,
     check_feasibility,
@@ -134,11 +135,21 @@ class PlanSegment:
         return d
 
 
+def used_robots(robots: list[list[PlanSegment]]) -> list[int]:
+    """Indices of the robots with a segment other than wait-until."""
+    return [r for r, segs in enumerate(robots) if any(s.purpose != "wait-until" for s in segs)]
+
+
 @dataclass
 class DeploymentPlan:
     mode: str
     robots: list[list[PlanSegment]]
     robots_used: int
+
+    @classmethod
+    def of(cls, mode: str, robots: list[list[PlanSegment]]) -> DeploymentPlan:
+        """The plan with robots_used counted by used_robots."""
+        return cls(mode=mode, robots=robots, robots_used=len(used_robots(robots)))
 
     def to_dict(self) -> dict:
         return {
@@ -230,6 +241,7 @@ class _Planner:
         self.params = sc.radio
         self.book = CoverageBook(sc.map, sc.radio)
         self.N = len(sc.robot_starts)
+        self.goals: list[WorldPoint] = [tuple(g) for g in sc.goals]
         self.segs: list[list[PlanSegment]] = [[] for _ in range(self.N)]
         self.robot_pos: list[WorldPoint] = [tuple(p) for p in sc.robot_starts]
         self.txs: list[_Tx] = [_Tx(tuple(sc.bs), sc.map.to_cell(sc.bs), None, None)]
@@ -237,11 +249,8 @@ class _Planner:
         self.fixed_robots: set[int] = set()
         for robot, pos in fixed_relays:
             pos = tuple(pos)
-            cell = self.grid.to_cell(pos)
-            parent = self.strongest(pos, gated=False)
-            self.txs.append(_Tx(pos, cell, robot, parent))
+            self.park(pos, self.grid.to_cell(pos), robot, self.strongest(pos, gated=False))
             self.fixed_robots.add(robot)
-            self.robot_pos[robot] = pos
 
     def active_txs(self) -> list[int]:
         return [i for i, t in enumerate(self.txs) if t.active]
@@ -305,11 +314,38 @@ class _Planner:
         for t in self.uplink_chain(ti):
             self.dependents.setdefault(t, []).append(arrival)
 
-    def wait_segment(self, conditions: list[tuple[int, CellIndex]]) -> PlanSegment | None:
+    def hold(self, robot: int, conditions: list[tuple[int, CellIndex]]) -> None:
+        """Append a wait-until on the distinct (robot, cell) arrivals, if any."""
         conds = sorted(set(conditions))
-        if not conds:
-            return None
-        return PlanSegment(purpose="wait-until", wait_for=conds)
+        if conds:
+            self.segs[robot].append(PlanSegment(purpose="wait-until", wait_for=conds))
+
+    def gate(self, robot: int, ti: int) -> None:
+        """Hold robot until the robot parked at transmitter ti, if any, is in place."""
+        tx = self.txs[ti]
+        if tx.robot is not None:
+            self.hold(robot, [(tx.robot, tx.cell)])
+
+    def park(self, pos: WorldPoint, cell: CellIndex, robot: int, parent: int | None) -> int:
+        """Make robot a transmitter at pos under uplink parent; its index."""
+        pos = tuple(pos)
+        self.txs.append(_Tx(pos, cell, robot, parent))
+        self.robot_pos[robot] = pos
+        return len(self.txs) - 1
+
+    def relay_plan(self, goal_ids: list[int], free_robots: list[int]) -> RelayPlan:
+        """Relay posts that connect the given goals over the base station and
+        the parked transmitters, scored against the free robots' positions."""
+        tx_pos = [t.pos for t in self.txs if t.active and t.robot is not None]
+        try:
+            return plan_relays(self.grid, [self.goals[g] for g in goal_ids],
+                               [self.robot_pos[r] for r in free_robots], self.params,
+                               bs=self.sc.bs, transmitters=tx_pos,
+                               stride=self.sc.relay_stride, book=self.book)
+        except InfeasibleRelayError as e:
+            raise InfeasibleScenarioError(
+                f"relay synthesis failed for goals {sorted(goal_ids[i] for i in e.goals)}"
+            ) from e
 
     def plan_leg(self, start: WorldPoint, target: WorldPoint,
                  sources: list[WorldPoint], blocked: list[CellIndex]) -> Path:
@@ -335,20 +371,18 @@ def _plan_simple(sc: Scenario, mode: str) -> DeploymentPlan:
     grid, params = sc.map, sc.radio
     N, G = len(sc.robot_starts), len(sc.goals)
     segs: list[list[PlanSegment]] = [[] for _ in range(N)]
-    if G == 0:
-        return DeploymentPlan(mode=mode, robots=segs, robots_used=0)
+    book = CoverageBook(grid, params)
     costs = [[movement_cost(grid, s, g) for g in sc.goals] for s in sc.robot_starts]
     asn = hungarian_assign(costs)
     robot_of_goal = {g: r for r, g in asn.pairs}
 
     if mode == "CA-FMM":
-        graph = build_conn_graph(grid, [sc.bs] + [tuple(g) for g in sc.goals], params)
+        graph = build_conn_graph(grid, [sc.bs] + [tuple(g) for g in sc.goals], params, book=book)
         tree = min_hop_tree(graph)
         order = sorted(range(G), key=lambda g: (tree.depth[g + 1] is None, tree.depth[g + 1] or 0, g))
     else:
         order = sorted(robot_of_goal.keys())
 
-    book = CoverageBook(grid, params)
     sources: list[WorldPoint] = [tuple(sc.bs)]
     for g in order:
         r = robot_of_goal.get(g)
@@ -361,8 +395,7 @@ def _plan_simple(sc: Scenario, mode: str) -> DeploymentPlan:
                                    post=grid.to_cell(sc.goals[g])))
         if mode == "CA-FMM":
             sources.append(tuple(sc.goals[g]))
-    used = sum(1 for s in segs if s)
-    return DeploymentPlan(mode=mode, robots=segs, robots_used=used)
+    return DeploymentPlan.of(mode, segs)
 
 
 def _plan_dp(sc: Scenario) -> DeploymentPlan:
@@ -373,8 +406,8 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
     place, then turns finished robots into relays where coverage is missing.
     """
     pl = _Planner(sc)
-    grid, params = sc.map, sc.radio
-    N, goals = pl.N, [tuple(g) for g in sc.goals]
+    grid = sc.map
+    N, goals = pl.N, pl.goals
     unplanned = set(range(len(goals)))
     assigned_goal: list[int | None] = [None] * N
     relay_done = [False] * N
@@ -392,42 +425,30 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
                 asn = hungarian_assign(costs)
                 for ai, fi in asn.pairs:
                     robot, g = avail[ai], frontier[fi]
+                    # frontier goals have a coverer, and no transmitter goes
+                    # inactive in this loop
                     parent_ti = pl.strongest(goals[g])
                     goal_cell = grid.to_cell(goals[g])
                     path = pl.plan_leg(pl.robot_pos[robot], goals[g], pl.source_positions(),
                                        pl.parked_cells(exclude_robot=robot))
-                    wait = None
-                    if parent_ti is not None and pl.txs[parent_ti].robot is not None:
-                        wait = pl.wait_segment([(pl.txs[parent_ti].robot, pl.txs[parent_ti].cell)])
-                    if wait:
-                        pl.segs[robot].append(wait)
+                    pl.gate(robot, parent_ti)
                     pl.segs[robot].append(PlanSegment(purpose="primary-goal", path=path,
                                                       goal_index=g, post=goal_cell))
-                    if parent_ti is not None:
-                        pl.register_dependency(parent_ti, (robot, goal_cell))
-                    pl.txs.append(_Tx(goals[g], goal_cell, robot, parent_ti))
+                    pl.register_dependency(parent_ti, (robot, goal_cell))
+                    pl.park(goals[g], goal_cell, robot, parent_ti)
                     assigned_goal[robot] = g
-                    pl.robot_pos[robot] = goals[g]
                     unplanned.discard(g)
                     progressed = True
         if unplanned:
             remaining = sorted(unplanned)
             free = [r for r in range(N)
                     if assigned_goal[r] is not None and not relay_done[r] and r not in pl.fixed_robots]
-            tx_pos = [pl.txs[i].pos for i in pl.active_txs() if pl.txs[i].robot is not None]
-            nodes = [tuple(sc.bs)] + tx_pos + [goals[g] for g in remaining]
-            tree = min_hop_tree(build_conn_graph(grid, nodes, params, book=pl.book))
             try:
-                rp = plan_relays(grid, [goals[g] for g in remaining], tree,
-                                 [pl.robot_pos[r] for r in free], params,
-                                 bs=sc.bs, transmitters=tx_pos,
-                                 stride=sc.relay_stride, book=pl.book)
-            except InfeasibleRelayError as e:
+                rp = pl.relay_plan(remaining, free)
+            except InfeasibleScenarioError:
                 if progressed:
                     continue  # let parked robots extend coverage next wave
-                raise InfeasibleScenarioError(
-                    f"relay synthesis failed for goals {sorted(remaining[i] for i in e.goals)}"
-                ) from e
+                raise
             # only posts whose coverage is already materialized may be manned now
             eligible = [i for i, post in enumerate(rp.positions) if pl.strongest(post) is not None]
             if free and eligible:
@@ -448,20 +469,16 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
                             continue
                         parent_ti, rehome = rewire
                         post_cell = grid.to_cell(post)
-                        wait = pl.wait_segment(pl.dependents.get(old_ti, []))
                         path = pl.plan_leg(pl.robot_pos[robot], post, pl.source_positions(),
                                            pl.parked_cells(exclude_robot=robot))
                         pl.txs[old_ti].active = False
-                        if wait:
-                            pl.segs[robot].append(wait)
+                        pl.hold(robot, pl.dependents.get(old_ti, []))
                         pl.segs[robot].append(PlanSegment(purpose="relay-move", path=path,
                                                           post=post_cell))
-                        new_ti = len(pl.txs)
-                        pl.txs.append(_Tx(tuple(post), post_cell, robot, parent_ti))
+                        new_ti = pl.park(post, post_cell, robot, parent_ti)
                         for child, target in rehome.items():
                             pl.txs[child].parent = new_ti if target == "new" else target
                         relay_done[robot] = True
-                        pl.robot_pos[robot] = tuple(post)
                         pending.remove((ai, ei))
                         committed_any = True
                         progressed = True
@@ -473,8 +490,7 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
             )
     if unplanned:
         raise InfeasibleScenarioError(f"DP planning ran out of waves; unplanned {sorted(unplanned)}")
-    used = sum(1 for s in pl.segs if any(x.purpose != "wait-until" for x in s))
-    return DeploymentPlan(mode="DP-FMM", robots=pl.segs, robots_used=used)
+    return DeploymentPlan.of("DP-FMM", pl.segs)
 
 
 def _split_to_cap(grid: GridMap, entry: WorldPoint, destinations: list[WorldPoint],
@@ -506,8 +522,7 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
     """DPA-FMM: DP plus clustering; each cluster is one robot visiting its
     waypoints in exhaustively optimal order and remaining at its destination."""
     pl = _Planner(sc, fixed_relays)
-    grid, params = sc.map, sc.radio
-    goals = [tuple(g) for g in sc.goals]
+    grid, goals = sc.map, pl.goals
     unplanned = set(range(len(goals)))
     available = [r for r in range(pl.N) if r not in pl.fixed_robots]
 
@@ -515,22 +530,10 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
         if not unplanned:
             break
         remaining = sorted(unplanned)
-        active = pl.active_txs()
-        tx_pos = [pl.txs[i].pos for i in active if pl.txs[i].robot is not None]
-        nodes = [tuple(sc.bs)] + tx_pos + [goals[g] for g in remaining]
-        tree = min_hop_tree(build_conn_graph(grid, nodes, params, book=pl.book))
-        try:
-            rp = plan_relays(grid, [goals[g] for g in remaining], tree,
-                             [pl.robot_pos[r] for r in available], params,
-                             bs=sc.bs, transmitters=tx_pos,
-                             stride=sc.relay_stride, book=pl.book)
-        except InfeasibleRelayError as e:
-            raise InfeasibleScenarioError(
-                f"relay synthesis failed for goals {sorted(remaining[i] for i in e.goals)}"
-            ) from e
+        rp = pl.relay_plan(remaining, available)
 
         # entry resolution: posts chain off active transmitters in commit order
-        placed = [(("tx", i), pl.txs[i].pos) for i in active]
+        placed = [(("tx", i), pl.txs[i].pos) for i in pl.active_txs()]
         entry_of_post: list[tuple[str, int]] = []
         post_pos = [tuple(p) for p in rp.positions]
 
@@ -630,12 +633,7 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
                     continue  # entry post not manned yet (or not at all this wave)
                 robot = assigned[ci]
                 seq = spec["seq"]
-                entry_tx = pl.txs[entry_ti]
-                wait = None
-                if entry_tx.robot is not None:
-                    wait = pl.wait_segment([(entry_tx.robot, entry_tx.cell)])
-                if wait:
-                    pl.segs[robot].append(wait)
+                pl.gate(robot, entry_ti)
 
                 sources = pl.source_positions() + [post_pos[pi] for pi in sorted(post_robot)]
                 blocked = pl.parked_cells(exclude_robot=robot)
@@ -655,11 +653,9 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
                                                           goal_index=g, post=grid.to_cell(target)))
                     cur = tuple(target)
                 pl.register_dependency(entry_ti, (robot, dest_cell))
-                new_ti = len(pl.txs)
-                pl.txs.append(_Tx(tuple(seq.points[-1]), dest_cell, robot, entry_ti))
+                new_ti = pl.park(seq.points[-1], dest_cell, robot, entry_ti)
                 if spec["dest_kind"] == "post":
                     post_tx[spec["dest_post"]] = new_ti
-                pl.robot_pos[robot] = tuple(seq.points[-1])
                 available.remove(robot)
                 for g in spec["goal_ids"]:
                     unplanned.discard(g)
@@ -673,8 +669,7 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
             )
     if unplanned:
         raise InfeasibleScenarioError(f"DPA planning ran out of waves; unplanned {sorted(unplanned)}")
-    used = sum(1 for s in pl.segs if any(x.purpose != "wait-until" for x in s))
-    return DeploymentPlan(mode="DPA-FMM", robots=pl.segs, robots_used=used)
+    return DeploymentPlan.of("DPA-FMM", pl.segs)
 
 
 def plan_deployment(scenario: Scenario, mode: str,
@@ -685,7 +680,7 @@ def plan_deployment(scenario: Scenario, mode: str,
     mode = normalize_mode(mode)
     scenario.validate(initial=False)
     if not scenario.goals:
-        return DeploymentPlan(mode=mode, robots=[[] for _ in scenario.robot_starts], robots_used=0)
+        return DeploymentPlan.of(mode, [[] for _ in scenario.robot_starts])
     if mode in ("DP-FMM", "DPA-FMM"):
         report = check_feasibility(scenario.map, scenario.bs, scenario.goals,
                                    len(scenario.robot_starts), scenario.radio)
@@ -903,8 +898,7 @@ def compute_metrics(trace: MissionTrace, plan: DeploymentPlan) -> Metrics:
         raise ValueError("empty trace")
     N = len(trace.positions[0])
     ticks = len(trace.positions)
-    used = [r for r in range(N)
-            if any(seg.purpose != "wait-until" for seg in plan.robots[r])]
+    used = used_robots(plan.robots)
     travelled = [0.0] * N
     for t in range(1, ticks):
         for r in range(N):

@@ -76,6 +76,23 @@ class TestScenarioSchema:
         sc = load_scenario(write_fig2_files(tmp_path, seed=77))
         assert sc.radio.seed == 77
 
+    @pytest.mark.parametrize("key, extra", [
+        ("knobs", {"knobs": []}),
+        ("speed", {"speed": None}),
+        ("w_c", {"w_c": None}),
+        ("robot_starts", {"robot_starts": 5}),
+        ("map", {"map": 5}),
+        ("relay_stride", {"knobs": {"relay_stride": 0}}),
+        ("visit_cap", {"knobs": {"visit_cap": -1}}),
+        ("speed", {"speed": 0}),
+        ("speed", {"speed": -1}),
+    ])
+    def test_malformed_field_is_a_schema_error(self, tmp_path, key, extra):
+        path = write_fig2_files(tmp_path, **extra)
+        with pytest.raises(SchemaError, match=key):
+            load_scenario(path)
+        assert main(["run", str(path), "--mode", "dpa", "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+
     def test_missing_key_rejected(self, tmp_path):
         (tmp_path / "bad.json").write_text(json.dumps({"map": "x.map"}))
         with pytest.raises(SchemaError, match="missing required key"):
@@ -145,6 +162,16 @@ class TestRun:
         lines = (tmp_path / "r" / "metrics.csv").read_text().splitlines()
         assert lines[0].startswith("scenario,mode,noise_seed")
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("mode", ["fmm", "dp", "dpa"])
+    def test_run_without_stall_writes_the_plain_trace(self, tmp_path, mode):
+        from relaynet.mission import execute_mission, plan_deployment
+
+        path = write_fig2_files(tmp_path)
+        assert main(["run", str(path), "--mode", mode, "--out", str(tmp_path / "r")]) == EXIT_OK
+        sc = load_scenario(path)
+        expected = execute_mission(plan_deployment(sc, mode), sc).to_json()
+        assert (tmp_path / "r" / "trace.json").read_text() == expected
 
     def test_noise_run_deterministic(self, tmp_path):
         path = write_fig2_files(tmp_path)

@@ -12,7 +12,7 @@ from relaynet.connectivity import (
     movement_cost,
     plan_relays,
 )
-from relaynet.radio import RadioParams, coverage_distance
+from relaynet.radio import RadioParams, coverage_distance, rss
 
 from conftest import fig2_map, fig2_scenario, make_map, open_map
 from helpers import bfs_hops, brute_force_assignment
@@ -176,8 +176,7 @@ class TestPlanRelays:
         params = params_with_range(8.0)
         bs = m.to_world((4, 4))
         goals = [m.to_world((8, 4)), m.to_world((4, 8))]
-        tree = min_hop_tree(build_conn_graph(m, [bs] + goals, params))
-        plan = plan_relays(m, goals, tree, [], params, bs=bs)
+        plan = plan_relays(m, goals, [], params, bs=bs)
         assert plan.positions == []
 
     def test_fig2_topology_connects_far_goals(self):
@@ -190,7 +189,7 @@ class TestPlanRelays:
         # robots parked at every reachable goal provide the working coverage
         parked = [goals[i] for i in range(4)]
         tree2 = min_hop_tree(build_conn_graph(m, [bs] + parked + goals, params))
-        plan = plan_relays(m, goals, tree2, parked, params, bs=bs, transmitters=parked)
+        plan = plan_relays(m, goals, parked, params, bs=bs, transmitters=parked)
         assert len(plan.positions) >= 1
         after = min_hop_tree(build_conn_graph(m, [bs] + parked + plan.positions + goals, params))
         goal_off = 1 + len(parked) + len(plan.positions)
@@ -203,26 +202,42 @@ class TestPlanRelays:
         params = params_with_range(8.0)
         bs = m.to_world((2, 2))
         goals = [m.to_world((26, 2))]
-        tree = min_hop_tree(build_conn_graph(m, [bs] + goals, params))
         free = [m.to_world((4, 2)), m.to_world((10, 2))]
-        plan = plan_relays(m, goals, tree, free, params, bs=bs)
+        plan = plan_relays(m, goals, free, params, bs=bs)
         assert plan.positions
-        if len(plan.positions) >= 2:
-            # hungarian total must beat the crossed pairing
-            crossed = (movement_cost(m, free[0], plan.positions[1])
-                       + movement_cost(m, free[1], plan.positions[0]))
-            chosen = sum(plan.assignment_costs)
-            assert chosen <= crossed + 1e-9
 
     def test_deterministic(self):
         sc = fig2_scenario()
         m, params = sc.map, sc.radio
         bs, goals = sc.bs, sc.goals
         parked = [goals[i] for i in range(4)]
-        tree = min_hop_tree(build_conn_graph(m, [bs] + parked + goals, params))
-        p1 = plan_relays(m, goals, tree, parked, params, bs=bs, transmitters=parked)
-        p2 = plan_relays(m, goals, tree, parked, params, bs=bs, transmitters=parked)
+        p1 = plan_relays(m, goals, parked, params, bs=bs, transmitters=parked)
+        p2 = plan_relays(m, goals, parked, params, bs=bs, transmitters=parked)
         assert p1.to_dict() == p2.to_dict()
+
+    @pytest.mark.parametrize("n_parked", [0, 4])
+    def test_newly_covered_names_the_goals_each_relay_connects(self, n_parked):
+        # goals are graph nodes too, as in plan_relays; links come from the
+        # unmemoised rss and hop depths from the independent BFS oracle
+        sc = fig2_scenario()
+        m, params, bs, goals = sc.map, sc.radio, sc.bs, sc.goals
+        parked = [goals[i] for i in range(n_parked)]
+        plan = plan_relays(m, goals, parked, params, bs=bs, transmitters=parked)
+        assert len(plan.newly_covered) == len(plan.positions)
+        assert any(plan.newly_covered)
+
+        def reachable(relays):
+            nodes = [bs] + parked + relays + goals
+            edges = {(i, j) for i in range(len(nodes)) for j in range(i + 1, len(nodes))
+                     if rss(m, nodes[i], nodes[j], params) >= params.gamma}
+            depth = bfs_hops(len(nodes), edges)
+            off = 1 + len(parked) + len(relays)
+            return {gi for gi in range(len(goals)) if depth[off + gi] is not None}
+
+        for k, covered in enumerate(plan.newly_covered):
+            before = reachable(plan.positions[:k])
+            after = reachable(plan.positions[:k + 1])
+            assert set(covered) == after - before
 
     def test_uncoverable_goal_reported(self):
         # goal sealed behind many walls: attenuation kills any bridge
@@ -236,9 +251,8 @@ class TestPlanRelays:
         params = params_with_range(2.0)
         bs = m.to_world((2, 0))
         goals = [m.to_world((28, 8))]
-        tree = min_hop_tree(build_conn_graph(m, [bs] + goals, params))
         with pytest.raises(InfeasibleRelayError) as exc:
-            plan_relays(m, goals, tree, [], params, bs=bs)
+            plan_relays(m, goals, [], params, bs=bs)
         assert exc.value.goals == [0]
 
 
@@ -283,8 +297,7 @@ class TestSerialization:
         sc = fig2_scenario()
         m, params, bs, goals = sc.map, sc.radio, sc.bs, sc.goals
         parked = [goals[i] for i in range(4)]
-        tree = min_hop_tree(build_conn_graph(m, [bs] + parked + goals, params))
-        plan = plan_relays(m, goals, tree, parked, params, bs=bs, transmitters=parked)
+        plan = plan_relays(m, goals, parked, params, bs=bs, transmitters=parked)
         doc = json.loads(json.dumps(plan.to_dict()))
         assert len(doc["positions"]) == len(plan.positions)
-        assert doc["assignment"] == [list(a) for a in plan.assignment]
+        assert doc["newly_covered"] == plan.newly_covered

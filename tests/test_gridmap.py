@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaynet.gridmap import (
     FREE,
@@ -59,6 +61,58 @@ class TestParseMap:
             rows = ["".join(row) for row in chars]
             m = make_map(rows, resolution=float(rng.choice([0.25, 0.5, 1.0])))
             assert parse_map(m.serialize()) == m
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "0", "-0.5"])
+    def test_non_finite_or_nonpositive_resolution_rejected(self, value):
+        with pytest.raises(MapParseError, match="resolution"):
+            parse_map(f"width 1\nheight 1\nresolution {value}\n.")
+        with pytest.raises(MapParseError, match="resolution"):
+            GridMap(width=1, height=1, resolution=float(value),
+                    materials=np.zeros((1, 1), dtype=np.uint8))
+
+
+_JUNK = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=3)
+# resolutions: well-formed, non-finite and out of range
+_RESOLUTIONS = st.one_of(
+    st.sampled_from(["0.5", "nan", "inf", "-inf", "1e400", "1e-320", "0", "-1"]),
+    st.floats().map(repr),
+)
+
+
+@st.composite
+def map_texts(draw) -> str:
+    """A width/height/resolution header, sometimes with a junk value, a line
+    dropped or duplicated, in any order; then either a raster of the
+    declared shape or rows of arbitrary length and characters."""
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = {"width": str(w), "height": str(h), "resolution": draw(_RESOLUTIONS)}
+    bad = draw(st.sampled_from([None, None, None, "width", "height", "resolution"]))
+    if bad:
+        values[bad] = draw(_JUNK)
+    header = [f"{k} {v}" for k, v in draw(st.permutations(list(values.items())))]
+    header = header[:draw(st.sampled_from([3, 3, 3, 2]))] + draw(st.sampled_from([[], [], [], header[:1]]))
+    if draw(st.booleans()):
+        rows = [draw(st.text(".#%", min_size=w, max_size=w)) for _ in range(h)]
+    else:
+        rows = draw(st.lists(st.text(".#%X ", max_size=5), max_size=5))
+    return "\n".join(header + rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(map_texts())
+def test_parse_map_raises_only_map_parse_error(text):
+    try:
+        m = parse_map(text)
+    except MapParseError:
+        return
+    assert math.isfinite(m.resolution) and m.resolution > 0
+    declared = {}
+    for line in text.splitlines():
+        parts = line.split()
+        if parts and parts[0] in ("width", "height"):
+            declared[parts[0]] = int(parts[1])
+    assert (m.width, m.height) == (declared["width"], declared["height"])
+    assert m.materials.shape == (m.height, m.width)
 
 
 class TestGeometry:
