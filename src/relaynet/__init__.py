@@ -43,6 +43,7 @@ from .mission import (
     replan,
 )
 from .radio import (
+    CoverageBook,
     RadioParams,
     RssField,
     combine_coverage,

@@ -80,6 +80,12 @@ def _number(value, what: str, minimum: float, inclusive: bool) -> float:
     return float(value)
 
 
+def _integer(value, what: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise SchemaError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def load_scenario(path: str | FsPath) -> Scenario:
     """Read and validate a scenario JSON file; unknown keys are rejected."""
     path = FsPath(path)
@@ -121,12 +127,9 @@ def load_scenario(path: str | FsPath) -> Scenario:
     unknown = set(knobs) - set(_KNOB_MINIMA)
     if unknown:
         raise SchemaError(f"{path}: unknown knob keys {sorted(unknown)}")
-    for key, value in knobs.items():
-        if isinstance(value, bool) or not isinstance(value, int) or value < _KNOB_MINIMA[key]:
-            raise SchemaError(f"{path}: knob {key} must be an integer >= {_KNOB_MINIMA[key]}, "
-                              f"got {value!r}")
-    optional = dict(knobs)
     try:
+        optional = {key: _integer(value, f"knob {key}", _KNOB_MINIMA[key])
+                    for key, value in knobs.items()}
         if "w_c" in data:
             optional["w_c"] = _number(data["w_c"], "w_c", 0.0, inclusive=True)
         if "speed" in data:
@@ -146,31 +149,44 @@ def load_scenario(path: str | FsPath) -> Scenario:
 
 
 def load_experiment(path: str | FsPath) -> dict:
+    """Read and validate a sweep experiment JSON file; unknown keys are rejected."""
     path = FsPath(path)
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: invalid JSON: {e}") from e
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: experiment must be a JSON object")
     unknown = set(data) - _EXPERIMENT_KEYS
     if unknown:
         raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
-    spec = {
-        "map_size": data.get("map_size", [32, 32]),
-        "obstacle_density": float(data.get("obstacle_density", 0.5)),
-        "goal_counts": data.get("goal_counts", [6]),
-        "trials": int(data.get("trials", 1)),
-        "modes": [normalize_mode(m) for m in data.get("modes", list(mission.MODES))],
-        "seed_base": int(data.get("seed_base", 0)),
-        "radio": data.get("radio", {}),
-    }
-    if spec["trials"] < 1:
-        raise SchemaError(f"{path}: trials must be >= 1")
-    if not spec["goal_counts"] or any(int(g) < 1 for g in spec["goal_counts"]):
-        raise SchemaError(f"{path}: goal counts must be >= 1")
-    unknown = set(spec["radio"]) - _RADIO_KEYS
-    if unknown:
-        raise SchemaError(f"{path}: unknown radio keys {sorted(unknown)}")
-    return spec
+    map_size = data.get("map_size", [32, 32])
+    goal_counts = data.get("goal_counts", [6])
+    modes = data.get("modes", list(mission.MODES))
+    radio = data.get("radio", {})
+    try:
+        if not isinstance(map_size, list) or len(map_size) != 2:
+            raise SchemaError(f"map_size must be a [width, height] pair, got {map_size!r}")
+        if not isinstance(goal_counts, list) or not goal_counts:
+            raise SchemaError(f"goal_counts must be a nonempty list, got {goal_counts!r}")
+        if not isinstance(modes, list) or not all(isinstance(m, str) for m in modes):
+            raise SchemaError(f"modes must be a list of mode names, got {modes!r}")
+        if not isinstance(radio, dict) or set(radio) - _RADIO_KEYS:
+            raise SchemaError(f"radio must be an object with keys from {sorted(_RADIO_KEYS)}, "
+                              f"got {radio!r}")
+        return {
+            # generate_map draws wall lines from [3, size - 3)
+            "map_size": [_integer(v, "map_size entry", 7) for v in map_size],
+            "obstacle_density": _number(data.get("obstacle_density", 0.5), "obstacle_density",
+                                        0.0, inclusive=True),
+            "goal_counts": [_integer(g, "goal_counts entry", 1) for g in goal_counts],
+            "trials": _integer(data.get("trials", 1), "trials", 1),
+            "modes": [normalize_mode(m) for m in modes],
+            "seed_base": _integer(data.get("seed_base", 0), "seed_base", 0),
+            "radio": radio,
+        }
+    except ValueError as e:
+        raise SchemaError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +441,10 @@ def run_with_replan(scenario: Scenario, mode: str, noise_seed: int | None,
                     f"replan budget of {budget} exhausted under noise seed {noise_seed}"
                 ) from stall
             traces.append(stall.trace)
-            gmap = goal_maps[-1]
-            reached_local = stall.reached
-            remaining = [g for i, g in enumerate(sc.goals) if i not in reached_local]
-            remaining_ids = [gmap[i] for i in range(len(sc.goals)) if i not in reached_local]
-            log.info("replan %d: %d goals remain", replans, len(remaining))
-            sc = dataclasses.replace(sc, robot_starts=stall.positions, goals=remaining)
+            remaining_ids = [g for i, g in enumerate(goal_maps[-1]) if i not in stall.reached]
+            log.info("replan %d: %d goals remain", replans, len(remaining_ids))
             goal_maps.append(remaining_ids)
-            cur_plan = plan_deployment(sc, "DPA-FMM")
+            sc, cur_plan = replan(sc, stall.reached, stall.positions)
             for r in range(len(merged_plan)):
                 merged_plan[r].extend(cur_plan.robots[r])
     return _merge_traces(traces, goal_maps), DeploymentPlan.of(plan.mode, merged_plan), replans
@@ -493,11 +505,10 @@ def cmd_sweep(experiment_path: str, out_dir: str) -> int:
     spec = load_experiment(experiment_path)
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    width, height = int(spec["map_size"][0]), int(spec["map_size"][1])
+    width, height = spec["map_size"]
     trial_rows = ["goal_count,trial,seed,mode," + ",".join(Metrics.COLUMNS)]
     agg: dict[tuple[int, str], list[Metrics]] = {}
     for gc in spec["goal_counts"]:
-        gc = int(gc)
         for trial in range(spec["trials"]):
             base = spec["seed_base"] * 1_000_000 + gc * 1_000 + trial * 37
             sc = None

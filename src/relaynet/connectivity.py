@@ -88,18 +88,17 @@ class FeasibilityReport:
     reason: str = ""
 
 
-def build_conn_graph(grid: GridMap, positions: list[WorldPoint], params: RadioParams, *,
-                     book: CoverageBook | None = None) -> ConnGraph:
-    """Edges join position pairs whose deterministic rss clears gamma (the
-    rss is exactly reciprocal, so one direction decides both)."""
+def build_conn_graph(book: CoverageBook, positions: list[WorldPoint]) -> ConnGraph:
+    """Edges join position pairs whose deterministic rss, memoised in the
+    book, clears the book's gamma (the rss is exactly reciprocal, so one
+    direction decides both)."""
+    grid = book.grid
     for p in positions:
         if not grid.is_free_cell(grid.to_cell(p)):
             raise ValueError(f"node position {p} lies on an obstacle cell")
-    if book is None:
-        book = CoverageBook(grid, params)
     n = len(positions)
     edges = frozenset((i, j) for i in range(n) for j in range(i + 1, n)
-                      if book.rss(positions[i], positions[j]) >= params.gamma)
+                      if book.rss(positions[i], positions[j]) >= book.params.gamma)
     return ConnGraph(positions=tuple(tuple(p) for p in positions), edges=edges)
 
 
@@ -186,11 +185,11 @@ def hungarian_assign(costs) -> Assignment:
     return Assignment(pairs=pairs, total_cost=total)
 
 
-def plan_relays(grid: GridMap, goals: list[WorldPoint], free_robots: list[WorldPoint],
-                params: RadioParams, *, bs: WorldPoint,
-                transmitters: list[WorldPoint] | None = None,
-                stride: int = 2, book: CoverageBook | None = None) -> RelayPlan:
-    """Greedy relay-position synthesis over the covered free cells.
+def plan_relays(book: CoverageBook, goals: list[WorldPoint], free_robots: list[WorldPoint], *,
+                bs: WorldPoint, transmitters: list[WorldPoint] | None = None,
+                stride: int = 2) -> RelayPlan:
+    """Greedy relay-position synthesis over the covered free cells of the
+    book's grid, with links and coverage under the book's radio.
 
     Candidates are free cells inside the combined coverage of the base
     station, the transmitters and the relays committed so far, sampled on a
@@ -201,9 +200,8 @@ def plan_relays(grid: GridMap, goals: list[WorldPoint], free_robots: list[WorldP
     closest to the nearest unreachable goal, provided it makes strict
     progress; otherwise the remaining goals are reported infeasible.
     """
+    grid, gamma = book.grid, book.params.gamma
     transmitters = list(transmitters) if transmitters else []
-    if book is None:
-        book = CoverageBook(grid, params)
     n_tx = len(transmitters)
     goal_node = lambda gi: 1 + n_tx + gi
 
@@ -232,7 +230,7 @@ def plan_relays(grid: GridMap, goals: list[WorldPoint], free_robots: list[WorldP
     guard = 4 * len(goals) + 16
     while True:
         positions = node_list()
-        adj = build_conn_graph(grid, positions, params, book=book).adjacency()
+        adj = build_conn_graph(book, positions).adjacency()
         depths = goal_depths(adj)
         unreachable = [gi for gi, d in enumerate(depths) if d is None]
         if len(committed) > guard:
@@ -243,7 +241,7 @@ def plan_relays(grid: GridMap, goals: list[WorldPoint], free_robots: list[WorldP
         best_score = None
         for cell in cands:
             cpos = grid.to_world(cell)
-            cadj = [i for i, p in enumerate(positions) if book.rss(cpos, p) >= params.gamma]
+            cadj = [i for i, p in enumerate(positions) if book.rss(cpos, p) >= gamma]
             ext_adj = [list(a) for a in adj] + [cadj]
             ci = len(positions)
             for i in cadj:

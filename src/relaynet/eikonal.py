@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gridmap import FREE, CellIndex, GridMap, WorldPoint
-from .radio import CoverageBook, RadioConfigError, RadioParams, RssField, combine_coverage, coverage_field, empty_field
+from .radio import CoverageBook, RadioConfigError, RssField
 
 
 class UnreachableError(ValueError):
@@ -80,16 +80,15 @@ def base_velocity(grid: GridMap) -> VelocityField:
     return VelocityField(grid=grid, F=F)
 
 
-def comm_velocity(grid: GridMap, cov: RssField, other_robots: Sequence[CellIndex],
+def comm_velocity(cov: RssField, other_robots: Sequence[CellIndex],
                   w_c: float = 1.0) -> VelocityField:
-    """Velocity boosted inside the coverage area.
+    """Velocity on the coverage field's grid, boosted inside the coverage area.
 
     The boost is w_c * clamp((rss - gamma) / (rss_ref - gamma), 0, 1): zero
     outside coverage, w_c at the strongest plausible signal. Cells occupied
     by other robots are blocked outright.
     """
-    if cov.grid is not grid and cov.grid != grid:
-        raise ValueError("coverage field does not match the map")
+    grid = cov.grid
     if w_c < 0:
         raise ValueError("w_c must be >= 0")
     if cov.rss_ref <= cov.gamma:
@@ -434,28 +433,23 @@ def coverage_fraction(grid: GridMap, points: Sequence[WorldPoint], mask: np.ndar
     return covered / total
 
 
-def ca_fmm_path(grid: GridMap, start: CellIndex, goal: CellIndex,
-                relay_sources: Sequence[WorldPoint], params: RadioParams,
-                w_c: float = 1.0, blocked: Sequence[CellIndex] = (),
-                book: CoverageBook | None = None) -> Path:
-    """Plan one start->goal path biased into the coverage of relay_sources.
+def ca_fmm_path(book: CoverageBook, start: CellIndex, goal: CellIndex,
+                relay_sources: Sequence[WorldPoint], w_c: float = 1.0,
+                blocked: Sequence[CellIndex] = ()) -> Path:
+    """Plan one start->goal path on the book's grid, biased into the coverage
+    of relay_sources, whose fields come from the book.
 
     The eikonal front expands from the goal over the boosted velocity, so the
     descent from start flows toward the goal. With no relay sources this is
     exactly the plain shortest-path solve. blocked lists cells held by other
     robots, which are excluded from the velocity field.
     """
+    grid = book.grid
     if not grid.cell_in_bounds(start) or not grid.cell_in_bounds(goal):
         raise UnreachableError(f"start {start} or goal {goal} outside grid")
-    if relay_sources:
-        if book is not None:
-            cov = book.combined(list(relay_sources))
-        else:
-            cov = combine_coverage([coverage_field(grid, s, params) for s in relay_sources])
-    else:
-        cov = empty_field(grid, params)
+    cov = book.combined(list(relay_sources))
     blocked_eff = [c for c in blocked if tuple(c) not in (tuple(start), tuple(goal))]
-    vel = comm_velocity(grid, cov, blocked_eff, w_c)
+    vel = comm_velocity(cov, blocked_eff, w_c)
     if vel.F[goal[1], goal[0]] <= 0.0:
         raise UnreachableError(f"goal cell {goal} is blocked")
     if vel.F[start[1], start[0]] <= 0.0:

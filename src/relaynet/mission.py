@@ -238,7 +238,6 @@ class _Planner:
     def __init__(self, sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = ()):
         self.sc = sc
         self.grid = sc.map
-        self.params = sc.radio
         self.book = CoverageBook(sc.map, sc.radio)
         self.N = len(sc.robot_starts)
         self.goals: list[WorldPoint] = [tuple(g) for g in sc.goals]
@@ -266,7 +265,7 @@ class _Planner:
         best, best_rss = None, -math.inf
         for key, pos in self.tx_candidates() if candidates is None else candidates:
             r = self.book.rss(pos, p)
-            if r > best_rss and (not gated or r >= self.params.gamma):
+            if r > best_rss and (not gated or r >= self.book.params.gamma):
                 best, best_rss = key, r
         return best
 
@@ -290,7 +289,7 @@ class _Planner:
         {child: new parent or "new"}) or None when the move would strand
         someone.
         """
-        gamma = self.params.gamma
+        gamma = self.book.params.gamma
         children = [i for i, t in enumerate(self.txs)
                     if t.active and t.parent == old_ti and i != old_ti]
         settled = self.tx_candidates(exclude=set(children) | {old_ti})
@@ -338,10 +337,9 @@ class _Planner:
         the parked transmitters, scored against the free robots' positions."""
         tx_pos = [t.pos for t in self.txs if t.active and t.robot is not None]
         try:
-            return plan_relays(self.grid, [self.goals[g] for g in goal_ids],
-                               [self.robot_pos[r] for r in free_robots], self.params,
-                               bs=self.sc.bs, transmitters=tx_pos,
-                               stride=self.sc.relay_stride, book=self.book)
+            return plan_relays(self.book, [self.goals[g] for g in goal_ids],
+                               [self.robot_pos[r] for r in free_robots],
+                               bs=self.sc.bs, transmitters=tx_pos, stride=self.sc.relay_stride)
         except InfeasibleRelayError as e:
             raise InfeasibleScenarioError(
                 f"relay synthesis failed for goals {sorted(goal_ids[i] for i in e.goals)}"
@@ -349,10 +347,8 @@ class _Planner:
 
     def plan_leg(self, start: WorldPoint, target: WorldPoint,
                  sources: list[WorldPoint], blocked: list[CellIndex]) -> Path:
-        return ca_fmm_path(
-            self.grid, self.grid.to_cell(start), self.grid.to_cell(target),
-            sources, self.params, self.sc.w_c, blocked=blocked, book=self.book,
-        )
+        return ca_fmm_path(self.book, self.grid.to_cell(start), self.grid.to_cell(target),
+                           sources, self.sc.w_c, blocked=blocked)
 
     def parked_cells(self, exclude_robot: int | None = None) -> list[CellIndex]:
         return [t.cell for i, t in enumerate(self.txs)
@@ -368,16 +364,16 @@ def _plan_simple(sc: Scenario, mode: str) -> DeploymentPlan:
     CA-FMM plans in tree-depth order against the coverage of the base station
     plus the goal endpoints already planned; FMM ignores coverage entirely.
     """
-    grid, params = sc.map, sc.radio
+    grid = sc.map
     N, G = len(sc.robot_starts), len(sc.goals)
     segs: list[list[PlanSegment]] = [[] for _ in range(N)]
-    book = CoverageBook(grid, params)
+    book = CoverageBook(grid, sc.radio)
     costs = [[movement_cost(grid, s, g) for g in sc.goals] for s in sc.robot_starts]
     asn = hungarian_assign(costs)
     robot_of_goal = {g: r for r, g in asn.pairs}
 
     if mode == "CA-FMM":
-        graph = build_conn_graph(grid, [sc.bs] + [tuple(g) for g in sc.goals], params, book=book)
+        graph = build_conn_graph(book, [sc.bs] + [tuple(g) for g in sc.goals])
         tree = min_hop_tree(graph)
         order = sorted(range(G), key=lambda g: (tree.depth[g + 1] is None, tree.depth[g + 1] or 0, g))
     else:
@@ -389,8 +385,8 @@ def _plan_simple(sc: Scenario, mode: str) -> DeploymentPlan:
         if r is None:
             continue
         relay_sources = sources if mode == "CA-FMM" else []
-        path = ca_fmm_path(grid, grid.to_cell(sc.robot_starts[r]), grid.to_cell(sc.goals[g]),
-                           relay_sources, params, sc.w_c, book=book)
+        path = ca_fmm_path(book, grid.to_cell(sc.robot_starts[r]), grid.to_cell(sc.goals[g]),
+                           relay_sources, sc.w_c)
         segs[r].append(PlanSegment(purpose="primary-goal", path=path, goal_index=g,
                                    post=grid.to_cell(sc.goals[g])))
         if mode == "CA-FMM":
@@ -696,15 +692,14 @@ def plan_deployment(scenario: Scenario, mode: str,
         raise InfeasibleScenarioError(f"planning failed: {e}") from e
 
 
-def replan(scenario_updated: Scenario, reached_goals: set[int],
-           robot_positions: list[WorldPoint],
-           committed_relays: tuple[tuple[int, WorldPoint], ...] = ()) -> DeploymentPlan:
+def replan(scenario_updated: Scenario, reached_goals: set[int], robot_positions: list[WorldPoint],
+           committed_relays: tuple[tuple[int, WorldPoint], ...] = ()) -> tuple[Scenario, DeploymentPlan]:
     """Re-run the full DPA pipeline from the robots' current positions with
-    reached goals dropped; goal indices in the new plan refer to the reduced
-    goal list. Robots already committed as relays keep their posts."""
+    reached goals dropped: the reduced scenario and its plan, whose goal
+    indices refer to the reduced goal list. Committed relays keep their posts."""
     goals = [g for i, g in enumerate(scenario_updated.goals) if i not in reached_goals]
     sc = replace(scenario_updated, robot_starts=[tuple(p) for p in robot_positions], goals=goals)
-    return plan_deployment(sc, "DPA-FMM", fixed_relays=committed_relays)
+    return sc, plan_deployment(sc, "DPA-FMM", fixed_relays=committed_relays)
 
 
 # ---------------------------------------------------------------------------

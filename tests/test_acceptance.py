@@ -32,7 +32,7 @@ from relaynet.mission import (
     plan_deployment,
     replan,
 )
-from relaynet.radio import RadioParams, combine_coverage, coverage_field, path_loss
+from relaynet.radio import CoverageBook, RadioParams, combine_coverage, coverage_field, path_loss
 
 from conftest import corridor_scenario, fig2_map, make_map, open_map
 from helpers import best_tour, bfs_hops, brute_force_assignment, dijkstra8
@@ -248,8 +248,8 @@ def test_criterion_7_coverage_bias():
             x0 = int(rng.integers(6, 10))
             relays = [m.to_world((x0 + k * int(rng.integers(5, 8)), strip_y))
                       for k in range(3)]
-            fmm = ca_fmm_path(m, start, goal, [], params)
-            ca = ca_fmm_path(m, start, goal, relays, params, w_c=1.0)
+            fmm = ca_fmm_path(CoverageBook(m, params), start, goal, [])
+            ca = ca_fmm_path(CoverageBook(m, params), start, goal, relays, w_c=1.0)
             mask = combine_coverage([coverage_field(m, s, params) for s in relays]).mask
             fmm_fracs.append(coverage_fraction(m, fmm.points, mask))
             ca_fracs.append(coverage_fraction(m, ca.points, mask))
@@ -382,7 +382,7 @@ def test_criterion_11_reactive_replan():
                           resolution=sc.map.resolution, materials=mats)
         updated = Scenario(map=new_map, bs=sc.bs, robot_starts=sc.robot_starts,
                            goals=sc.goals, radio=sc.radio)
-        new_plan = replan(updated, reached, positions)
+        _, new_plan = replan(updated, reached, positions)
         remaining_ids = [i for i in range(len(sc.goals)) if i not in reached]
         sc2 = Scenario(map=new_map, bs=sc.bs, robot_starts=positions,
                        goals=[sc.goals[i] for i in remaining_ids], radio=sc.radio)

@@ -14,6 +14,7 @@ from relaynet.cli import (
     ReplanBudgetError,
     SchemaError,
     generate_map,
+    load_experiment,
     load_scenario,
     main,
     random_scenario,
@@ -254,6 +255,25 @@ class TestSweep:
 
     def test_unknown_experiment_key_exit_2(self, tmp_path):
         (tmp_path / "exp.json").write_text(json.dumps({"surprise": 1}))
+        assert main(["sweep", str(tmp_path / "exp.json"), "--out", str(tmp_path / "sw")]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("key, doc", [
+        ("object", []),
+        ("map_size", {"map_size": 5}),
+        ("map_size", {"map_size": [5, 5]}),
+        ("map_size", {"map_size": [32]}),
+        ("goal_counts", {"goal_counts": 3}),
+        ("goal_counts", {"goal_counts": [2.5]}),
+        ("trials", {"trials": 1.5}),
+        ("seed_base", {"seed_base": 1.5}),
+        ("modes", {"modes": "dp"}),
+        ("obstacle_density", {"obstacle_density": math.nan}),
+        ("radio", {"radio": []}),
+    ])
+    def test_malformed_experiment_field_is_a_schema_error(self, tmp_path, key, doc):
+        (tmp_path / "exp.json").write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=key):
+            load_experiment(tmp_path / "exp.json")
         assert main(["sweep", str(tmp_path / "exp.json"), "--out", str(tmp_path / "sw")]) == EXIT_SCHEMA
 
     def test_dpa_uses_fewer_robots_on_average(self, tmp_path):

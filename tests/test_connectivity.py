@@ -12,7 +12,7 @@ from relaynet.connectivity import (
     movement_cost,
     plan_relays,
 )
-from relaynet.radio import RadioParams, coverage_distance, rss
+from relaynet.radio import CoverageBook, RadioParams, coverage_distance, rss
 
 from conftest import fig2_map, fig2_scenario, make_map, open_map
 from helpers import bfs_hops, brute_force_assignment
@@ -25,26 +25,26 @@ def params_with_range(d_cov: float) -> RadioParams:
 class TestConnGraph:
     def test_close_pair_connected(self):
         m = open_map(20, 5)
-        g = build_conn_graph(m, [(1.25, 1.25), (2.25, 1.25)], RadioParams())
+        g = build_conn_graph(CoverageBook(m, RadioParams()), [(1.25, 1.25), (2.25, 1.25)])
         assert (0, 1) in g.edges
 
     def test_beyond_coverage_distance_no_edge(self):
         params = params_with_range(4.0)
         assert coverage_distance(params) == pytest.approx(4.0)
         m = open_map(30, 5)
-        g = build_conn_graph(m, [(1.25, 1.25), (1.25 + 4.5, 1.25)], params)
+        g = build_conn_graph(CoverageBook(m, params), [(1.25, 1.25), (1.25 + 4.5, 1.25)])
         assert not g.edges
-        g2 = build_conn_graph(m, [(1.25, 1.25), (1.25 + 3.5, 1.25)], params)
+        g2 = build_conn_graph(CoverageBook(m, params), [(1.25, 1.25), (1.25 + 3.5, 1.25)])
         assert (0, 1) in g2.edges
 
     def test_single_node(self):
-        g = build_conn_graph(open_map(4, 4), [(1.25, 1.25)], RadioParams())
+        g = build_conn_graph(CoverageBook(open_map(4, 4), RadioParams()), [(1.25, 1.25)])
         assert not g.edges
 
     def test_node_on_obstacle_rejected(self):
         m = make_map(["#.", ".."])
         with pytest.raises(ValueError):
-            build_conn_graph(m, [(0.25, 0.25)], RadioParams())
+            build_conn_graph(CoverageBook(m, RadioParams()), [(0.25, 0.25)])
 
 
 class TestMinHopTree:
@@ -52,7 +52,7 @@ class TestMinHopTree:
         m = open_map(40, 5)
         params = params_with_range(3.0)
         nodes = [(1.25, 1.25), (3.75, 1.25), (6.25, 1.25), (8.75, 1.25)]
-        tree = min_hop_tree(build_conn_graph(m, nodes, params))
+        tree = min_hop_tree(build_conn_graph(CoverageBook(m, params), nodes))
         assert tree.depth == (0, 1, 2, 3)
         assert tree.parent == (None, 0, 1, 2)
 
@@ -60,14 +60,14 @@ class TestMinHopTree:
         m = open_map(20, 20)
         params = params_with_range(5.0)
         nodes = [(5.25, 5.25), (6.25, 5.25), (5.25, 7.25), (3.25, 5.25)]
-        tree = min_hop_tree(build_conn_graph(m, nodes, params))
+        tree = min_hop_tree(build_conn_graph(CoverageBook(m, params), nodes))
         assert tree.depth == (0, 1, 1, 1)
 
     def test_unreachable_flagged(self):
         m = open_map(60, 5)
         params = params_with_range(2.0)
         nodes = [(1.25, 1.25), (2.25, 1.25), (25.25, 1.25)]
-        tree = min_hop_tree(build_conn_graph(m, nodes, params))
+        tree = min_hop_tree(build_conn_graph(CoverageBook(m, params), nodes))
         assert tree.depth[2] is None
         assert tree.unreachable(2)
         assert not tree.unreachable(1)
@@ -77,7 +77,7 @@ class TestMinHopTree:
         m = open_map(20, 20)
         params = params_with_range(3.0)
         nodes = [(4.25, 4.25), (6.75, 4.25), (4.25, 6.75), (6.75, 6.75)]
-        tree = min_hop_tree(build_conn_graph(m, nodes, params))
+        tree = min_hop_tree(build_conn_graph(CoverageBook(m, params), nodes))
         assert tree.depth[3] == 2
         assert tree.parent[3] == 1
 
@@ -176,22 +176,23 @@ class TestPlanRelays:
         params = params_with_range(8.0)
         bs = m.to_world((4, 4))
         goals = [m.to_world((8, 4)), m.to_world((4, 8))]
-        plan = plan_relays(m, goals, [], params, bs=bs)
+        plan = plan_relays(CoverageBook(m, params), goals, [], bs=bs)
         assert plan.positions == []
 
     def test_fig2_topology_connects_far_goals(self):
         sc = fig2_scenario()
         m, params = sc.map, sc.radio
         bs, goals = sc.bs, sc.goals
-        tree = min_hop_tree(build_conn_graph(m, [bs] + goals, params))
+        tree = min_hop_tree(build_conn_graph(CoverageBook(m, params), [bs] + goals))
         assert tree.unreachable(5) and tree.unreachable(6)
         max_depth_before = tree.max_depth()
         # robots parked at every reachable goal provide the working coverage
         parked = [goals[i] for i in range(4)]
-        tree2 = min_hop_tree(build_conn_graph(m, [bs] + parked + goals, params))
-        plan = plan_relays(m, goals, parked, params, bs=bs, transmitters=parked)
+        tree2 = min_hop_tree(build_conn_graph(CoverageBook(m, params), [bs] + parked + goals))
+        plan = plan_relays(CoverageBook(m, params), goals, parked, bs=bs, transmitters=parked)
         assert len(plan.positions) >= 1
-        after = min_hop_tree(build_conn_graph(m, [bs] + parked + plan.positions + goals, params))
+        after = min_hop_tree(build_conn_graph(CoverageBook(m, params),
+                                              [bs] + parked + plan.positions + goals))
         goal_off = 1 + len(parked) + len(plan.positions)
         for gi in range(len(goals)):
             assert after.depth[goal_off + gi] is not None
@@ -203,7 +204,7 @@ class TestPlanRelays:
         bs = m.to_world((2, 2))
         goals = [m.to_world((26, 2))]
         free = [m.to_world((4, 2)), m.to_world((10, 2))]
-        plan = plan_relays(m, goals, free, params, bs=bs)
+        plan = plan_relays(CoverageBook(m, params), goals, free, bs=bs)
         assert plan.positions
 
     def test_deterministic(self):
@@ -211,8 +212,8 @@ class TestPlanRelays:
         m, params = sc.map, sc.radio
         bs, goals = sc.bs, sc.goals
         parked = [goals[i] for i in range(4)]
-        p1 = plan_relays(m, goals, parked, params, bs=bs, transmitters=parked)
-        p2 = plan_relays(m, goals, parked, params, bs=bs, transmitters=parked)
+        p1 = plan_relays(CoverageBook(m, params), goals, parked, bs=bs, transmitters=parked)
+        p2 = plan_relays(CoverageBook(m, params), goals, parked, bs=bs, transmitters=parked)
         assert p1.to_dict() == p2.to_dict()
 
     @pytest.mark.parametrize("n_parked", [0, 4])
@@ -222,7 +223,7 @@ class TestPlanRelays:
         sc = fig2_scenario()
         m, params, bs, goals = sc.map, sc.radio, sc.bs, sc.goals
         parked = [goals[i] for i in range(n_parked)]
-        plan = plan_relays(m, goals, parked, params, bs=bs, transmitters=parked)
+        plan = plan_relays(CoverageBook(m, params), goals, parked, bs=bs, transmitters=parked)
         assert len(plan.newly_covered) == len(plan.positions)
         assert any(plan.newly_covered)
 
@@ -252,7 +253,7 @@ class TestPlanRelays:
         bs = m.to_world((2, 0))
         goals = [m.to_world((28, 8))]
         with pytest.raises(InfeasibleRelayError) as exc:
-            plan_relays(m, goals, [], params, bs=bs)
+            plan_relays(CoverageBook(m, params), goals, [], bs=bs)
         assert exc.value.goals == [0]
 
 
@@ -286,7 +287,7 @@ class TestSerialization:
         m = open_map(40, 5)
         params = params_with_range(3.0)
         nodes = [(1.25, 1.25), (3.75, 1.25), (16.25, 1.25)]
-        tree = min_hop_tree(build_conn_graph(m, nodes, params))
+        tree = min_hop_tree(build_conn_graph(CoverageBook(m, params), nodes))
         doc = json.loads(json.dumps(tree.to_dict()))
         assert doc["depth"] == [0, 1, None]
         assert doc["parent"] == [None, 0, None]
@@ -297,7 +298,7 @@ class TestSerialization:
         sc = fig2_scenario()
         m, params, bs, goals = sc.map, sc.radio, sc.bs, sc.goals
         parked = [goals[i] for i in range(4)]
-        plan = plan_relays(m, goals, parked, params, bs=bs, transmitters=parked)
+        plan = plan_relays(CoverageBook(m, params), goals, parked, bs=bs, transmitters=parked)
         doc = json.loads(json.dumps(plan.to_dict()))
         assert len(doc["positions"]) == len(plan.positions)
         assert doc["newly_covered"] == plan.newly_covered

@@ -14,7 +14,7 @@ from relaynet.eikonal import (
     solve_eikonal,
 )
 from relaynet.gridmap import GLASS, WALL
-from relaynet.radio import RadioConfigError, RadioParams, coverage_field, empty_field
+from relaynet.radio import CoverageBook, RadioConfigError, RadioParams, coverage_field, empty_field
 
 from conftest import make_map, open_map
 from helpers import dijkstra8
@@ -38,14 +38,14 @@ class TestCommVelocity:
     def test_uncovered_cell_keeps_unit_speed(self):
         m = open_map(6, 6)
         params = RadioParams()
-        v = comm_velocity(m, empty_field(m, params), [], w_c=1.0)
+        v = comm_velocity(empty_field(m, params), [], w_c=1.0)
         assert np.all(v.F == base_velocity(m).F)
 
     def test_boost_range_and_robot_blocking(self):
         m = open_map(20, 20)
         params = RadioParams()
         cov = coverage_field(m, m.to_world((10, 10)), params)
-        v = comm_velocity(m, cov, [(3, 3)], w_c=1.0)
+        v = comm_velocity(cov, [(3, 3)], w_c=1.0)
         free = m.materials == 0
         assert np.all(v.F[free] <= 2.0 + 1e-12)
         covered = cov.mask & free
@@ -56,7 +56,7 @@ class TestCommVelocity:
         m = open_map(9, 9)
         params = RadioParams()
         cov = coverage_field(m, m.to_world((4, 4)), params)
-        v = comm_velocity(m, cov, [], w_c=1.0)
+        v = comm_velocity(cov, [], w_c=1.0)
         # tx's own cell sits at the clamped minimum distance, above rss_ref
         assert v.F[4, 4] == pytest.approx(2.0)
 
@@ -68,7 +68,7 @@ class TestCommVelocity:
         rss[0, 0] = params.gamma  # exactly at threshold
         cov2 = type(cov)(grid=cov.grid, rss=rss, sources=cov.sources,
                          gamma=cov.gamma, rss_ref=cov.rss_ref)
-        v = comm_velocity(m, cov2, [], w_c=1.0)
+        v = comm_velocity(cov2, [], w_c=1.0)
         assert v.F[0, 0] == pytest.approx(1.0)
 
     def test_degenerate_normalization_rejected(self):
@@ -78,7 +78,7 @@ class TestCommVelocity:
         bad = type(cov)(grid=cov.grid, rss=cov.rss, sources=(),
                         gamma=cov.gamma, rss_ref=cov.gamma - 1.0)
         with pytest.raises(RadioConfigError):
-            comm_velocity(m, bad, [], 1.0)
+            comm_velocity(bad, [], 1.0)
 
 
 class TestSolveEikonal:
@@ -268,14 +268,14 @@ class TestCaFmmPath:
         params = RadioParams()
         d = solve_eikonal(base_velocity(m), (9, 3))
         plain = extract_path(d, (0, 0))
-        ca = ca_fmm_path(m, (0, 0), (9, 3), [], params)
+        ca = ca_fmm_path(CoverageBook(m, params), (0, 0), (9, 3), [])
         assert ca.points == plain.points
         assert ca.coverage_fraction == 0.0
 
     def test_coverage_bias_and_length_order(self):
         m, params, start, goal, relays = strip_fixture()
-        fmm = ca_fmm_path(m, start, goal, [], params)
-        ca = ca_fmm_path(m, start, goal, relays, params, w_c=1.0)
+        fmm = ca_fmm_path(CoverageBook(m, params), start, goal, [])
+        ca = ca_fmm_path(CoverageBook(m, params), start, goal, relays, w_c=1.0)
         # evaluate both fractions against the same mask
         from relaynet.radio import combine_coverage
 
@@ -290,7 +290,7 @@ class TestCaFmmPath:
         m, params, start, goal, relays = strip_fixture()
         fracs = []
         for w_c in (0.0, 0.5, 1.0, 2.0):
-            p = ca_fmm_path(m, start, goal, relays, params, w_c=w_c)
+            p = ca_fmm_path(CoverageBook(m, params), start, goal, relays, w_c=w_c)
             fracs.append(p.coverage_fraction)
         assert all(b >= a - 1e-9 for a, b in zip(fracs, fracs[1:]))
 
@@ -306,17 +306,17 @@ class TestCaFmmPath:
             oracle = dijkstra8(vel, (1, 1))
             if (16, 16) not in oracle:
                 continue
-            p = ca_fmm_path(m, (16, 16), (1, 1), [], RadioParams(), w_c=0.0)
+            p = ca_fmm_path(CoverageBook(m, RadioParams()), (16, 16), (1, 1), [], w_c=0.0)
             assert p.length <= oracle[(16, 16)] + 2 * m.resolution
 
     def test_goal_walled_off(self):
         m = make_map(["...#.", "...#.", "...#."])
         with pytest.raises(UnreachableError):
-            ca_fmm_path(m, (0, 1), (4, 1), [], RadioParams())
+            ca_fmm_path(CoverageBook(m, RadioParams()), (0, 1), (4, 1), [])
 
     def test_blocked_cells_excluded(self):
         m = make_map(["....." , ".....", "....."])
-        p = ca_fmm_path(m, (0, 1), (4, 1), [], RadioParams(), blocked=[(2, 1)])
+        p = ca_fmm_path(CoverageBook(m, RadioParams()), (0, 1), (4, 1), [], blocked=[(2, 1)])
         for pt in p.points:
             assert m.to_cell(pt) != (2, 1)
 

@@ -1,6 +1,6 @@
 """Property tests of the link layer over small random maps: the shared
-raycast kernel, the coverage field's run counts, the memoised pairwise rss,
-and the single BFS."""
+raycast kernel, the coverage field's run counts, the memoised pairwise rss
+and coverage, and the single BFS."""
 
 import math
 
@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from relaynet.connectivity import bfs_tree
 from relaynet.gridmap import GridMap, count_traversals, segment_runs
-from relaynet.radio import CoverageBook, RadioParams, _traversal_field, path_loss, rss
+from relaynet.radio import (
+    CoverageBook,
+    RadioParams,
+    _traversal_field,
+    combine_coverage,
+    coverage_field,
+    path_loss,
+    rss,
+)
 
 from helpers import bfs_hops
 
@@ -95,6 +103,24 @@ def test_memoised_rss_bit_equal(data):
                 assert book.rss(a, b) == rss(grid, a, b, params)
                 assert book.rss(a, b, noise, (tick,)) == \
                     noise.p_tx - path_loss(grid, a, b, noise, "stochastic", (tick,))
+
+
+@PROPS
+@given(st.data())
+def test_memoised_coverage_bit_equal(data):
+    # the reference is the unmemoised per-source build and combine
+    grid = data.draw(small_maps())
+    params = RadioParams(p_tx=data.draw(st.floats(-40.0, 10.0)))
+    free = [(c, r) for r in range(grid.height) for c in range(grid.width)
+            if grid.is_free_cell((c, r))]
+    cells = data.draw(st.lists(st.sampled_from(free), max_size=4)) if free else []
+    sources = [grid.to_world(c) for c in cells]
+    book = CoverageBook(grid, params)
+    assert not book.combined([]).mask.any()
+    if sources:
+        expected = combine_coverage([coverage_field(grid, s, params) for s in sources]).rss
+        for _ in range(2):  # the second pass is served from the memo
+            assert book.combined(sources).rss.tobytes() == expected.tobytes()
 
 
 @PROPS

@@ -233,11 +233,11 @@ class TestFig2Pipelines:
 class TestReplan:
     def test_idempotent_when_nothing_changed(self, fig2):
         base = plan_deployment(fig2, "DPA-FMM")
-        again = replan(fig2, set(), fig2.robot_starts)
+        _, again = replan(fig2, set(), fig2.robot_starts)
         assert again.to_json() == base.to_json()
 
     def test_all_goals_reached_gives_empty_plan(self, fig2):
-        plan = replan(fig2, set(range(6)), fig2.robot_starts)
+        _, plan = replan(fig2, set(range(6)), fig2.robot_starts)
         assert plan.robots_used == 0
         assert all(not segs for segs in plan.robots)
 
@@ -256,8 +256,8 @@ class TestReplan:
         post_pos = fig2.map.to_world(tuple(post))
         positions = list(fig2.robot_starts)
         positions[relay_robot] = post_pos
-        plan = replan(fig2, {0, 1}, positions,
-                      committed_relays=((relay_robot, post_pos),))
+        _, plan = replan(fig2, {0, 1}, positions,
+                         committed_relays=((relay_robot, post_pos),))
         assert plan.robots[relay_robot] == []  # holds its post, no new tasks
         seen = {s.goal_index for segs in plan.robots for s in segs
                 if s.purpose == "primary-goal"}
