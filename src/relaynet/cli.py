@@ -72,11 +72,11 @@ def _points(value, what: str) -> list[WorldPoint]:
     return [_point(p, f"{what} entry") for p in value]
 
 
-def _number(value, what: str, minimum: float, inclusive: bool) -> float:
+def _number(value, what: str, minimum: float = -math.inf, inclusive: bool = True) -> float:
     if (isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
             or value < minimum or (value == minimum and not inclusive)):
-        bound = ">=" if inclusive else ">"
-        raise SchemaError(f"{what} must be a finite number {bound} {minimum}, got {value!r}")
+        bound = "" if minimum == -math.inf else f" {'>=' if inclusive else '>'} {minimum}"
+        raise SchemaError(f"{what} must be a finite number{bound}, got {value!r}")
     return float(value)
 
 
@@ -84,6 +84,23 @@ def _integer(value, what: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise SchemaError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def _radio(block, seed: int = 0) -> RadioParams:
+    """RadioParams from the radio object of a scenario or sweep file: known
+    keys, finite numbers, within the ranges RadioParams enforces."""
+    if not isinstance(block, dict):
+        raise SchemaError(f"radio must be an object with keys from {sorted(_RADIO_KEYS)}, "
+                          f"got {block!r}")
+    unknown = set(block) - _RADIO_KEYS
+    if unknown:
+        raise SchemaError(f"unknown radio keys {sorted(unknown)}")
+    for key, value in block.items():
+        _number(value, f"radio {key}")
+    try:
+        return RadioParams(seed=seed, **block)
+    except RadioConfigError as e:
+        raise SchemaError(f"bad radio parameters: {e}") from e
 
 
 def load_scenario(path: str | FsPath) -> Scenario:
@@ -106,19 +123,9 @@ def load_scenario(path: str | FsPath) -> Scenario:
         raise SchemaError(f"{path}: map must be a file name, got {data['map']!r}")
     grid = parse_map((path.parent / data["map"]).read_text())
 
-    radio_block = data.get("radio", {})
-    if not isinstance(radio_block, dict):
-        raise SchemaError(f"{path}: radio must be an object")
-    unknown = set(radio_block) - _RADIO_KEYS
-    if unknown:
-        raise SchemaError(f"{path}: unknown radio keys {sorted(unknown)}")
     seed = data.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
         raise SchemaError(f"{path}: seed must be a nonnegative integer")
-    try:
-        radio = RadioParams(seed=seed, **radio_block)
-    except (TypeError, RadioConfigError) as e:
-        raise SchemaError(f"{path}: bad radio parameters: {e}") from e
 
     # absent optional fields take the Scenario defaults
     knobs = data.get("knobs", {})
@@ -128,6 +135,7 @@ def load_scenario(path: str | FsPath) -> Scenario:
     if unknown:
         raise SchemaError(f"{path}: unknown knob keys {sorted(unknown)}")
     try:
+        radio = _radio(data.get("radio", {}), seed)
         optional = {key: _integer(value, f"knob {key}", _KNOB_MINIMA[key])
                     for key, value in knobs.items()}
         if "w_c" in data:
@@ -171,9 +179,7 @@ def load_experiment(path: str | FsPath) -> dict:
             raise SchemaError(f"goal_counts must be a nonempty list, got {goal_counts!r}")
         if not isinstance(modes, list) or not all(isinstance(m, str) for m in modes):
             raise SchemaError(f"modes must be a list of mode names, got {modes!r}")
-        if not isinstance(radio, dict) or set(radio) - _RADIO_KEYS:
-            raise SchemaError(f"radio must be an object with keys from {sorted(_RADIO_KEYS)}, "
-                              f"got {radio!r}")
+        _radio(radio)
         return {
             # generate_map draws wall lines from [3, size - 3)
             "map_size": [_integer(v, "map_size entry", 7) for v in map_size],

@@ -489,29 +489,24 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
     return DeploymentPlan.of("DP-FMM", pl.segs)
 
 
-def _split_to_cap(grid: GridMap, entry: WorldPoint, destinations: list[WorldPoint],
-                  dest_meta: list[tuple[str, int]], waypoints: list[WorldPoint],
-                  wp_ids: list[int], cap: int):
-    """Cluster by smallest deviation, promoting far waypoints to extra
-    destinations until every cluster fits under the exhaustive-search cap."""
-    dests = list(destinations)
-    meta = list(dest_meta)
-    wpts = list(waypoints)
-    ids = list(wp_ids)
+def _split_to_cap(grid: GridMap, entry: WorldPoint, posts: list[WorldPoint],
+                  waypoints: list[WorldPoint], wp_ids: list[int], cap: int):
+    """Cluster the waypoints onto the posts by smallest deviation, promoting
+    the farthest waypoint to an extra destination while there is none or a
+    cluster is over the exhaustive-search cap. Returns the clusters, the goal
+    id of each destination (None for a post) and the ids of the waypoints."""
+    dests, wpts, ids = list(posts), list(waypoints), list(wp_ids)
+    dest_goal: list[int | None] = [None] * len(posts)
     while True:
-        clusters = cluster_goals(grid, entry, dests, wpts)
-        over = [cl for cl in clusters if len(cl.waypoints) > cap]
-        if not over:
-            return clusters, meta, ids
-        cl = over[0]
-        far = max(range(len(cl.waypoints)),
-                  key=lambda i: (round(movement_cost(grid, entry, cl.waypoints[i]), 9),
-                                 -cl.waypoint_indices[i]))
-        gidx = cl.waypoint_indices[far]
-        dests.append(wpts[gidx])
-        meta.append(("goal", ids[gidx]))
-        del wpts[gidx]
-        del ids[gidx]
+        clusters = cluster_goals(grid, entry, dests, wpts) if dests else []
+        over = [cl.waypoint_indices for cl in clusters if len(cl.waypoints) > cap]
+        if dests and not over:
+            return clusters, dest_goal, ids
+        # ids ascend with the index, so a cost tie goes to the lowest goal id
+        far = max(over[0] if over else range(len(wpts)),
+                  key=lambda i: (round(movement_cost(grid, entry, wpts[i]), 9), -i))
+        dests.append(wpts.pop(far))
+        dest_goal.append(ids.pop(far))
 
 
 def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = ()) -> DeploymentPlan:
@@ -528,69 +523,41 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
         remaining = sorted(unplanned)
         rp = pl.relay_plan(remaining, available)
 
-        # entry resolution: posts chain off active transmitters in commit order
-        placed = [(("tx", i), pl.txs[i].pos) for i in pl.active_txs()]
-        entry_of_post: list[tuple[str, int]] = []
-        post_pos = [tuple(p) for p in rp.positions]
-
-        def pos_of(key: tuple[str, int]) -> WorldPoint:
-            kind, i = key
-            return pl.txs[i].pos if kind == "tx" else post_pos[i]
-
-        for pi, post in enumerate(post_pos):
-            entry_of_post.append(pl.strongest(post, placed, gated=False))
-            placed.append((("post", pi), post))
-
-        # group frontier goals and posts under their strongest coverer
-        groups: dict[tuple[str, int], dict] = {}
-
-        def group_for(key: tuple[str, int]) -> dict:
-            return groups.setdefault(key, {"goals": [], "posts": []})
-
-        for pi in range(len(post_pos)):
-            group_for(entry_of_post[pi])["posts"].append(pi)
+        # entries: the active transmitters, then the relay posts; tx_of maps an
+        # entry to its transmitter, which a post gets once a robot parks there
+        tx_of: list[int | None] = pl.active_txs()
+        n_tx = len(tx_of)
+        entry_pos = [pl.txs[ti].pos for ti in tx_of] + [tuple(p) for p in rp.positions]
+        tx_of += [None] * len(rp.positions)
+        placed = list(enumerate(entry_pos))
+        # each post joins the group of its strongest earlier entry, each
+        # frontier goal the group of its strongest covering entry
+        posts_of: list[list[int]] = [[] for _ in entry_pos]
+        goals_of: list[list[int]] = [[] for _ in entry_pos]
+        for e in range(n_tx, len(entry_pos)):
+            posts_of[pl.strongest(entry_pos[e], placed[:e], gated=False)].append(e)
         for g in remaining:
             best = pl.strongest(goals[g], placed)
             if best is not None:
-                group_for(best)["goals"].append(g)
+                goals_of[best].append(g)
 
-        # build clusters and their optimal visit sequences
-        cluster_specs = []
-        order_keys = sorted(groups.keys(), key=lambda k: (0 if k[0] == "tx" else 1, k[1]))
-        for key in order_keys:
-            grp = groups[key]
-            entry_pos = pos_of(key)
-            grp_goals = sorted(grp["goals"])
-            grp_posts = grp["posts"]
-            if not grp_goals and not grp_posts:
+        # specs (entry, visit sequence, goal of each goal leg, manned post or
+        # None) in entry order, so a post's cluster precedes those entering it
+        specs = []
+        for e, entry in enumerate(entry_pos):
+            if not posts_of[e] and not goals_of[e]:
                 continue
-            if grp_posts:
-                dest_positions = [post_pos[pi] for pi in grp_posts]
-                dest_meta = [("post", pi) for pi in grp_posts]
-                waypoints = [goals[g] for g in grp_goals]
-                wp_ids = grp_goals
-            else:
-                far = max(grp_goals, key=lambda g: (round(movement_cost(grid, entry_pos, goals[g]), 9), -g))
-                dest_positions = [goals[far]]
-                dest_meta = [("goal", far)]
-                waypoints = [goals[g] for g in grp_goals if g != far]
-                wp_ids = [g for g in grp_goals if g != far]
-            clusters, meta, ids = _split_to_cap(grid, entry_pos, dest_positions, dest_meta,
-                                                waypoints, wp_ids, sc.visit_cap)
+            clusters, dest_goal, ids = _split_to_cap(
+                grid, entry, [entry_pos[p] for p in posts_of[e]],
+                [goals[g] for g in goals_of[e]], goals_of[e], sc.visit_cap)
             for cl in clusters:
                 seq = visit_order(grid, cl, cap=sc.visit_cap)
-                kind, ident = meta[cl.destination_index]
-                ordered = [ids[i] for i in seq.waypoint_order]
-                goal_ids = [ids[i] for i in cl.waypoint_indices]
-                if kind == "goal":
-                    goal_ids = goal_ids + [ident]
-                cluster_specs.append({
-                    "entry": key, "seq": seq, "goal_ids": goal_ids,
-                    "dest_kind": kind, "dest_post": ident if kind == "post" else None,
-                    "order": ordered,
-                })
+                goal = dest_goal[cl.destination_index]
+                leg_goals = [ids[i] for i in seq.waypoint_order] + ([] if goal is None else [goal])
+                specs.append((e, seq, leg_goals,
+                              posts_of[e][cl.destination_index] if goal is None else None))
 
-        if not cluster_specs:
+        if not specs:
             raise InfeasibleScenarioError(
                 f"DPA planning stalled with goals {sorted(unplanned)} unplanned"
             )
@@ -599,65 +566,36 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
                 f"DPA planning ran out of robots with goals {sorted(unplanned)} unplanned"
             )
 
-        costs = [[movement_cost(grid, pl.robot_pos[r], spec["seq"].points[1])
-                  for spec in cluster_specs] for r in available]
-        asn = hungarian_assign(costs)
-        assigned = {ci: available[ai] for ai, ci in asn.pairs}
+        costs = [[movement_cost(grid, pl.robot_pos[r], seq.points[1]) for _, seq, _, _ in specs]
+                 for r in available]
+        assigned = {ci: available[ai] for ai, ci in hungarian_assign(costs).pairs}
+        manned = sorted(specs[ci][3] for ci in assigned if specs[ci][3] is not None)
 
-        post_robot: dict[int, int] = {}
-        for ci, spec in enumerate(cluster_specs):
-            if ci in assigned and spec["dest_kind"] == "post":
-                post_robot[spec["dest_post"]] = assigned[ci]
-
-        # process clusters in dependency order; a cluster entering through a
-        # post runs only after the cluster serving that post is materialized
         progressed = False
-        post_tx: dict[int, int] = {}
-        done: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for ci, spec in enumerate(cluster_specs):
-                if ci in done or ci not in assigned:
-                    continue
-                entry_kind, entry_id = spec["entry"]
-                if entry_kind == "tx":
-                    entry_ti = entry_id
-                elif entry_id in post_tx:
-                    entry_ti = post_tx[entry_id]
+        for ci, (e, seq, leg_goals, post) in enumerate(specs):
+            robot, entry_ti = assigned.get(ci), tx_of[e]
+            if robot is None or entry_ti is None:
+                continue  # no robot, or its entry post is not manned this wave
+            pl.gate(robot, entry_ti)
+            sources = pl.source_positions() + [entry_pos[p] for p in manned]
+            blocked = pl.parked_cells(exclude_robot=robot)
+            cur = pl.robot_pos[robot]
+            for li, target in enumerate(seq.points[1:]):
+                path = pl.plan_leg(cur, target, sources, blocked)
+                cell = grid.to_cell(target)
+                if li < len(leg_goals):
+                    pl.segs[robot].append(PlanSegment(purpose="primary-goal", path=path,
+                                                      goal_index=leg_goals[li], post=cell))
                 else:
-                    continue  # entry post not manned yet (or not at all this wave)
-                robot = assigned[ci]
-                seq = spec["seq"]
-                pl.gate(robot, entry_ti)
-
-                sources = pl.source_positions() + [post_pos[pi] for pi in sorted(post_robot)]
-                blocked = pl.parked_cells(exclude_robot=robot)
-                cur = pl.robot_pos[robot]
-                legs = seq.points[1:]
-                ordered_goals = list(spec["order"])
-                dest_cell = grid.to_cell(seq.points[-1])
-                for li, target in enumerate(legs):
-                    path = pl.plan_leg(cur, target, sources, blocked)
-                    last = li == len(legs) - 1
-                    if last and spec["dest_kind"] == "post":
-                        pl.segs[robot].append(PlanSegment(purpose="relay-move", path=path,
-                                                          post=grid.to_cell(target)))
-                    else:
-                        g = ordered_goals[li] if li < len(ordered_goals) else spec["goal_ids"][-1]
-                        pl.segs[robot].append(PlanSegment(purpose="primary-goal", path=path,
-                                                          goal_index=g, post=grid.to_cell(target)))
-                    cur = tuple(target)
-                pl.register_dependency(entry_ti, (robot, dest_cell))
-                new_ti = pl.park(seq.points[-1], dest_cell, robot, entry_ti)
-                if spec["dest_kind"] == "post":
-                    post_tx[spec["dest_post"]] = new_ti
-                available.remove(robot)
-                for g in spec["goal_ids"]:
-                    unplanned.discard(g)
-                done.add(ci)
-                progressed = True
-                changed = True
+                    pl.segs[robot].append(PlanSegment(purpose="relay-move", path=path, post=cell))
+                cur = tuple(target)
+            pl.register_dependency(entry_ti, (robot, cell))
+            new_ti = pl.park(cur, cell, robot, entry_ti)
+            if post is not None:
+                tx_of[post] = new_ti
+            available.remove(robot)
+            unplanned.difference_update(leg_goals)
+            progressed = True
 
         if not progressed:
             raise InfeasibleScenarioError(

@@ -87,6 +87,9 @@ class TestScenarioSchema:
         ("visit_cap", {"knobs": {"visit_cap": -1}}),
         ("speed", {"speed": 0}),
         ("speed", {"speed": -1}),
+        ("p_tx", {"radio": {"p_tx": "x"}}),
+        ("l0", {"radio": {"l0": True}}),
+        ("gamma", {"radio": {"gamma": math.nan}}),
     ])
     def test_malformed_field_is_a_schema_error(self, tmp_path, key, extra):
         path = write_fig2_files(tmp_path, **extra)
@@ -269,6 +272,9 @@ class TestSweep:
         ("modes", {"modes": "dp"}),
         ("obstacle_density", {"obstacle_density": math.nan}),
         ("radio", {"radio": []}),
+        ("p_tx", {"radio": {"p_tx": "x"}}),
+        ("l0", {"radio": {"l0": "x"}}),
+        ("l0", {"radio": {"l0": -1.0}}),
     ])
     def test_malformed_experiment_field_is_a_schema_error(self, tmp_path, key, doc):
         (tmp_path / "exp.json").write_text(json.dumps(doc))

@@ -1,0 +1,79 @@
+"""Property tests of the wave planners (DP-FMM and DPA-FMM) over small
+random scenarios, with DPA-FMM's visit cap below and above the number of
+goals, and of the cluster split that promotes far goals to destinations."""
+
+from dataclasses import replace
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from relaynet.cli import random_scenario
+from relaynet.connectivity import check_feasibility, movement_cost
+from relaynet.mission import (
+    InfeasibleScenarioError,
+    _split_to_cap,
+    execute_mission,
+    plan_deployment,
+)
+from relaynet.radio import RadioParams
+
+from conftest import fig2_map
+
+N_GOALS = 5
+FIG2 = fig2_map()
+FREE_POINTS = [FIG2.to_world((c, r)) for r in range(FIG2.height) for c in range(FIG2.width)
+               if FIG2.is_free_cell((c, r))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(st.sampled_from(FREE_POINTS), min_size=2, max_size=10, unique=True),
+       n_posts=st.integers(0, 3), cap=st.sampled_from([0, 1, 2, 9]), data=st.data())
+def test_split_to_cap_places_every_waypoint_once_under_the_cap(points, n_posts, cap, data):
+    entry, posts = points[0], points[1:1 + n_posts]
+    waypoints = points[1 + n_posts:]
+    assume(waypoints or posts)
+    wp_ids = sorted(data.draw(st.lists(st.integers(0, 50), min_size=len(waypoints),
+                                       max_size=len(waypoints), unique=True)))
+    clusters, dest_goal, ids = _split_to_cap(FIG2, entry, posts, waypoints, wp_ids, cap)
+
+    # posts first, then promoted goals; a destination for every cluster
+    assert clusters and [cl.destination_index for cl in clusters] == list(range(len(clusters)))
+    assert dest_goal[:len(posts)] == [None] * len(posts)
+    promoted = dest_goal[len(posts):]
+    assert all(len(cl.waypoints) <= cap for cl in clusters)
+    placed = [ids[i] for cl in clusters for i in cl.waypoint_indices]
+    assert sorted(placed + promoted) == wp_ids
+    assert ids == [g for g in wp_ids if g not in promoted]
+    if not posts:
+        pos = dict(zip(wp_ids, waypoints))
+        far = max(wp_ids, key=lambda g: (round(movement_cost(FIG2, entry, pos[g]), 9), -g))
+        assert promoted[0] == far
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(1, 10_000),
+       mode_cap=st.sampled_from([("dp", 9), ("dpa", 1), ("dpa", 2), ("dpa", 9)]))
+def test_wave_plan_visits_every_goal_once_and_completes_connected(seed, mode_cap):
+    mode, cap = mode_cap
+    try:
+        sc = random_scenario(seed, 24, 24, N_GOALS, 0.5, RadioParams(p_tx=-16.0, seed=seed))
+    except InfeasibleScenarioError:
+        assume(False)
+    assume(check_feasibility(sc.map, sc.bs, sc.goals, N_GOALS, sc.radio).feasible)
+    sc = replace(sc, visit_cap=cap)
+    try:
+        plan = plan_deployment(sc, mode)
+    except InfeasibleScenarioError:
+        assume(False)
+
+    visited = sorted(seg.goal_index for segs in plan.robots for seg in segs
+                     if seg.purpose == "primary-goal")
+    assert visited == list(range(N_GOALS))
+
+    trace = execute_mission(plan, sc)
+    assert trace.completed
+    assert trace.reached_goals == set(range(N_GOALS))
+    events = [e for e in trace.events if e.kind == "goal-reached"]
+    assert events and all(e.data["connected"] for e in events)
+
+    assert plan_deployment(sc, mode).to_json() == plan.to_json()
