@@ -235,12 +235,18 @@ def plan_relays(book: CoverageBook, goals: list[WorldPoint], free_robots: list[W
         unreachable = [gi for gi, d in enumerate(depths) if d is None]
         if len(committed) > guard:
             raise InfeasibleRelayError("relay synthesis exceeded its commit budget", unreachable)
+        # a candidate sits at depth >= 1, so it can only connect or shorten
+        # the way to a node if it links to a "far" one: unreachable or at
+        # depth >= 3; any other candidate scores (0, 0)
+        far = [positions[i] for i, d in enumerate(bfs_tree(adj)[1]) if d is None or d >= 3]
 
         cands = candidate_cells()
         best = None
         best_score = None
-        for cell in cands:
+        for cell in cands if far else ():
             cpos = grid.to_world(cell)
+            if not any(book.rss(cpos, p) >= gamma for p in far):
+                continue
             cadj = [i for i, p in enumerate(positions) if book.rss(cpos, p) >= gamma]
             ext_adj = [list(a) for a in adj] + [cadj]
             ci = len(positions)

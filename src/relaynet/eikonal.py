@@ -265,32 +265,47 @@ def _make_interp(dfield: DistanceField):
     return interp
 
 
-def _metric_cost(grid: GridMap, F: np.ndarray, a: WorldPoint, b: WorldPoint) -> float:
-    """Line integral of 1/F along a-b, sampled at quarter-cell steps."""
-    d = math.hypot(b[0] - a[0], b[1] - a[1])
-    if d == 0.0:
-        return 0.0
-    n = max(1, math.ceil(d / (grid.resolution * 0.25)))
+_CHORD_BLOCK = 64  # chords per _chord_costs call while string pulling; bounds the sample matrix
+
+
+def _chord_costs(grid: GridMap, F: np.ndarray, a, bs) -> np.ndarray:
+    """Line integrals of 1/F along the chords a-b for each row b of bs (a is
+    one point or one point per row), sampled at quarter-cell steps.
+
+    Bit-exact with a scalar loop over the samples: d from math.hypot, sample
+    cells by truncation with the far edge folded in, terms (d / n) / f added
+    in sample order by cumsum (a pairwise sum could flip a caller's tie
+    test). A chord over any f <= 0 costs inf; a zero-length chord costs 0.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    delta = np.asarray(bs, dtype=np.float64) - a
     res = grid.resolution
-    total = 0.0
-    for i in range(n):
-        t = (i + 0.5) / n
-        x = a[0] + t * (b[0] - a[0])
-        y = a[1] + t * (b[1] - a[1])
-        c = min(int(x / res), grid.width - 1)
-        r = min(int(y / res), grid.height - 1)
-        f = F[r, c]
-        if f <= 0.0:
-            return math.inf
-        total += (d / n) / f
-    return total
+    d = np.array([math.hypot(dx, dy) for dx, dy in delta.tolist()])
+    n = np.maximum(1.0, np.ceil(d / (res * 0.25)))
+    # rows are padded to the longest chord by repeating their last sample,
+    # which leaves the blocked test and the sum up to index n - 1 unchanged
+    k = np.minimum(np.arange(n.max()), n[:, None] - 1.0)
+    t = (k + 0.5) / n[:, None]
+    x = a[..., 0, None] + t * delta[:, 0, None]
+    y = a[..., 1, None] + t * delta[:, 1, None]
+    f = F[np.minimum((y / res).astype(np.int64), grid.height - 1),
+          np.minimum((x / res).astype(np.int64), grid.width - 1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sums = np.cumsum((d / n)[:, None] / f, axis=1)
+    cost = sums[np.arange(len(n)), n.astype(np.int64) - 1]
+    cost[(f <= 0.0).any(axis=1)] = math.inf
+    cost[d == 0.0] = 0.0
+    return cost
 
 
 def _shortcut(grid: GridMap, F: np.ndarray, pts: list[WorldPoint]) -> list[WorldPoint]:
     """Metric-aware string pulling: replace a stretch of the descent polyline
     by its chord only when the chord is no more expensive under the same
     velocity metric, so coverage detours survive while zigzag does not. The
-    result is resampled to keep consecutive points within half a cell."""
+    result is resampled to keep consecutive points within half a cell.
+
+    From each kept point i the farthest j wins, scanned downward in blocks of
+    _CHORD_BLOCK chords, so a straight path costs one block per point."""
     if len(pts) < 3:
         return pts
     step = grid.resolution * 0.5
@@ -310,30 +325,30 @@ def _shortcut(grid: GridMap, F: np.ndarray, pts: list[WorldPoint]) -> list[World
             seg.append(q)
         return seg
 
-    prefix = [0.0]
-    for a, b in zip(pts, pts[1:]):
-        seg_cost = _metric_cost(grid, F, a, b)
-        if not math.isfinite(seg_cost):
-            seg_cost = 1e9  # corner-clipping raw segment; any finite chord beats it
-        prefix.append(prefix[-1] + seg_cost)
-    out: list[WorldPoint] = [pts[0]]
-    i = 0
     n = len(pts)
-    while i < n - 1:
-        j = n - 1
-        chosen = None
-        while j > i + 1:
-            direct = _metric_cost(grid, F, pts[i], pts[j])
-            if direct <= prefix[j] - prefix[i] + 1e-9:
+    P = np.array(pts, dtype=np.float64)
+    seg_cost = np.concatenate([
+        _chord_costs(grid, F, P[:-1][s:s + _CHORD_BLOCK], P[1:][s:s + _CHORD_BLOCK])
+        for s in range(0, n - 1, _CHORD_BLOCK)
+    ])
+    seg_cost[np.isinf(seg_cost)] = 1e9  # corner-clipping raw segment; any finite chord beats it
+    prefix = np.cumsum(np.concatenate(([0.0], seg_cost)))
+
+    def pull(i: int) -> tuple[int, list[WorldPoint]]:
+        for hi in range(n - 1, i + 1, -_CHORD_BLOCK):
+            js = np.arange(hi, max(hi - _CHORD_BLOCK, i + 1), -1)
+            fits = _chord_costs(grid, F, P[i], P[js]) <= prefix[js] - prefix[i] + 1e-9
+            for j in js[fits].tolist():
                 chosen = resample(pts[i], pts[j])
                 if chosen is not None:
-                    break
-            j -= 1
-        if chosen is None:
-            j = i + 1
-            chosen = [pts[j]]
+                    return j, chosen
+        return i + 1, [pts[i + 1]]
+
+    out: list[WorldPoint] = [pts[0]]
+    i = 0
+    while i < n - 1:
+        i, chosen = pull(i)
         out.extend(chosen)
-        i = j
     return out
 
 

@@ -1,13 +1,19 @@
 """Independent oracles used by the test suite: a grid-graph Dijkstra, a
-permutation assignment solver, a BFS hop counter, and a recursive tour
-enumerator. These deliberately share no code with the package internals."""
+permutation assignment solver, a BFS hop counter, a recursive tour
+enumerator, the scalar chord integral and string pulling that the batched
+path code must match bit for bit, and an unpruned, unmemoised relay
+synthesis. These deliberately share no code with the package internals;
+the relay oracle calls only the public radio model (rss and coverage
+fields) and movement cost."""
 
 import heapq
 import itertools
 import math
 
+from relaynet.connectivity import InfeasibleRelayError, RelayPlan, movement_cost
 from relaynet.eikonal import VelocityField
 from relaynet.gridmap import GridMap
+from relaynet.radio import RadioParams, combine_coverage, coverage_field, rss
 
 
 def dijkstra8(velocity: VelocityField, source: tuple[int, int]) -> dict[tuple[int, int], float]:
@@ -115,3 +121,138 @@ def best_tour(cost, n_waypoints: int) -> tuple[list[int], float]:
             best_order = order
             best_total = total
     return best_order, best_total
+
+
+def metric_cost(grid: GridMap, F, a, b) -> float:
+    """Line integral of 1/F along a-b, one quarter-cell sample at a time."""
+    d = math.hypot(b[0] - a[0], b[1] - a[1])
+    if d == 0.0:
+        return 0.0
+    n = max(1, math.ceil(d / (grid.resolution * 0.25)))
+    res = grid.resolution
+    total = 0.0
+    for i in range(n):
+        t = (i + 0.5) / n
+        x = a[0] + t * (b[0] - a[0])
+        y = a[1] + t * (b[1] - a[1])
+        c = min(int(x / res), grid.width - 1)
+        r = min(int(y / res), grid.height - 1)
+        f = F[r, c]
+        if f <= 0.0:
+            return math.inf
+        total += (d / n) / f
+    return total
+
+
+def shortcut(grid: GridMap, F, pts: list) -> list:
+    """Scalar metric-aware string pulling: from each kept point, scan j
+    downward for the first chord no costlier than the polyline it replaces
+    whose half-cell resampling stays on F > 0 cells."""
+    if len(pts) < 3:
+        return pts
+    step = grid.resolution * 0.5
+    res = grid.resolution
+
+    def resample(a, b):
+        d = math.hypot(b[0] - a[0], b[1] - a[1])
+        k = max(1, math.ceil(d / step))
+        seg = []
+        for s in range(1, k + 1):
+            t = s / k
+            q = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+            c = min(int(q[0] / res), grid.width - 1)
+            r = min(int(q[1] / res), grid.height - 1)
+            if F[r, c] <= 0.0:
+                return None
+            seg.append(q)
+        return seg
+
+    prefix = [0.0]
+    for a, b in zip(pts, pts[1:]):
+        seg_cost = metric_cost(grid, F, a, b)
+        if not math.isfinite(seg_cost):
+            seg_cost = 1e9
+        prefix.append(prefix[-1] + seg_cost)
+    out = [pts[0]]
+    i = 0
+    n = len(pts)
+    while i < n - 1:
+        j = n - 1
+        chosen = None
+        while j > i + 1:
+            direct = metric_cost(grid, F, pts[i], pts[j])
+            if direct <= prefix[j] - prefix[i] + 1e-9:
+                chosen = resample(pts[i], pts[j])
+                if chosen is not None:
+                    break
+            j -= 1
+        if chosen is None:
+            j = i + 1
+            chosen = [pts[j]]
+        out.extend(chosen)
+        i = j
+    return out
+
+
+def plan_relays_unpruned(grid: GridMap, params: RadioParams, goals: list, free_robots: list,
+                         bs, transmitters: list, stride: int = 2) -> RelayPlan:
+    """Greedy relay synthesis that scores every covered candidate on every
+    round: links by unmemoised rss, depths by bfs_hops, the same score
+    (goals newly connected, goal depths reduced, -cheapest robot move) and
+    the same bridge step toward the nearest unreachable goal."""
+    base = [tuple(bs)] + [tuple(t) for t in transmitters] + [tuple(g) for g in goals]
+    goal_nodes = range(1 + len(transmitters), len(base))
+    committed: list = []
+    newly_covered: list = []
+
+    def linked(p, q) -> bool:
+        return rss(grid, p, q, params) >= params.gamma
+
+    def goal_depths(nodes: list) -> list:
+        edges = {(i, j) for i in range(len(nodes)) for j in range(i + 1, len(nodes))
+                 if linked(nodes[i], nodes[j])}
+        depth = bfs_hops(len(nodes), edges)
+        return [depth[v] for v in goal_nodes]
+
+    while True:
+        nodes = base + committed
+        depths = goal_depths(nodes)
+        unreachable = [gi for gi, d in enumerate(depths) if d is None]
+        if len(committed) > 4 * len(goals) + 16:
+            raise InfeasibleRelayError("commit budget", unreachable)
+        txs = [tuple(bs)] + [tuple(t) for t in transmitters] + committed
+        mask = combine_coverage([coverage_field(grid, grid.to_world(grid.to_cell(t)), params)
+                                 for t in txs]).mask & (grid.materials == 0)
+        taken = {grid.to_cell(p) for p in nodes}
+        cands = [grid.to_world((c, r)) for r in range(0, grid.height, stride)
+                 for c in range(0, grid.width, stride) if mask[r, c] and (c, r) not in taken]
+
+        best, best_score = None, None
+        for cpos in cands:
+            new_depths = goal_depths(nodes + [cpos])
+            connected = [gi for gi in unreachable if new_depths[gi] is not None]
+            reduced = sum(1 for old, new in zip(depths, new_depths)
+                          if old is not None and new is not None and new < old)
+            if not connected and reduced == 0:
+                continue
+            cost = min((movement_cost(grid, fr, cpos) for fr in free_robots), default=0.0)
+            score = (len(connected), reduced, -cost)
+            if best_score is None or score > best_score:
+                best, best_score = (cpos, connected), score
+        if best is not None:
+            committed.append(best[0])
+            newly_covered.append(best[1])
+            continue
+        if not unreachable:
+            return RelayPlan(positions=committed, newly_covered=newly_covered)
+
+        def gap(points: list) -> float:
+            return min(math.hypot(goals[gi][0] - p[0], goals[gi][1] - p[1])
+                       for p in points for gi in unreachable)
+
+        current = gap(txs)
+        bridge = min(cands, key=lambda c: gap([c]), default=None)
+        if bridge is None or gap([bridge]) > current - grid.resolution:
+            raise InfeasibleRelayError("no progress", unreachable)
+        committed.append(bridge)
+        newly_covered.append([])

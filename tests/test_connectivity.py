@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from relaynet.connectivity import (
     InfeasibleRelayError,
@@ -12,10 +14,11 @@ from relaynet.connectivity import (
     movement_cost,
     plan_relays,
 )
+from relaynet.gridmap import GridMap
 from relaynet.radio import CoverageBook, RadioParams, coverage_distance, rss
 
 from conftest import fig2_map, fig2_scenario, make_map, open_map
-from helpers import bfs_hops, brute_force_assignment
+from helpers import bfs_hops, brute_force_assignment, plan_relays_unpruned
 
 
 def params_with_range(d_cov: float) -> RadioParams:
@@ -255,6 +258,37 @@ class TestPlanRelays:
         with pytest.raises(InfeasibleRelayError) as exc:
             plan_relays(CoverageBook(m, params), goals, [], bs=bs)
         assert exc.value.goals == [0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), w=st.integers(4, 16), h=st.integers(1, 5),
+       density=st.sampled_from([0.0, 0.1, 0.25]), d_cov=st.floats(1.2, 3.5),
+       n_goals=st.integers(1, 5), n_tx=st.integers(0, 2), n_free=st.integers(0, 3),
+       stride=st.sampled_from([1, 2]))
+def test_pruned_relay_synthesis_equals_unpruned_oracle(seed, w, h, density, d_cov, n_goals,
+                                                       n_tx, n_free, stride):
+    # short radio ranges on narrow walled maps give goal chains of every
+    # depth and unreachable goals, so the pruning's "far" boundary is crossed
+    rng = np.random.default_rng(seed)
+    materials = ((rng.random((h, w)) < density) * rng.choice([1, 2], (h, w))).astype(np.uint8)
+    grid = GridMap(width=w, height=h, resolution=1.0, materials=materials)
+    free = [(c, r) for r in range(h) for c in range(w) if materials[r, c] == 0]
+    assume(len(free) >= 1 + n_goals + n_tx)
+    nodes = [grid.to_world(free[i]) for i in rng.choice(len(free), 1 + n_goals + n_tx,
+                                                        replace=False)]
+    bs, goals, tx = nodes[0], nodes[1:1 + n_goals], nodes[1 + n_goals:]
+    robots = [grid.to_world(free[i]) for i in rng.choice(len(free), n_free)]
+    params = params_with_range(d_cov)
+
+    def outcome(plan):
+        try:
+            return plan()
+        except InfeasibleRelayError as exc:
+            return exc.goals
+
+    assert outcome(lambda: plan_relays(CoverageBook(grid, params), goals, robots, bs=bs,
+                                       transmitters=tx, stride=stride)) == \
+        outcome(lambda: plan_relays_unpruned(grid, params, goals, robots, bs, tx, stride))
 
 
 class TestFeasibility:
