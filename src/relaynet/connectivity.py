@@ -96,10 +96,8 @@ def build_conn_graph(book: CoverageBook, positions: list[WorldPoint]) -> ConnGra
     for p in positions:
         if not grid.is_free_cell(grid.to_cell(p)):
             raise ValueError(f"node position {p} lies on an obstacle cell")
-    n = len(positions)
-    edges = frozenset((i, j) for i in range(n) for j in range(i + 1, n)
-                      if book.rss(positions[i], positions[j]) >= book.params.gamma)
-    return ConnGraph(positions=tuple(tuple(p) for p in positions), edges=edges)
+    return ConnGraph(positions=tuple(tuple(p) for p in positions),
+                     edges=frozenset(book.links(positions)))
 
 
 def bfs_tree(adj: list[list[int]]) -> tuple[list[int | None], list[int | None]]:

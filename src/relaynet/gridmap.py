@@ -177,15 +177,23 @@ def parse_map(text: str) -> GridMap:
 _RUN_CODES = np.array([WALL, GLASS], dtype=np.uint8)
 
 
-def segment_runs(grid: GridMap, ax, ay, bx, by, n: int) -> np.ndarray:
+def segment_steps(grid: GridMap, a: WorldPoint, b: WorldPoint) -> int:
+    """Sample steps of the segment a-b: the fewest of length <= resolution/2."""
+    return max(1, math.ceil(math.hypot(b[0] - a[0], b[1] - a[1]) / (grid.resolution * 0.5)))
+
+
+def segment_runs(grid: GridMap, ax, ay, bx, by, n) -> np.ndarray:
     """Wall and glass runs along segments a-b, each sampled at n + 1 evenly
     spaced points; the first axis of the result holds (walls, glass).
 
-    The coordinates are floats for one segment, or (k, 1) arrays for k
-    segments sharing n. Callers pass the endpoints in canonical order, so
-    counts are exactly symmetric.
+    The coordinates and n are scalars for one segment, or (k, 1) arrays for
+    k segments, each with its own step count. A row is padded to the
+    longest by repeating its endpoint sample, which starts no run. The
+    sample parameters are bit-equal to np.linspace(0, 1, n + 1). Callers
+    pass the endpoints in canonical order, so counts are exactly symmetric.
     """
-    t = np.linspace(0.0, 1.0, n + 1)
+    k = np.arange((n if isinstance(n, int) else n.max()) + 1)
+    t = np.where(k >= n, 1.0, k * (1.0 / n))
     xs = ax + t * (bx - ax)
     ys = ay + t * (by - ay)
     # samples lie between in-bounds endpoints, so only the far edge needs folding
@@ -207,8 +215,7 @@ def count_traversals(grid: GridMap, a: WorldPoint, b: WorldPoint) -> TraversalCo
     grid.require_in_bounds(b)
     if (b[0], b[1]) < (a[0], a[1]):
         a, b = b, a
-    n = max(1, math.ceil(math.hypot(b[0] - a[0], b[1] - a[1]) / (grid.resolution * 0.5)))
-    walls, glass = segment_runs(grid, a[0], a[1], b[0], b[1], n).tolist()
+    walls, glass = segment_runs(grid, a[0], a[1], b[0], b[1], segment_steps(grid, a, b)).tolist()
     return TraversalCount(walls, glass)
 
 

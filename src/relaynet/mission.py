@@ -598,8 +598,11 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
             progressed = True
 
         if not progressed:
+            # every assigned cluster enters through a post no robot mans yet
             raise InfeasibleScenarioError(
-                f"DPA planning made no progress with goals {sorted(unplanned)} unplanned"
+                f"DPA planning made no progress with goals {sorted(unplanned)} unplanned: "
+                f"{len(specs)} clusters, robots left: {len(available)}; every assigned "
+                f"cluster enters through an unmanned relay post"
             )
     if unplanned:
         raise InfeasibleScenarioError(f"DPA planning ran out of waves; unplanned {sorted(unplanned)}")
@@ -661,15 +664,21 @@ def _point_along(points: list[WorldPoint], s: float) -> WorldPoint:
 
 def _tick_tree(book: CoverageBook, bs: WorldPoint, positions: list[WorldPoint],
                noise: RadioParams | None, tick: int) -> tuple[list[int | None], list[bool]]:
+    """Min-hop tree of the base station and the robots at one tick: the
+    deterministic links come from the book in one batch, a noisy tick
+    draws each link's multipath under the tick's key."""
     nodes = [tuple(bs)] + [tuple(p) for p in positions]
     n = len(nodes)
-    gamma = book.params.gamma
+    if noise is None:
+        edges = book.links(nodes)
+    else:
+        gamma = book.params.gamma
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if book.rss(nodes[i], nodes[j], noise, (tick,)) >= gamma]
     adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if book.rss(nodes[i], nodes[j], noise, (tick,)) >= gamma:
-                adj[i].append(j)
-                adj[j].append(i)
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
     parent, depth = bfs_tree(adj)
     connected = [depth[i + 1] is not None for i in range(len(positions))]
     return parent, connected

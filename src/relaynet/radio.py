@@ -10,7 +10,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gridmap import FREE, CellIndex, GridMap, WorldPoint, count_traversals, segment_runs
+from .gridmap import (
+    FREE,
+    CellIndex,
+    GridMap,
+    WorldPoint,
+    count_traversals,
+    segment_runs,
+    segment_steps,
+)
 
 MIN_SEPARATION = 0.1   # meters; clamp below this to dodge the log10 singularity
 NO_SIGNAL = -math.inf  # rss sentinel on obstacle cells
@@ -95,6 +103,13 @@ def _multipath_draw(params: RadioParams, sigma2: float, cell_a: CellIndex,
     return float(rng.normal(0.0, math.sqrt(sigma2)))
 
 
+def _link_loss(params: RadioParams, tx: WorldPoint, rx: WorldPoint, walls: int, glass: int) -> float:
+    """Deterministic loss tx->rx in dB from the segment's wall and glass runs."""
+    n = params.n_los if walls == glass == 0 else params.n_nlos
+    d = max(math.hypot(rx[0] - tx[0], rx[1] - tx[1]), MIN_SEPARATION)
+    return params.l0 + 10.0 * n * math.log10(d) + walls * params.a_wall + glass * params.a_glass
+
+
 def path_loss(grid: GridMap, tx: WorldPoint, rx: WorldPoint, params: RadioParams,
               mode: str = "deterministic", key: tuple[int, ...] = ()) -> float:
     """Total path loss tx->rx in dB.
@@ -107,13 +122,10 @@ def path_loss(grid: GridMap, tx: WorldPoint, rx: WorldPoint, params: RadioParams
     """
     grid.require_in_bounds(tx)
     grid.require_in_bounds(rx)
-    counts = count_traversals(grid, tx, rx)
-    los = counts == (0, 0)
-    n = params.n_los if los else params.n_nlos
-    d = max(math.hypot(rx[0] - tx[0], rx[1] - tx[1]), MIN_SEPARATION)
-    loss = params.l0 + 10.0 * n * math.log10(d) + counts.walls * params.a_wall + counts.glass * params.a_glass
+    walls, glass = count_traversals(grid, tx, rx)
+    loss = _link_loss(params, tx, rx, walls, glass)
     if mode == "stochastic":
-        sigma2 = params.sigma2_los if los else params.sigma2_nlos
+        sigma2 = params.sigma2_los if walls == glass == 0 else params.sigma2_nlos
         loss += _multipath_draw(params, sigma2, grid.to_cell(tx), grid.to_cell(rx), key)
     elif mode != "deterministic":
         raise ValueError(f"unknown mode {mode!r}")
@@ -257,3 +269,26 @@ class CoverageBook:
         if loss is None:
             loss = self._losses[pair] = path_loss(self.grid, pair[0], pair[1], self.params)
         return self.params.p_tx - loss
+
+    def links(self, points: list[WorldPoint]) -> list[tuple[int, int]]:
+        """Index pairs (i, j), i < j in lexicographic order, whose memoised
+        deterministic rss clears gamma: exactly the pairs with
+        rss(points[i], points[j]) >= gamma. The memo misses are raycast
+        together in one segment_runs call and finished with path_loss's
+        formula, so every loss is bit-equal to path_loss's.
+        """
+        grid = self.grid
+        pts = [tuple(p) for p in points]
+        for p in pts:
+            grid.require_in_bounds(p)
+        pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+        keys = [(pts[i], pts[j]) if pts[i] <= pts[j] else (pts[j], pts[i]) for i, j in pairs]
+        misses = list(dict.fromkeys(k for k in keys if k not in self._losses))
+        if misses:
+            ax, ay, bx, by = np.array(misses, dtype=float).reshape(-1, 4, 1).transpose(1, 0, 2)
+            steps = np.array([[segment_steps(grid, a, b)] for a, b in misses])
+            runs = segment_runs(grid, ax, ay, bx, by, steps)
+            for (a, b), walls, glass in zip(misses, *runs.tolist()):
+                self._losses[(a, b)] = _link_loss(self.params, a, b, walls, glass)
+        p_tx, gamma = self.params.p_tx, self.params.gamma
+        return [ij for ij, k in zip(pairs, keys) if p_tx - self._losses[k] >= gamma]

@@ -20,6 +20,7 @@ from relaynet.cli import (
     random_scenario,
     render_svg,
 )
+from relaynet.mission import InfeasibleScenarioError, plan_deployment
 from relaynet.radio import RadioParams
 
 import numpy as np
@@ -140,6 +141,24 @@ class TestExitCodes:
         }))
         assert main(["plan", str(tmp_path / "c.json"), "--mode", "dp",
                      "--out", str(tmp_path / "o")]) == EXIT_INFEASIBLE
+
+    def test_dpa_without_progress_names_clusters_and_robots(self, tmp_path, capsys):
+        # fig2 at visit_cap 0: every goal and post is its own cluster, so the
+        # last wave has 4 clusters for 1 robot, assigned one entering through
+        # an unmanned post
+        bench = FsPath(__file__).resolve().parents[1] / "bench" / "data"
+        doc = json.loads((bench / "fig2.json").read_text())
+        doc["knobs"] = {"visit_cap": 0}
+        (tmp_path / doc["map"]).write_text((bench / doc["map"]).read_text())
+        (tmp_path / "fig2.json").write_text(json.dumps(doc))
+        with pytest.raises(InfeasibleScenarioError) as info:
+            plan_deployment(load_scenario(tmp_path / "fig2.json"), "dpa")
+        assert str(info.value) == (
+            "DPA planning made no progress with goals [2, 4, 5] unplanned: 4 clusters, "
+            "robots left: 1; every assigned cluster enters through an unmanned relay post")
+        assert main(["plan", str(tmp_path / "fig2.json"), "--mode", "dpa",
+                     "--out", str(tmp_path / "o")]) == EXIT_INFEASIBLE
+        assert str(info.value) in capsys.readouterr().err
 
     def test_io_error_exit_5(self, tmp_path):
         assert main(["plan", str(tmp_path / "nope.json"), "--mode", "fmm",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relaynet.gridmap import parse_map
+from relaynet.gridmap import OutOfBoundsError, parse_map
 from relaynet.radio import (
     NO_SIGNAL,
     CoverageBook,
@@ -258,6 +258,15 @@ class TestValidation:
         f1 = book.field_at((1.3, 1.4))
         f2 = book.field_at((1.2, 1.2))  # same cell
         assert f1 is f2
+
+    def test_links_check_every_point_before_pricing(self):
+        m = open_map(10, 10)
+        book = CoverageBook(m, RadioParams())
+        with pytest.raises(OutOfBoundsError):
+            book.links([(0.25, 0.25), (1.0, 1.0), (5.5, 1.0)])
+        with pytest.raises(OutOfBoundsError):
+            book.links([(0.25, 0.25), (1.0, -0.1)])
+        assert book._losses == {}
 
 
 class TestExport:
