@@ -5,13 +5,13 @@ extraction, and the coverage-aware single-robot planner built on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .gridmap import FREE, CellIndex, GridMap, WorldPoint
+from .gridmap import FREE, CellIndex, GridMap, OutOfBoundsError, WorldPoint
 from .radio import CoverageBook, RadioConfigError, RssField
 
 
@@ -36,20 +36,58 @@ class VelocityField:
         self.F.flags.writeable = False
 
 
-@dataclass(frozen=True, eq=False)
 class DistanceField:
-    """Cost-to-go D from a source cell; +inf marks unreachable cells."""
+    """Cost-to-go D from a source cell; +inf marks unreachable cells.
 
-    grid: GridMap
-    D: np.ndarray
-    source: CellIndex
-    velocity: VelocityField
+    solve_eikonal returns it around a live march: at() and the path
+    interpolation march only until the cells they read are accepted. That
+    gives the values of a finished march, because accepted values are final
+    and the acceptance order does not depend on where the march stops.
+    Reading D finishes the march and releases its lists.
+    """
 
-    def __post_init__(self):
-        self.D.flags.writeable = False
+    def __init__(self, velocity: VelocityField, source: CellIndex, march: _March):
+        self.grid = velocity.grid
+        self.velocity = velocity
+        self.source = source
+        self._march: _March | None = march
+        self._D: np.ndarray | None = None
+
+    @property
+    def D(self) -> np.ndarray:
+        """The finished (height, width) field, read-only."""
+        if self._D is None:
+            march = self._march
+            march.run()
+            H, W = self.grid.height, self.grid.width
+            D = np.array(march.accepted).reshape(H + 2, W + 2)[1:-1, 1:-1].copy()
+            D.flags.writeable = False
+            self._D = D
+            self._march = None
+        return self._D
+
+    @property
+    def accepted(self) -> int:
+        """Cells accepted so far; every finite cell once D has been read."""
+        if self._march is None:
+            return int(np.isfinite(self._D).sum())
+        A = self._march.accepted
+        return len(A) - A.count(math.inf)
 
     def at(self, c: CellIndex) -> float:
-        return float(self.D[c[1], c[0]])
+        if not self.grid.cell_in_bounds(c):
+            raise OutOfBoundsError(f"cell {c} outside {self.grid.width}x{self.grid.height} grid")
+        if self._march is None:
+            return float(self._D[c[1], c[0]])
+        return self._march.value(self._march.index(c))
+
+    def _padded(self) -> tuple[list[float], Callable[[int], float]]:
+        """The padded accepted-value list and the function that returns the
+        final value of a padded cell, marching if it has to."""
+        if self._march is None:
+            values = np.pad(self._D, 1, constant_values=math.inf).ravel().tolist()
+            return values, values.__getitem__
+        return self._march.accepted, self._march.value
 
     def to_csv(self) -> str:
         return "\n".join(",".join(f"{v:.6f}" for v in row) for row in self.D) + "\n"
@@ -104,123 +142,158 @@ def comm_velocity(cov: RssField, other_robots: Sequence[CellIndex],
     return VelocityField(grid=grid, F=Fc)
 
 
+class _March:
+    """One resumable fast march from a source cell.
+
+    The state lives in flat lists over F padded by one blocked cell on each
+    side, at index (r + 1) * (W + 2) + c + 1. The mapping is monotone in
+    (row, col), so heap ties on (d, index) break as they would on r * W + c,
+    and the blocked border stands in for bounds checks. accepted holds +inf
+    until a cell is accepted; trial holds the tentative values.
+    """
+
+    def __init__(self, velocity: VelocityField, source: CellIndex,
+                 on_accept: Callable[[int, int, float], None] | None):
+        grid = velocity.grid
+        W = grid.width
+        h = grid.resolution
+        sc, sr = source
+        Wp = W + 2
+        self.stride = Wp
+        self.on_accept = on_accept
+        Fp = np.pad(velocity.F, 1)
+        # h / f per cell, +inf where f is not > 0: an update through such a
+        # cell is never finite, so the march skips it outright
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.hf = np.where(Fp > 0.0, h / Fp, math.inf).ravel().tolist()
+        INF = math.inf
+        D = [INF] * Fp.size
+        self.trial = D
+        self.accepted = [INF] * Fp.size
+        src = (sr + 1) * Wp + sc + 1
+        D[src] = 0.0
+        heap: list[tuple[float, int]] = [(0.0, src)]
+        self.heap = heap
+        sqrt = math.sqrt
+
+        # exact-distance seeding of a small ball around the source kills the
+        # rarefaction-fan error of the first-order scheme at the point source;
+        # a cell is seeded only if it is 4-connected to the source inside the
+        # ball and the straight segment to it stays on F > 0 cells, the seed
+        # being the line integral of 1/F along that segment
+        ball: set[tuple[int, int]] = {(sc, sr)}
+        frontier = [(sc, sr)]
+        while frontier:
+            bc, br = frontier.pop()
+            for nc, nr in ((bc + 1, br), (bc - 1, br), (bc, br + 1), (bc, br - 1)):
+                if (abs(nc - sc) <= 2 and abs(nr - sr) <= 2
+                        and Fp.item(nr + 1, nc + 1) > 0.0 and (nc, nr) not in ball):
+                    ball.add((nc, nr))
+                    frontier.append((nc, nr))
+        for dr in range(-2, 3):
+            for dc in range(-2, 3):
+                if dr == 0 and dc == 0:
+                    continue
+                nc, nr = sc + dc, sr + dr
+                if (nc, nr) not in ball:
+                    continue
+                nidx = (nr + 1) * Wp + nc + 1
+                dist = h * sqrt(dc * dc + dr * dr)
+                k = max(2, math.ceil(dist / (h * 0.5)))
+                seed = 0.0
+                clear = True
+                for i in range(k):
+                    t = (i + 0.5) / k
+                    mc_ = sc + 0.5 + t * dc
+                    mr_ = sr + 0.5 + t * dr
+                    fmid = Fp.item(int(mr_) + 1, int(mc_) + 1)
+                    if fmid <= 0.0:
+                        clear = False
+                        break
+                    seed += (dist / k) / fmid
+                if clear and seed < D[nidx]:
+                    D[nidx] = seed
+                    heappush(heap, (seed, nidx))
+
+    def index(self, c: CellIndex) -> int:
+        return (c[1] + 1) * self.stride + c[0] + 1
+
+    def value(self, i: int) -> float:
+        """The final value of padded cell i, marching until it is accepted.
+
+        A cell whose h / f is +inf is never updated, only seeded, so unless
+        it holds a trial value it stays +inf without marching."""
+        if self.accepted[i] == math.inf and (self.hf[i] < math.inf or self.trial[i] < math.inf):
+            self.run(i)
+        return self.accepted[i]
+
+    def run(self, stop: int = -1) -> None:
+        """March until padded cell stop is accepted or the heap is empty;
+        the default stops at no cell and so finishes the march.
+
+        Trial values use the two-axis-neighbor quadratic update from accepted
+        cells only, so cells are accepted in non-decreasing order. Each
+        cell is pushed only with a value below its trial value, so an entry
+        above the trial value is stale and an accepted cell has none left.
+        """
+        heap, D, A, HF = self.heap, self.trial, self.accepted, self.hf
+        Wp = self.stride
+        on_accept = self.on_accept
+        INF = math.inf
+        sqrt = math.sqrt
+        while heap:
+            d, idx = heappop(heap)
+            if d > D[idx]:
+                continue
+            A[idx] = d
+            if on_accept is not None:
+                on_accept(idx % Wp - 1, idx // Wp - 1, d)
+            for nidx in (idx - 1, idx + 1, idx - Wp, idx + Wp):
+                hf = HF[nidx]
+                if hf == INF or A[nidx] < INF:
+                    continue
+                # accepted-only axis minima around the trial cell
+                ux = A[nidx - 1]
+                v = A[nidx + 1]
+                if v < ux:
+                    ux = v
+                uy = A[nidx - Wp]
+                v = A[nidx + Wp]
+                if v < uy:
+                    uy = v
+                if ux > uy:
+                    ux, uy = uy, ux
+                if uy - ux < hf and uy < INF:
+                    disc = 2.0 * hf * hf - (ux - uy) * (ux - uy)
+                    nd = 0.5 * (ux + uy + sqrt(disc))
+                else:
+                    nd = ux + hf
+                if nd < D[nidx]:
+                    D[nidx] = nd
+                    heappush(heap, (nd, nidx))
+            if idx == stop:
+                return
+
+
 def solve_eikonal(velocity: VelocityField, source: CellIndex,
                   on_accept: Callable[[int, int, float], None] | None = None) -> DistanceField:
     """First-order upwind fast marching over the 4-neighborhood.
 
-    Trial values use the two-axis-neighbor quadratic update from accepted
-    cells only, so values are finalized in non-decreasing order (the
-    on_accept hook observes that order). Cells with zero velocity keep +inf.
+    Values are finalized in non-decreasing order; the on_accept hook
+    observes that order, and when it is given the march finishes before
+    this returns. Otherwise the returned field marches on demand. Cells with
+    zero velocity keep +inf.
     """
     grid = velocity.grid
-    W, H = grid.width, grid.height
-    h = grid.resolution
     sc, sr = source
     if not grid.cell_in_bounds(source):
         raise UnreachableError(f"source cell {source} outside grid")
     if velocity.F[sr, sc] <= 0.0:
         raise UnreachableError(f"source cell {source} has zero velocity")
-
-    F = velocity.F.ravel().tolist()
-    INF = math.inf
-    D = [INF] * (W * H)
-    state = bytearray(W * H)  # 0 far, 1 narrow, 2 accepted
-    src = sr * W + sc
-    D[src] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, src)]
-    sqrt = math.sqrt
-
-    # exact-distance seeding of a small ball around the source kills the
-    # rarefaction-fan error of the first-order scheme at the point source;
-    # a cell is seeded only if it is 4-connected to the source inside the
-    # ball and the straight segment to it stays on F > 0 cells, the seed
-    # being the line integral of 1/F along that segment
-    ball: set[tuple[int, int]] = {(sc, sr)}
-    frontier = [(sc, sr)]
-    while frontier:
-        bc, br = frontier.pop()
-        for nc, nr in ((bc + 1, br), (bc - 1, br), (bc, br + 1), (bc, br - 1)):
-            if (abs(nc - sc) <= 2 and abs(nr - sr) <= 2 and 0 <= nc < W and 0 <= nr < H
-                    and F[nr * W + nc] > 0.0 and (nc, nr) not in ball):
-                ball.add((nc, nr))
-                frontier.append((nc, nr))
-    for dr in range(-2, 3):
-        for dc in range(-2, 3):
-            if dr == 0 and dc == 0:
-                continue
-            nc, nr = sc + dc, sr + dr
-            if (nc, nr) not in ball:
-                continue
-            nidx = nr * W + nc
-            dist = h * sqrt(dc * dc + dr * dr)
-            k = max(2, math.ceil(dist / (h * 0.5)))
-            seed = 0.0
-            clear = True
-            for i in range(k):
-                t = (i + 0.5) / k
-                mc_ = sc + 0.5 + t * dc
-                mr_ = sr + 0.5 + t * dr
-                fmid = F[int(mr_) * W + int(mc_)]
-                if fmid <= 0.0:
-                    clear = False
-                    break
-                seed += (dist / k) / fmid
-            if clear and seed < D[nidx]:
-                D[nidx] = seed
-                state[nidx] = 1
-                heappush(heap, (seed, nidx))
-
-    while heap:
-        d, idx = heappop(heap)
-        if state[idx] == 2 or d > D[idx]:
-            continue
-        state[idx] = 2
-        if on_accept is not None:
-            on_accept(idx % W, idx // W, d)
-        r, c = divmod(idx, W)
-        if c > 0:
-            nbrs = [idx - 1]
-        else:
-            nbrs = []
-        if c < W - 1:
-            nbrs.append(idx + 1)
-        if r > 0:
-            nbrs.append(idx - W)
-        if r < H - 1:
-            nbrs.append(idx + W)
-        for nidx in nbrs:
-            if state[nidx] == 2:
-                continue
-            f = F[nidx]
-            if f <= 0.0:
-                continue
-            nc = nidx % W
-            # accepted-only axis minima around the trial cell
-            ux = INF
-            if nc > 0 and state[nidx - 1] == 2:
-                ux = D[nidx - 1]
-            if nc < W - 1 and state[nidx + 1] == 2 and D[nidx + 1] < ux:
-                ux = D[nidx + 1]
-            uy = INF
-            if nidx >= W and state[nidx - W] == 2:
-                uy = D[nidx - W]
-            if nidx < W * H - W and state[nidx + W] == 2 and D[nidx + W] < uy:
-                uy = D[nidx + W]
-            hf = h / f
-            if ux > uy:
-                ux, uy = uy, ux
-            if uy - ux < hf and uy < INF:
-                disc = 2.0 * hf * hf - (ux - uy) * (ux - uy)
-                nd = 0.5 * (ux + uy + sqrt(disc))
-            else:
-                nd = ux + hf
-            if nd < D[nidx]:
-                D[nidx] = nd
-                state[nidx] = 1
-                heappush(heap, (nd, nidx))
-
-    arr = np.array(D, dtype=np.float64).reshape(H, W)
-    return DistanceField(grid=grid, D=arr, source=(sc, sr), velocity=velocity)
+    march = _March(velocity, source, on_accept)
+    if on_accept is not None:
+        march.run()
+    return DistanceField(velocity, (sc, sr), march)
 
 
 _RING = [
@@ -233,31 +306,39 @@ _RING = [
 
 def _make_interp(dfield: DistanceField):
     """Bilinear interpolation of D on cell centers; +inf corners are dropped
-    with weight renormalization so values next to obstacles stay usable."""
-    D = dfield.D
+    with weight renormalization so values next to obstacles stay usable.
+    Only corners of weight > 0 are read, so the march goes no further."""
+    values, value = dfield._padded()
     W, H = dfield.grid.width, dfield.grid.height
+    Wp = W + 2
     res = dfield.grid.resolution
+    INF = math.inf
 
     def interp(x: float, y: float) -> float:
         gx = min(max(x / res - 0.5, 0.0), W - 1.0)
         gy = min(max(y / res - 0.5, 0.0), H - 1.0)
         c0 = min(int(gx), W - 1)
         r0 = min(int(gy), H - 1)
-        c1 = min(c0 + 1, W - 1)
-        r1 = min(r0 + 1, H - 1)
+        dc = min(c0 + 1, W - 1) - c0
+        dr = (min(r0 + 1, H - 1) - r0) * Wp
+        i00 = (r0 + 1) * Wp + c0 + 1
         fx = gx - c0
         fy = gy - r0
         total = 0.0
         wsum = 0.0
-        for v, w in (
-            (D[r0, c0], (1.0 - fx) * (1.0 - fy)),
-            (D[r0, c1], fx * (1.0 - fy)),
-            (D[r1, c0], (1.0 - fx) * fy),
-            (D[r1, c1], fx * fy),
+        for i, w in (
+            (i00, (1.0 - fx) * (1.0 - fy)),
+            (i00 + dc, fx * (1.0 - fy)),
+            (i00 + dr, (1.0 - fx) * fy),
+            (i00 + dr + dc, fx * fy),
         ):
-            if w > 0.0 and v < math.inf:
-                total += w * v
-                wsum += w
+            if w > 0.0:
+                v = values[i]
+                if v == INF:
+                    v = value(i)
+                if v < INF:
+                    total += w * v
+                    wsum += w
         if wsum == 0.0:
             return math.inf
         return total / wsum

@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite: a grid-graph Dijkstra, a
 permutation assignment solver, a BFS hop counter, a recursive tour
 enumerator, the scalar chord integral and string pulling that the batched
-path code must match bit for bit, and an unpruned, unmemoised relay
+path code must match bit for bit, the eager fast-marching loop that the
+resumable march must match bit for bit, and an unpruned, unmemoised relay
 synthesis. These deliberately share no code with the package internals;
 the relay oracle calls only the public radio model (rss and coverage
 fields) and movement cost."""
@@ -9,9 +10,12 @@ fields) and movement cost."""
 import heapq
 import itertools
 import math
+from heapq import heappop, heappush
+
+import numpy as np
 
 from relaynet.connectivity import InfeasibleRelayError, RelayPlan, movement_cost
-from relaynet.eikonal import VelocityField
+from relaynet.eikonal import UnreachableError, VelocityField
 from relaynet.gridmap import GridMap
 from relaynet.radio import RadioParams, combine_coverage, coverage_field, rss
 
@@ -256,3 +260,123 @@ def plan_relays_unpruned(grid: GridMap, params: RadioParams, goals: list, free_r
             raise InfeasibleRelayError("no progress", unreachable)
         committed.append(bridge)
         newly_covered.append([])
+
+
+def fmm_reference(velocity: VelocityField, source: tuple[int, int], on_accept=None) -> np.ndarray:
+    """The eager fast-marching loop that solve_eikonal must match bit for
+    bit: a full march over unpadded lists with explicit bounds checks.
+
+    First-order upwind fast marching over the 4-neighborhood.
+
+    Trial values use the two-axis-neighbor quadratic update from accepted
+    cells only, so values are finalized in non-decreasing order (the
+    on_accept hook observes that order). Cells with zero velocity keep +inf.
+    """
+    grid = velocity.grid
+    W, H = grid.width, grid.height
+    h = grid.resolution
+    sc, sr = source
+    if not grid.cell_in_bounds(source):
+        raise UnreachableError(f"source cell {source} outside grid")
+    if velocity.F[sr, sc] <= 0.0:
+        raise UnreachableError(f"source cell {source} has zero velocity")
+
+    F = velocity.F.ravel().tolist()
+    INF = math.inf
+    D = [INF] * (W * H)
+    state = bytearray(W * H)  # 0 far, 1 narrow, 2 accepted
+    src = sr * W + sc
+    D[src] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, src)]
+    sqrt = math.sqrt
+
+    # exact-distance seeding of a small ball around the source kills the
+    # rarefaction-fan error of the first-order scheme at the point source;
+    # a cell is seeded only if it is 4-connected to the source inside the
+    # ball and the straight segment to it stays on F > 0 cells, the seed
+    # being the line integral of 1/F along that segment
+    ball: set[tuple[int, int]] = {(sc, sr)}
+    frontier = [(sc, sr)]
+    while frontier:
+        bc, br = frontier.pop()
+        for nc, nr in ((bc + 1, br), (bc - 1, br), (bc, br + 1), (bc, br - 1)):
+            if (abs(nc - sc) <= 2 and abs(nr - sr) <= 2 and 0 <= nc < W and 0 <= nr < H
+                    and F[nr * W + nc] > 0.0 and (nc, nr) not in ball):
+                ball.add((nc, nr))
+                frontier.append((nc, nr))
+    for dr in range(-2, 3):
+        for dc in range(-2, 3):
+            if dr == 0 and dc == 0:
+                continue
+            nc, nr = sc + dc, sr + dr
+            if (nc, nr) not in ball:
+                continue
+            nidx = nr * W + nc
+            dist = h * sqrt(dc * dc + dr * dr)
+            k = max(2, math.ceil(dist / (h * 0.5)))
+            seed = 0.0
+            clear = True
+            for i in range(k):
+                t = (i + 0.5) / k
+                mc_ = sc + 0.5 + t * dc
+                mr_ = sr + 0.5 + t * dr
+                fmid = F[int(mr_) * W + int(mc_)]
+                if fmid <= 0.0:
+                    clear = False
+                    break
+                seed += (dist / k) / fmid
+            if clear and seed < D[nidx]:
+                D[nidx] = seed
+                state[nidx] = 1
+                heappush(heap, (seed, nidx))
+
+    while heap:
+        d, idx = heappop(heap)
+        if state[idx] == 2 or d > D[idx]:
+            continue
+        state[idx] = 2
+        if on_accept is not None:
+            on_accept(idx % W, idx // W, d)
+        r, c = divmod(idx, W)
+        if c > 0:
+            nbrs = [idx - 1]
+        else:
+            nbrs = []
+        if c < W - 1:
+            nbrs.append(idx + 1)
+        if r > 0:
+            nbrs.append(idx - W)
+        if r < H - 1:
+            nbrs.append(idx + W)
+        for nidx in nbrs:
+            if state[nidx] == 2:
+                continue
+            f = F[nidx]
+            if f <= 0.0:
+                continue
+            nc = nidx % W
+            # accepted-only axis minima around the trial cell
+            ux = INF
+            if nc > 0 and state[nidx - 1] == 2:
+                ux = D[nidx - 1]
+            if nc < W - 1 and state[nidx + 1] == 2 and D[nidx + 1] < ux:
+                ux = D[nidx + 1]
+            uy = INF
+            if nidx >= W and state[nidx - W] == 2:
+                uy = D[nidx - W]
+            if nidx < W * H - W and state[nidx + W] == 2 and D[nidx + W] < uy:
+                uy = D[nidx + W]
+            hf = h / f
+            if ux > uy:
+                ux, uy = uy, ux
+            if uy - ux < hf and uy < INF:
+                disc = 2.0 * hf * hf - (ux - uy) * (ux - uy)
+                nd = 0.5 * (ux + uy + sqrt(disc))
+            else:
+                nd = ux + hf
+            if nd < D[nidx]:
+                D[nidx] = nd
+                state[nidx] = 1
+                heappush(heap, (nd, nidx))
+
+    return np.array(D, dtype=np.float64).reshape(H, W)

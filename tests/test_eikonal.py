@@ -13,7 +13,7 @@ from relaynet.eikonal import (
     extract_path,
     solve_eikonal,
 )
-from relaynet.gridmap import GLASS, WALL
+from relaynet.gridmap import GLASS, WALL, OutOfBoundsError
 from relaynet.radio import CoverageBook, RadioConfigError, RadioParams, coverage_field, empty_field
 
 from conftest import make_map, open_map
@@ -111,6 +111,27 @@ class TestSolveEikonal:
         m = make_map([".#."])
         with pytest.raises(UnreachableError):
             solve_eikonal(base_velocity(m), (1, 0))
+
+    def test_cells_off_the_grid_raise(self):
+        m = open_map(4, 2)
+        d = solve_eikonal(base_velocity(m), (0, 0))
+        off = ((-1, 0), (4, 0), (0, -1), (0, 2), (-1, -1))
+        for c in off:
+            with pytest.raises(OutOfBoundsError):
+                d.at(c)
+        assert d.D[0, 3] == 1.5  # finishes the march
+        for c in off:
+            with pytest.raises(OutOfBoundsError):
+                d.at(c)
+
+    def test_query_near_the_source_stops_the_march_early(self):
+        m = open_map(60, 4)
+        d = solve_eikonal(base_velocity(m), (0, 1))
+        assert d.accepted == 0
+        assert d.at((1, 1)) == 0.5
+        assert d.accepted < 240 // 10
+        assert np.isfinite(d.D).all()
+        assert d.accepted == 240
 
     def test_monotone_acceptance_order(self):
         m = make_map(["..........", "..##..#...", ".....#....", ".........."])
