@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +65,18 @@ class GridMap:
             and self.resolution == other.resolution
             and np.array_equal(self.materials, other.materials)
         )
+
+    @cached_property
+    def obstacle_table(self) -> np.ndarray:
+        """Summed-area table of the non-FREE cells, int32 of shape
+        (height + 1, width + 1): entry [r, c] counts the obstacles in rows
+        < r and columns < c. Built on first use; materials is read-only,
+        so it never goes stale."""
+        table = np.zeros((self.height + 1, self.width + 1), dtype=np.int32)
+        np.cumsum(self.materials != FREE, axis=0, dtype=np.int32, out=table[1:, 1:])
+        np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+        table.flags.writeable = False
+        return table
 
     # -- geometry ------------------------------------------------------
 
@@ -175,6 +188,7 @@ def parse_map(text: str) -> GridMap:
 
 
 _RUN_CODES = np.array([WALL, GLASS], dtype=np.uint8)
+_SAMPLE_BLOCK = 1 << 14  # samples per block of cast rows in segment_runs
 
 
 def segment_steps(grid: GridMap, a: WorldPoint, b: WorldPoint) -> int:
@@ -182,26 +196,81 @@ def segment_steps(grid: GridMap, a: WorldPoint, b: WorldPoint) -> int:
     return max(1, math.ceil(math.hypot(b[0] - a[0], b[1] - a[1]) / (grid.resolution * 0.5)))
 
 
+def _cells(v: np.ndarray, res: float, last) -> np.ndarray:
+    """Cells of the coordinates v, which are overwritten: v / res truncated,
+    with the far map edge folded into the last cell. Samples lie between
+    in-bounds endpoints, so only the far edge needs folding."""
+    np.divide(v, res, out=v)
+    cells = v.astype(np.int64)
+    return np.minimum(cells, last, out=cells)
+
+
+def _sampled_runs(grid: GridMap, ax, ay, dx, dy, n, width: int) -> np.ndarray:
+    """Runs along the rows a-(a + d), sampled at n + 1 points and padded to
+    width samples by repeating the endpoint sample, which starts no run:
+    scalars for one row, (k, 1) arrays for k rows."""
+    k = np.arange(width)
+    t = np.where(k >= n, 1.0, k * (1.0 / n))
+    cells = _cells(ay + t * dy, grid.resolution, grid.height - 1)
+    cells *= grid.width
+    cells += _cells(ax + t * dx, grid.resolution, grid.width - 1)
+    hit = grid.materials.reshape(-1).take(cells) == _RUN_CODES.reshape((2,) + (1,) * cells.ndim)
+    return hit[..., 0] + (hit[..., 1:] > hit[..., :-1]).sum(axis=-1)
+
+
 def segment_runs(grid: GridMap, ax, ay, bx, by, n) -> np.ndarray:
     """Wall and glass runs along segments a-b, each sampled at n + 1 evenly
     spaced points; the first axis of the result holds (walls, glass).
 
-    The coordinates and n are scalars for one segment, or (k, 1) arrays for
-    k segments, each with its own step count. A row is padded to the
-    longest by repeating its endpoint sample, which starts no run. The
-    sample parameters are bit-equal to np.linspace(0, 1, n + 1). Callers
-    pass the endpoints in canonical order, so counts are exactly symmetric.
+    The coordinates and n are scalars for one segment, or (..., 1) arrays of
+    one shape for many segments, each with its own step count (n may also be
+    one int for all); the result then has shape (2, ...). The sample
+    parameters are bit-equal to np.linspace(0, 1, n + 1). Callers pass the
+    endpoints in canonical order, so counts are exactly symmetric.
+
+    A row's sample cells are monotone in t, so they all lie in the box of
+    its first sample cell (at ax + 0.0 * (bx - ax) == ax) and its last (at
+    ax + 1.0 * (bx - ax)). A row whose box holds no obstacle (four lookups
+    in grid.obstacle_table) has no runs and is not sampled.
     """
-    k = np.arange((n if isinstance(n, int) else n.max()) + 1)
-    t = np.where(k >= n, 1.0, k * (1.0 / n))
-    xs = ax + t * (bx - ax)
-    ys = ay + t * (by - ay)
-    # samples lie between in-bounds endpoints, so only the far edge needs folding
-    cols = np.minimum((xs / grid.resolution).astype(np.int64), grid.width - 1)
-    rows = np.minimum((ys / grid.resolution).astype(np.int64), grid.height - 1)
-    mats = grid.materials[rows, cols]
-    hit = mats == _RUN_CODES.reshape((2,) + (1,) * mats.ndim)
-    return hit[..., 0] + (hit[..., 1:] > hit[..., :-1]).sum(axis=-1)
+    res, W, H = grid.resolution, grid.width, grid.height
+    table = grid.obstacle_table
+    if np.ndim(ax) == 0:
+        # one segment: its box in Python floats, with the same operations
+        # (numpy calls on a single row would cost more than the pruning saves)
+        c0, c1 = sorted((min(int(ax / res), W - 1), min(int((ax + (bx - ax)) / res), W - 1)))
+        r0, r1 = sorted((min(int(ay / res), H - 1), min(int((ay + (by - ay)) / res), H - 1)))
+        if table.item(r1 + 1, c1 + 1) - table.item(r0, c1 + 1) \
+                - table.item(r1 + 1, c0) + table.item(r0, c0) == 0:
+            return np.zeros(2, dtype=np.int64)
+        return _sampled_runs(grid, ax, ay, bx - ax, by - ay, n, n + 1)
+    shape = (2,) + np.shape(ax)[:-1]
+    ax, ay, bx, by = (np.ravel(v) for v in (ax, ay, bx, by))
+    n = np.ravel(n) if np.ndim(n) else np.full(ax.size, n)
+    dx, dy = bx - ax, by - ay
+    # box[axis, end]: first and last sample cells, sorted, the last one + 1
+    box = _cells(np.stack((ax, ax + dx, ay, ay + dy), dtype=float).reshape(2, 2, -1),
+                 res, np.array([[[W - 1]], [[H - 1]]]))
+    box.sort(axis=1)
+    box[:, 1] += 1
+    box[1] *= W + 1
+    corner = table.reshape(-1).take(box[1, :, None] + box[0, None])
+    inside = corner[1, 1] - corner[0, 1] - corner[1, 0] + corner[0, 0]
+    # the other rows, sorted by step count, in blocks of about _SAMPLE_BLOCK
+    # samples, each padded to its longest row
+    cast = np.flatnonzero(inside)
+    cast = cast[np.argsort(n[cast], kind="stable"), None]
+    ax, ay, dx, dy, n = (v[cast] for v in (ax, ay, dx, dy, n))
+    runs = np.zeros((2, inside.size), dtype=np.int64)
+    i = 0
+    while i < cast.size:
+        # the rows that fit the budget at the first row's width, then at the last's
+        j = min(cast.size, i + max(1, _SAMPLE_BLOCK // int(n[i, 0] + 1)))
+        j = i + max(1, min(j - i, _SAMPLE_BLOCK // int(n[j - 1, 0] + 1)))
+        runs[:, cast[i:j, 0]] = _sampled_runs(grid, ax[i:j], ay[i:j], dx[i:j], dy[i:j],
+                                              n[i:j], int(n[j - 1, 0]) + 1)
+        i = j
+    return runs.reshape(shape)
 
 
 def count_traversals(grid: GridMap, a: WorldPoint, b: WorldPoint) -> TraversalCount:

@@ -138,11 +138,11 @@ def rss(grid: GridMap, tx: WorldPoint, rx: WorldPoint, params: RadioParams,
 
 
 def _traversal_field(grid: GridMap, tx: WorldPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Wall/glass run counts from tx to every cell center."""
+    """Wall/glass run counts from tx to every cell center, in one
+    segment_runs call (obstacle cells included)."""
     res = grid.resolution
-    H, W = grid.height, grid.width
-    ex = np.tile((np.arange(W) + 0.5) * res, H)
-    ey = np.repeat((np.arange(H) + 0.5) * res, W)
+    ex = ((np.arange(grid.width) + 0.5) * res)[None, :]
+    ey = ((np.arange(grid.height) + 0.5) * res)[:, None]
     tx0, ty0 = float(tx[0]), float(tx[1])
     swap = (ex < tx0) | ((ex == tx0) & (ey < ty0))
     sx = np.where(swap, ex, tx0)
@@ -151,12 +151,8 @@ def _traversal_field(grid: GridMap, tx: WorldPoint) -> tuple[np.ndarray, np.ndar
     fy = np.where(swap, ty0, ey)
     d = np.hypot(ex - tx0, ey - ty0)
     nsteps = np.maximum(1, np.ceil(d / (res * 0.5))).astype(np.int64)
-    runs = np.empty((2, H * W), dtype=np.int64)
-    for n in np.unique(nsteps):
-        sel = np.nonzero(nsteps == n)[0]
-        runs[:, sel] = segment_runs(grid, sx[sel, None], sy[sel, None],
-                                    fx[sel, None], fy[sel, None], int(n))
-    walls, glass = runs.reshape(2, H, W)
+    walls, glass = segment_runs(grid, sx[..., None], sy[..., None], fx[..., None],
+                                fy[..., None], nsteps[..., None])
     return walls, glass
 
 

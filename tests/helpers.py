@@ -2,10 +2,12 @@
 permutation assignment solver, a BFS hop counter, a recursive tour
 enumerator, the scalar chord integral and string pulling that the batched
 path code must match bit for bit, the eager fast-marching loop that the
-resumable march must match bit for bit, and an unpruned, unmemoised relay
-synthesis. These deliberately share no code with the package internals;
-the relay oracle calls only the public radio model (rss and coverage
-fields) and movement cost."""
+resumable march must match bit for bit, an unpruned, unmemoised relay
+synthesis, a scalar raycast sampler, and the coverage field built one
+step-count group at a time. These deliberately share no code with the
+package internals, except that the relay oracle calls the public radio
+model (rss and coverage fields) and movement cost, and the coverage-field
+oracle calls the raycast kernel once per step count."""
 
 import heapq
 import itertools
@@ -16,8 +18,17 @@ import numpy as np
 
 from relaynet.connectivity import InfeasibleRelayError, RelayPlan, movement_cost
 from relaynet.eikonal import UnreachableError, VelocityField
-from relaynet.gridmap import GridMap
-from relaynet.radio import RadioParams, combine_coverage, coverage_field, rss
+from relaynet.gridmap import FREE, GridMap, segment_runs
+from relaynet.radio import (
+    MIN_SEPARATION,
+    NO_SIGNAL,
+    RadioConfigError,
+    RadioParams,
+    RssField,
+    combine_coverage,
+    coverage_field,
+    rss,
+)
 
 
 def dijkstra8(velocity: VelocityField, source: tuple[int, int]) -> dict[tuple[int, int], float]:
@@ -380,3 +391,68 @@ def fmm_reference(velocity: VelocityField, source: tuple[int, int], on_accept=No
                 heappush(heap, (nd, nidx))
 
     return np.array(D, dtype=np.float64).reshape(H, W)
+
+
+def scalar_runs(grid: GridMap, a, b, n: int | None = None) -> tuple[int, int]:
+    """Wall and glass runs along a-b at n steps (by default the fewest of
+    length <= resolution/2), sampled independently of the package."""
+    if (b[0], b[1]) < (a[0], a[1]):
+        a, b = b, a
+    if n is None:
+        n = max(1, math.ceil(math.hypot(b[0] - a[0], b[1] - a[1]) / (grid.resolution * 0.5)))
+    mats = []
+    for t in np.linspace(0.0, 1.0, n + 1):
+        x, y = a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])
+        col = min(max(int(x / grid.resolution), 0), grid.width - 1)
+        row = min(max(int(y / grid.resolution), 0), grid.height - 1)
+        mats.append(int(grid.materials[row, col]))
+    return tuple(sum(1 for i, m in enumerate(mats) if m == code and (i == 0 or mats[i - 1] != code))
+                 for code in (1, 2))
+
+
+def _traversal_field_reference(grid: GridMap, tx) -> tuple[np.ndarray, np.ndarray]:
+    """Wall/glass run counts from tx to every cell center."""
+    res = grid.resolution
+    H, W = grid.height, grid.width
+    ex = np.tile((np.arange(W) + 0.5) * res, H)
+    ey = np.repeat((np.arange(H) + 0.5) * res, W)
+    tx0, ty0 = float(tx[0]), float(tx[1])
+    swap = (ex < tx0) | ((ex == tx0) & (ey < ty0))
+    sx = np.where(swap, ex, tx0)
+    sy = np.where(swap, ey, ty0)
+    fx = np.where(swap, tx0, ex)
+    fy = np.where(swap, ty0, ey)
+    d = np.hypot(ex - tx0, ey - ty0)
+    nsteps = np.maximum(1, np.ceil(d / (res * 0.5))).astype(np.int64)
+    runs = np.empty((2, H * W), dtype=np.int64)
+    for n in np.unique(nsteps):
+        sel = np.nonzero(nsteps == n)[0]
+        runs[:, sel] = segment_runs(grid, sx[sel, None], sy[sel, None],
+                                    fx[sel, None], fy[sel, None], int(n))
+    walls, glass = runs.reshape(2, H, W)
+    return walls, glass
+
+
+def coverage_field_reference(grid: GridMap, tx, params: RadioParams) -> RssField:
+    """Deterministic rss at every cell center for a single transmitter, as
+    coverage_field must build it bit for bit; one raycast call per
+    step-count group of cells."""
+    grid.require_in_bounds(tx)
+    txc = grid.to_cell(tx)
+    if not grid.is_free_cell(txc):
+        raise RadioConfigError(f"transmitter at {tx} sits on an obstacle cell {txc}")
+    res = grid.resolution
+    H, W = grid.height, grid.width
+    cx = (np.arange(W) + 0.5) * res
+    cy = (np.arange(H) + 0.5) * res
+    dx = np.broadcast_to(cx[None, :], (H, W)) - tx[0]
+    dy = np.broadcast_to(cy[:, None], (H, W)) - tx[1]
+    d = np.maximum(np.hypot(dx, dy), MIN_SEPARATION)
+    walls, glass = _traversal_field_reference(grid, tx)
+    los = (walls == 0) & (glass == 0)
+    n = np.where(los, params.n_los, params.n_nlos)
+    loss = params.l0 + 10.0 * n * np.log10(d) + walls * params.a_wall + glass * params.a_glass
+    values = params.p_tx - loss
+    values[grid.materials != FREE] = NO_SIGNAL
+    return RssField(grid=grid, rss=values, sources=(tuple(tx),), gamma=params.gamma,
+                    rss_ref=params.p_tx - params.l0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaynet import gridmap
 from relaynet.gridmap import (
     FREE,
     GLASS,
@@ -15,9 +16,12 @@ from relaynet.gridmap import (
     count_traversals,
     line_of_sight,
     parse_map,
+    segment_runs,
+    segment_steps,
 )
 
 from conftest import make_map, open_map
+from helpers import scalar_runs
 
 
 class TestParseMap:
@@ -194,6 +198,96 @@ class TestCountTraversals:
             a = (float(rng.uniform(0.1, 1.4)), float(rng.uniform(0.1, 2.4)))
             b = (float(rng.uniform(4.6, 5.9)), float(rng.uniform(0.1, 2.4)))
             assert count_traversals(with_wall, a, b).walls >= count_traversals(base, a, b).walls
+
+
+class TestObstacleTable:
+    def test_equals_brute_force_box_counts(self):
+        rng = np.random.default_rng(13)
+        m = make_map(["".join(row) for row in rng.choice(list("..#%"), size=(5, 7))])
+        table = m.obstacle_table
+        assert table.shape == (6, 8) and table.dtype == np.int32
+        obstacle = m.materials != FREE
+        for r0 in range(6):
+            for r1 in range(r0, 6):
+                for c0 in range(8):
+                    for c1 in range(c0, 8):
+                        box = table[r1, c1] - table[r0, c1] - table[r1, c0] + table[r0, c0]
+                        assert box == obstacle[r0:r1, c0:c1].sum()
+
+    def test_built_once_and_not_compared(self):
+        a = make_map(["..#", "%.."])
+        table = a.obstacle_table
+        assert not table.flags.writeable
+        count_traversals(a, (0.25, 0.25), (1.25, 0.75))
+        segment_runs(a, np.array([[0.25]]), np.array([[0.25]]), np.array([[1.25]]),
+                     np.array([[0.75]]), 4)
+        assert a.obstacle_table is table
+        b = make_map(["..#", "%.."])
+        assert "obstacle_table" not in vars(b)
+        assert a == b and b == a
+        assert a != make_map(["...", "%.."])
+
+
+class TestSegmentPruning:
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        """The number of rows of each call to the sampler."""
+        rows = []
+        sample = gridmap._sampled_runs
+
+        def spy(grid, ax, ay, dx, dy, n, width):
+            rows.append(np.size(n))
+            return sample(grid, ax, ay, dx, dy, n, width)
+
+        monkeypatch.setattr(gridmap, "_sampled_runs", spy)
+        return rows
+
+    @staticmethod
+    def runs(grid, segs, sampled):
+        """segment_runs one segment at a time and as one batch, at the
+        natural step counts, with the rows sampled by each."""
+        steps = [segment_steps(grid, a, b) for a, b in segs]
+        one = []
+        for (a, b), n in zip(segs, steps):
+            sampled.clear()
+            one.append((tuple(segment_runs(grid, a[0], a[1], b[0], b[1], n).tolist()),
+                        sum(sampled)))
+        sampled.clear()
+        ax, ay, bx, by = (np.array([[p[k]] for p in ends]) for ends in zip(*segs) for k in (0, 1))
+        batch = segment_runs(grid, ax, ay, bx, by, np.array(steps)[:, None])
+        return one, [tuple(r) for r in batch.T.tolist()], sum(sampled)
+
+    def test_obstacle_in_the_box_off_the_ray(self, sampled):
+        # the diagonal from cell (0, 0) to cell (3, 3) stays on cells with
+        # col == row; its box holds the wall at (3, 0), so it is sampled,
+        # and it still has no runs
+        m = make_map(["...#", "....", "....", "...."])
+        diagonal = ((0.25, 0.25), (1.75, 1.75))
+        clear = ((0.25, 1.25), (1.75, 1.75))
+        one, batch, rows = self.runs(m, [diagonal, clear], sampled)
+        assert one == [((0, 0), 1), ((0, 0), 0)]
+        assert batch == [(0, 0), (0, 0)]
+        assert rows == 1
+        assert scalar_runs(m, *diagonal) == scalar_runs(m, *clear) == (0, 0)
+
+    def test_rows_ending_on_the_far_map_edge(self, sampled):
+        # world 3 x 1 m; the last sample of a row ending at x == 3.0 or
+        # y == 1.0 folds into the last column or row, where only (5, 1)
+        # is a wall
+        m = make_map(["......", ".....#"])
+        segs = [((0.25, 0.25), (3.0, 0.25)),   # row 0 to the far edge: clear
+                ((0.25, 0.75), (3.0, 0.75)),   # row 1 onto the wall
+                ((0.25, 0.25), (0.25, 1.0)),   # column 0 to the far edge: clear
+                ((2.75, 0.25), (2.75, 1.0)),   # column 5 onto the wall
+                ((0.0, 0.0), (3.0, 1.0)),      # corner to corner: box holds the wall
+                ((3.0, 0.0), (3.0, 0.25)),     # along the far edge, in row 0: clear
+                ((3.0, 0.0), (3.0, 1.0))]      # along the far edge onto the wall
+        one, batch, rows = self.runs(m, segs, sampled)
+        expected = [scalar_runs(m, a, b) for a, b in segs]
+        assert expected == [(0, 0), (1, 0), (0, 0), (1, 0), (1, 0), (0, 0), (1, 0)]
+        assert one == [(e, int(e != (0, 0))) for e in expected]
+        assert batch == expected
+        assert rows == 4
 
 
 class TestLineOfSight:

@@ -1,7 +1,8 @@
-"""Property tests of the link layer over small random maps: the shared
-raycast kernel and its padded batches, the coverage field's run counts, the
-memoised pairwise rss, the batched links and coverage, the tick tree, and
-the single BFS."""
+"""Property tests of the link layer over small random maps and sparse ones
+(where most segments clear the obstacle table and are not sampled): the
+shared raycast kernel and its padded batches, the coverage field's run
+counts, the memoised pairwise rss, the batched links and coverage, the tick
+tree, and the single BFS."""
 
 import itertools
 import math
@@ -23,7 +24,7 @@ from relaynet.radio import (
     rss,
 )
 
-from helpers import bfs_hops
+from helpers import bfs_hops, scalar_runs
 
 PROPS = settings(max_examples=40, deadline=None)
 
@@ -38,6 +39,21 @@ def small_maps(draw) -> GridMap:
                    materials=np.array(cells, dtype=np.uint8).reshape(h, w))
 
 
+@st.composite
+def sparse_maps(draw) -> GridMap:
+    """Open maps up to 24 x 24 with at most four wall or glass cells, so
+    that one map has both rows whose box holds no obstacle and rows that
+    are sampled."""
+    w = draw(st.integers(2, 24))
+    h = draw(st.integers(2, 24))
+    materials = np.zeros((h, w), dtype=np.uint8)
+    for c, r, code in draw(st.lists(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1),
+                                              st.sampled_from([1, 2])), max_size=4)):
+        materials[r, c] = code
+    res = draw(st.sampled_from([0.5, 1.0, 0.3]))
+    return GridMap(width=w, height=h, resolution=res, materials=materials)
+
+
 def points(grid: GridMap):
     """Any in-bounds point, or one on the half-cell lattice, where samples
     fall on cell edges and the far map edge."""
@@ -45,23 +61,6 @@ def points(grid: GridMap):
         return st.floats(0.0, cells * grid.resolution) | \
             st.integers(0, 2 * cells).map(lambda i: i * grid.resolution / 2)
     return st.tuples(coord(grid.width), coord(grid.height))
-
-
-def scalar_runs(grid: GridMap, a, b, n: int | None = None) -> tuple[int, int]:
-    """Wall and glass runs along a-b at n steps (by default the fewest of
-    length <= resolution/2), sampled independently of the package."""
-    if (b[0], b[1]) < (a[0], a[1]):
-        a, b = b, a
-    if n is None:
-        n = max(1, math.ceil(math.hypot(b[0] - a[0], b[1] - a[1]) / (grid.resolution * 0.5)))
-    mats = []
-    for t in np.linspace(0.0, 1.0, n + 1):
-        x, y = a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])
-        col = min(max(int(x / grid.resolution), 0), grid.width - 1)
-        row = min(max(int(y / grid.resolution), 0), grid.height - 1)
-        mats.append(int(grid.materials[row, col]))
-    return tuple(sum(1 for i, m in enumerate(mats) if m == code and (i == 0 or mats[i - 1] != code))
-                 for code in (1, 2))
 
 
 @PROPS
@@ -188,8 +187,33 @@ def test_conn_graph_edges_equal_unmemoised_rss(data):
 
 @PROPS
 @given(st.data())
+def test_sparse_map_kernel_equals_scalar_oracle(data):
+    # one segment at a time, one int n for a batch of array coordinates, and
+    # a batch of mixed step counts, on maps where most boxes are clear
+    grid = data.draw(sparse_maps())
+    segs = data.draw(st.lists(st.tuples(points(grid), points(grid)), min_size=1, max_size=8))
+    segs = [(a, b) if a <= b else (b, a) for a, b in segs]
+    ax, ay, bx, by = (np.array([[p[k]] for p in ends]) for ends in zip(*segs) for k in (0, 1))
+    for a, b in segs:
+        n = segment_steps(grid, a, b)
+        assert tuple(segment_runs(grid, a[0], a[1], b[0], b[1], n).tolist()) == \
+            scalar_runs(grid, a, b, n)
+    n = data.draw(st.integers(1, 120))
+    batch = segment_runs(grid, ax, ay, bx, by, n)
+    assert batch.shape == (2, len(segs))
+    assert [tuple(runs) for runs in batch.T.tolist()] == [scalar_runs(grid, a, b, n)
+                                                          for a, b in segs]
+    steps = [data.draw(st.sampled_from([segment_steps(grid, a, b), 1, 49]) | st.integers(1, 120))
+             for a, b in segs]
+    batch = segment_runs(grid, ax, ay, bx, by, np.array(steps)[:, None])
+    assert [tuple(runs) for runs in batch.T.tolist()] == [scalar_runs(grid, a, b, n)
+                                                          for (a, b), n in zip(segs, steps)]
+
+
+@PROPS
+@given(st.data())
 def test_field_counts_equal_count_traversals(data):
-    grid = data.draw(small_maps())
+    grid = data.draw(small_maps() | sparse_maps())
     tx = data.draw(points(grid))
     walls, glass = _traversal_field(grid, tx)
     for r in range(grid.height):

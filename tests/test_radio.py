@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from relaynet.gridmap import OutOfBoundsError, parse_map
+from relaynet.cli import generate_map
+from relaynet.gridmap import FREE, GLASS, GridMap, OutOfBoundsError, parse_map
 from relaynet.radio import (
     NO_SIGNAL,
     CoverageBook,
@@ -18,7 +19,8 @@ from relaynet.radio import (
     rss,
 )
 
-from conftest import make_map, open_map
+from conftest import fig2_map, fig2_scenario, make_map, open_map
+from helpers import coverage_field_reference
 
 
 class TestPathLoss:
@@ -141,6 +143,58 @@ class TestCoverageField:
         m = make_map(["#.", ".."])
         with pytest.raises(RadioConfigError):
             coverage_field(m, (0.25, 0.25), RadioParams())
+
+
+def _hall128() -> GridMap:
+    # the 128 x 128 generated hall (border walls, a few wall lines with door
+    # gaps) with a glass pane added, so both run codes occur
+    grid = generate_map(128, 128, 0.1, np.random.default_rng(7))
+    materials = grid.materials.copy()
+    materials[40, 20:30] = GLASS
+    return GridMap(width=128, height=128, resolution=grid.resolution, materials=materials)
+
+
+def _next_to_walls(grid: GridMap, count: int) -> list[tuple[int, int]]:
+    """Free cells with an obstacle to the left or above, spread over the grid."""
+    m = grid.materials
+    cells = [(c, r) for r in range(1, grid.height - 2) for c in range(1, grid.width - 2)
+             if m[r, c] == FREE and (m[r, c - 1] != FREE or m[r - 1, c] != FREE)]
+    return cells[::max(1, len(cells) // count)][:count]
+
+
+class TestCoverageFieldOracle:
+    """coverage_field (one raycast call over every cell) against the field
+    built one step-count group at a time, bit for bit, -inf included."""
+
+    @staticmethod
+    def check(grid: GridMap, tx, params: RadioParams):
+        got = coverage_field(grid, tx, params).rss
+        expected = coverage_field_reference(grid, tx, params).rss
+        assert np.array_equal(got, expected)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_hall128(self):
+        grid = _hall128()
+        params = RadioParams()
+        corners = [(1, 1), (126, 1), (1, 126), (126, 126)]
+        mid = [(64, 64), (31, 97)]
+        cells = corners + _next_to_walls(grid, 4) + [c for c in mid if grid.is_free_cell(c)]
+        assert len(cells) >= 9
+        for c in cells:
+            self.check(grid, grid.to_world(c), params)
+        # off-centre transmitters: on a cell corner (ties in the canonical
+        # order) and at an arbitrary point
+        self.check(grid, (32.0, 32.0), params)
+        self.check(grid, (17.3, 45.81), params)
+
+    def test_fig2(self):
+        grid = fig2_map()
+        sc = fig2_scenario()
+        cells = [(0, 0), (39, 23), (0, 5), (1, 5), (32, 5), (33, 5), (10, 4), (10, 6), (20, 12)]
+        for c in cells:
+            self.check(grid, grid.to_world(c), sc.radio)
+        for p in [sc.bs] + sc.goals:
+            self.check(grid, p, sc.radio)
 
 
 class TestCombine:
