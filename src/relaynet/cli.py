@@ -446,11 +446,12 @@ def run_with_replan(scenario: Scenario, mode: str, noise_seed: int | None,
                 raise ReplanBudgetError(
                     f"replan budget of {budget} exhausted under noise seed {noise_seed}"
                 ) from stall
-            traces.append(stall.trace)
-            remaining_ids = [g for i, g in enumerate(goal_maps[-1]) if i not in stall.reached]
+            tr = stall.trace
+            traces.append(tr)
+            remaining_ids = [g for i, g in enumerate(goal_maps[-1]) if i not in tr.reached_goals]
             log.info("replan %d: %d goals remain", replans, len(remaining_ids))
             goal_maps.append(remaining_ids)
-            sc, cur_plan = replan(sc, stall.reached, stall.positions)
+            sc, cur_plan = replan(sc, tr.reached_goals, tr.positions[-1])
             for r in range(len(merged_plan)):
                 merged_plan[r].extend(cur_plan.robots[r])
     return _merge_traces(traces, goal_maps), DeploymentPlan.of(plan.mode, merged_plan), replans

@@ -210,8 +210,7 @@ def plan_relays(book: CoverageBook, goals: list[WorldPoint], free_robots: list[W
     def node_list() -> list[WorldPoint]:
         return base_positions + committed
 
-    def goal_depths(adj: list[list[int]]) -> list[int | None]:
-        depth = bfs_tree(adj)[1]
+    def goal_depths(depth: list[int | None]) -> list[int | None]:
         return [depth[goal_node(gi)] for gi in range(len(goals))]
 
     def candidate_cells() -> list[CellIndex]:
@@ -229,14 +228,15 @@ def plan_relays(book: CoverageBook, goals: list[WorldPoint], free_robots: list[W
     while True:
         positions = node_list()
         adj = build_conn_graph(book, positions).adjacency()
-        depths = goal_depths(adj)
+        depth = bfs_tree(adj)[1]
+        depths = goal_depths(depth)
         unreachable = [gi for gi, d in enumerate(depths) if d is None]
         if len(committed) > guard:
             raise InfeasibleRelayError("relay synthesis exceeded its commit budget", unreachable)
         # a candidate sits at depth >= 1, so it can only connect or shorten
         # the way to a node if it links to a "far" one: unreachable or at
         # depth >= 3; any other candidate scores (0, 0)
-        far = [positions[i] for i, d in enumerate(bfs_tree(adj)[1]) if d is None or d >= 3]
+        far = [positions[i] for i, d in enumerate(depth) if d is None or d >= 3]
 
         cands = candidate_cells()
         best = None
@@ -250,7 +250,7 @@ def plan_relays(book: CoverageBook, goals: list[WorldPoint], free_robots: list[W
             ci = len(positions)
             for i in cadj:
                 ext_adj[i].append(ci)
-            new_depths = goal_depths(ext_adj)
+            new_depths = goal_depths(bfs_tree(ext_adj)[1])
             connected = sum(1 for gi in unreachable if new_depths[gi] is not None)
             reduced = sum(
                 1 for gi in range(len(goals))

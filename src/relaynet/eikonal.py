@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,55 +40,37 @@ class VelocityField:
 class DistanceField:
     """Cost-to-go D from a source cell; +inf marks unreachable cells.
 
-    solve_eikonal returns it around a live march: at() and the path
-    interpolation march only until the cells they read are accepted. That
-    gives the values of a finished march, because accepted values are final
-    and the acceptance order does not depend on where the march stops.
-    Reading D finishes the march and releases its lists.
+    The field wraps one live march: at() and the path interpolation march
+    only until the cells they read are accepted. That gives the values of a
+    finished march, because accepted values are final and the acceptance
+    order does not depend on where the march stops. Reading D finishes it.
     """
 
     def __init__(self, velocity: VelocityField, source: CellIndex, march: _March):
         self.grid = velocity.grid
         self.velocity = velocity
         self.source = source
-        self._march: _March | None = march
-        self._D: np.ndarray | None = None
+        self._march = march
 
-    @property
+    @cached_property
     def D(self) -> np.ndarray:
         """The finished (height, width) field, read-only."""
-        if self._D is None:
-            march = self._march
-            march.run()
-            H, W = self.grid.height, self.grid.width
-            D = np.array(march.accepted).reshape(H + 2, W + 2)[1:-1, 1:-1].copy()
-            D.flags.writeable = False
-            self._D = D
-            self._march = None
-        return self._D
+        self._march.run()
+        H, W = self.grid.height, self.grid.width
+        D = np.array(self._march.accepted).reshape(H + 2, W + 2)[1:-1, 1:-1].copy()
+        D.flags.writeable = False
+        return D
 
     @property
     def accepted(self) -> int:
         """Cells accepted so far; every finite cell once D has been read."""
-        if self._march is None:
-            return int(np.isfinite(self._D).sum())
         A = self._march.accepted
         return len(A) - A.count(math.inf)
 
     def at(self, c: CellIndex) -> float:
         if not self.grid.cell_in_bounds(c):
             raise OutOfBoundsError(f"cell {c} outside {self.grid.width}x{self.grid.height} grid")
-        if self._march is None:
-            return float(self._D[c[1], c[0]])
         return self._march.value(self._march.index(c))
-
-    def _padded(self) -> tuple[list[float], Callable[[int], float]]:
-        """The padded accepted-value list and the function that returns the
-        final value of a padded cell, marching if it has to."""
-        if self._march is None:
-            values = np.pad(self._D, 1, constant_values=math.inf).ravel().tolist()
-            return values, values.__getitem__
-        return self._march.accepted, self._march.value
 
     def to_csv(self) -> str:
         return "\n".join(",".join(f"{v:.6f}" for v in row) for row in self.D) + "\n"
@@ -152,15 +135,13 @@ class _March:
     until a cell is accepted; trial holds the tentative values.
     """
 
-    def __init__(self, velocity: VelocityField, source: CellIndex,
-                 on_accept: Callable[[int, int, float], None] | None):
+    def __init__(self, velocity: VelocityField, source: CellIndex):
         grid = velocity.grid
         W = grid.width
         h = grid.resolution
         sc, sr = source
         Wp = W + 2
         self.stride = Wp
-        self.on_accept = on_accept
         Fp = np.pad(velocity.F, 1)
         # h / f per cell, +inf where f is not > 0: an update through such a
         # cell is never finite, so the march skips it outright
@@ -238,7 +219,6 @@ class _March:
         """
         heap, D, A, HF = self.heap, self.trial, self.accepted, self.hf
         Wp = self.stride
-        on_accept = self.on_accept
         INF = math.inf
         sqrt = math.sqrt
         while heap:
@@ -246,8 +226,6 @@ class _March:
             if d > D[idx]:
                 continue
             A[idx] = d
-            if on_accept is not None:
-                on_accept(idx % Wp - 1, idx // Wp - 1, d)
             for nidx in (idx - 1, idx + 1, idx - Wp, idx + Wp):
                 hf = HF[nidx]
                 if hf == INF or A[nidx] < INF:
@@ -275,14 +253,11 @@ class _March:
                 return
 
 
-def solve_eikonal(velocity: VelocityField, source: CellIndex,
-                  on_accept: Callable[[int, int, float], None] | None = None) -> DistanceField:
+def solve_eikonal(velocity: VelocityField, source: CellIndex) -> DistanceField:
     """First-order upwind fast marching over the 4-neighborhood.
 
-    Values are finalized in non-decreasing order; the on_accept hook
-    observes that order, and when it is given the march finishes before
-    this returns. Otherwise the returned field marches on demand. Cells with
-    zero velocity keep +inf.
+    Values are finalized in non-decreasing order. The returned field marches
+    on demand. Cells with zero velocity keep +inf.
     """
     grid = velocity.grid
     sc, sr = source
@@ -290,10 +265,7 @@ def solve_eikonal(velocity: VelocityField, source: CellIndex,
         raise UnreachableError(f"source cell {source} outside grid")
     if velocity.F[sr, sc] <= 0.0:
         raise UnreachableError(f"source cell {source} has zero velocity")
-    march = _March(velocity, source, on_accept)
-    if on_accept is not None:
-        march.run()
-    return DistanceField(velocity, (sc, sr), march)
+    return DistanceField(velocity, (sc, sr), _March(velocity, source))
 
 
 _RING = [
@@ -308,7 +280,8 @@ def _make_interp(dfield: DistanceField):
     """Bilinear interpolation of D on cell centers; +inf corners are dropped
     with weight renormalization so values next to obstacles stay usable.
     Only corners of weight > 0 are read, so the march goes no further."""
-    values, value = dfield._padded()
+    march = dfield._march
+    values, value = march.accepted, march.value
     W, H = dfield.grid.width, dfield.grid.height
     Wp = W + 2
     res = dfield.grid.resolution
@@ -508,9 +481,6 @@ def extract_path(dfield: DistanceField, start: CellIndex) -> Path:
 
 def coverage_fraction(grid: GridMap, points: Sequence[WorldPoint], mask: np.ndarray) -> float:
     """Fraction of the polyline arc length whose midpoint cell is covered."""
-    if len(points) < 2:
-        c = grid.to_cell(points[0])
-        return 1.0 if bool(mask[c[1], c[0]]) else 0.0
     total = 0.0
     covered = 0.0
     for i in range(len(points) - 1):

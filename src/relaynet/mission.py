@@ -23,7 +23,7 @@ from .connectivity import (
 )
 from .eikonal import Path, ca_fmm_path
 from .gridmap import CellIndex, GridMap, WorldPoint
-from .radio import CoverageBook, RadioParams
+from .radio import CoverageBook, RadioParams, rss
 
 MODES = ("FMM", "CA-FMM", "DP-FMM", "DPA-FMM")
 
@@ -55,15 +55,17 @@ class DeadlockError(RuntimeError):
 
 class GoalConnectivityStallError(RuntimeError):
     """A robot held disconnected at its goal too long; trace is the mission
-    up to and including the stall tick, as until_tick=tick would return it."""
+    up to and including the stall tick, as until_tick=trace.ticks would
+    return it, so its last positions and reached goals are the stalled state."""
 
-    def __init__(self, message: str, tick: int, positions: list[WorldPoint], reached: set[int],
-                 trace: MissionTrace):
+    def __init__(self, message: str, trace: MissionTrace):
         super().__init__(message)
-        self.tick = tick
-        self.positions = positions
-        self.reached = reached
         self.trace = trace
+
+    @property
+    def tick(self) -> int:
+        """The stall tick, read from the trace."""
+        return self.trace.ticks
 
 
 def normalize_mode(mode: str) -> str:
@@ -672,9 +674,9 @@ def _tick_tree(book: CoverageBook, bs: WorldPoint, positions: list[WorldPoint],
     if noise is None:
         edges = book.links(nodes)
     else:
-        gamma = book.params.gamma
+        grid, gamma = book.grid, book.params.gamma
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if book.rss(nodes[i], nodes[j], noise, (tick,)) >= gamma]
+                 if rss(grid, nodes[i], nodes[j], noise, "stochastic", (tick,)) >= gamma]
     adj: list[list[int]] = [[] for _ in range(n)]
     for i, j in edges:
         adj[i].append(j)
@@ -820,8 +822,7 @@ def execute_mission(plan: DeploymentPlan, scenario: Scenario,
                 if hold_ticks[r] > hold_limit:
                     raise GoalConnectivityStallError(
                         f"robot {r} held disconnected at goal {pending_goal[r]} for {hold_ticks[r]} ticks",
-                        tick, [tuple(p) for p in pos], set(reached), trace,
-                    )
+                        trace)
         if tick > 0 and not moved and not fired:
             holding = [r for r in range(N) if pending_goal[r] is not None]
             if not holding:

@@ -250,15 +250,9 @@ class CoverageBook:
             return empty_field(self.grid, self.params)
         return combine_coverage([self.field_at(s) for s in sources])
 
-    def rss(self, a: WorldPoint, b: WorldPoint, noise: RadioParams | None = None,
-            key: tuple[int, ...] = ()) -> float:
-        """rss between a and b: deterministic and memoised, or with noise
-        (these params under the noise seed) rss(grid, a, b, noise,
-        "stochastic", key). Every path_loss call is then a memo miss or a
-        noisy link; bench/tracing.py counts them per link.
-        """
-        if noise is not None:
-            return noise.p_tx - path_loss(self.grid, a, b, noise, "stochastic", key)
+    def rss(self, a: WorldPoint, b: WorldPoint) -> float:
+        """Deterministic rss between a and b, memoised: every path_loss call
+        it makes is a memo miss."""
         a, b = tuple(a), tuple(b)
         pair = (a, b) if a <= b else (b, a)
         loss = self._losses.get(pair)

@@ -1,6 +1,10 @@
+import heapq
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from relaynet import eikonal
 from relaynet.gridmap import GridMap, parse_map
 from relaynet.mission import Scenario
 from relaynet.radio import RadioParams
@@ -14,6 +18,26 @@ def make_map(rows: list[str], resolution: float = 0.5) -> GridMap:
 
 def open_map(width: int, height: int, resolution: float = 0.5) -> GridMap:
     return make_map(["." * width] * height, resolution)
+
+
+def acceptance_order(velocity, source) -> tuple[eikonal.DistanceField, list]:
+    """The finished field of solve_eikonal and its cells (c, r, d) in the
+    order the march accepts them, read from the march's heap pops.
+
+    A cell is pushed only with values below its trial value, so exactly one
+    pop per accepted cell carries its final accepted value."""
+    pops = []
+
+    def heappop(heap):
+        pops.append(heapq.heappop(heap))
+        return pops[-1]
+
+    with mock.patch.object(eikonal, "heappop", heappop):
+        dfield = eikonal.solve_eikonal(velocity, source)
+        dfield.D  # finishes the march
+    march = dfield._march
+    Wp = march.stride
+    return dfield, [(i % Wp - 1, i // Wp - 1, d) for d, i in pops if d == march.accepted[i]]
 
 
 @pytest.fixture

@@ -16,8 +16,8 @@ from relaynet.eikonal import (
 from relaynet.gridmap import GLASS, WALL, OutOfBoundsError
 from relaynet.radio import CoverageBook, RadioConfigError, RadioParams, coverage_field, empty_field
 
-from conftest import make_map, open_map
-from helpers import dijkstra8
+from conftest import acceptance_order, make_map, open_map
+from helpers import dijkstra8, fmm_reference
 
 
 class TestBaseVelocity:
@@ -135,9 +135,11 @@ class TestSolveEikonal:
 
     def test_monotone_acceptance_order(self):
         m = make_map(["..........", "..##..#...", ".....#....", ".........."])
-        accepted = []
-        solve_eikonal(base_velocity(m), (0, 0), on_accept=lambda c, r, v: accepted.append(v))
-        assert all(b >= a - 1e-12 for a, b in zip(accepted, accepted[1:]))
+        expected = []
+        fmm_reference(base_velocity(m), (0, 0), lambda c, r, d: expected.append((c, r, d)))
+        _, order = acceptance_order(base_velocity(m), (0, 0))
+        assert order == expected
+        assert all(b[2] >= a[2] for a, b in zip(order, order[1:]))
 
     def test_upwind_residual_near_one(self):
         m = make_map(["..........", "..##......", ".....#....", "..........",

@@ -25,6 +25,7 @@ from relaynet.eikonal import (
 from relaynet.gridmap import FREE, GLASS, WALL, GridMap
 from relaynet.radio import CoverageBook, RadioParams, coverage_field
 
+from conftest import acceptance_order
 from helpers import fmm_reference
 
 PROPS = settings(max_examples=40, deadline=None)
@@ -80,11 +81,11 @@ def problems(draw):
 @given(problems())
 def test_finished_field_and_acceptance_order_equal_reference(problem):
     velocity, source = problem
-    expected, got = [], []
+    expected = []
     ref = fmm_reference(velocity, source, lambda c, r, d: expected.append((c, r, d)))
-    assert solve_eikonal(velocity, source).D.tobytes() == ref.tobytes()
-    dfield = solve_eikonal(velocity, source, lambda c, r, d: got.append((c, r, d)))
-    assert got == expected
+    dfield, order = acceptance_order(velocity, source)
+    assert order == expected
+    assert all(b[2] >= a[2] for a, b in zip(order, order[1:]))
     assert dfield.D.tobytes() == ref.tobytes()
 
 
@@ -103,8 +104,8 @@ def test_values_read_on_demand_in_any_order_equal_reference(problem, data):
     assert dfield.accepted == int(np.isfinite(ref).sum())
 
 
-def _finished(velocity, source, on_accept=None):
-    dfield = solve_eikonal(velocity, source, on_accept)
+def _finished(velocity, source):
+    dfield = solve_eikonal(velocity, source)
     dfield.D  # finishes the march
     return dfield
 

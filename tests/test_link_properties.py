@@ -231,12 +231,15 @@ def test_memoised_rss_bit_equal(data):
     book = CoverageBook(grid, params)
     pts = data.draw(st.lists(points(grid), min_size=2, max_size=5))
     tick = data.draw(st.integers(0, 1000))
+    pairs = {(a, b) for a in map(tuple, pts) for b in map(tuple, pts) if a <= b}
     for _ in range(2):  # the second pass is served from the memo
         for a in pts:
             for b in pts:
                 assert book.rss(a, b) == rss(grid, a, b, params)
-                assert book.rss(a, b, noise, (tick,)) == \
-                    noise.p_tx - path_loss(grid, a, b, noise, "stochastic", (tick,))
+        # a noisy tick prices its links outside the memo, which keeps
+        # exactly the deterministic loss of each pair
+        _tick_tree(book, pts[0], pts[1:], noise, tick)
+        assert book._losses == {p: path_loss(grid, *p, params) for p in pairs}
 
 
 @PROPS

@@ -279,7 +279,7 @@ class TestNoiseHold:
         assert not event.data["connected"]
         with pytest.raises(GoalConnectivityStallError) as exc:
             execute_mission(plan, sc, noise_seed=3, hold_limit=4)
-        assert exc.value.reached == set()
+        assert exc.value.trace.reached_goals == set()
 
     def test_stall_carries_the_until_tick_trace(self, fig2):
         from relaynet.mission import GoalConnectivityStallError
@@ -288,7 +288,7 @@ class TestNoiseHold:
         with pytest.raises(GoalConnectivityStallError) as exc:
             execute_mission(plan, fig2, noise_seed=0)
         stall = exc.value
-        rerun = execute_mission(plan, fig2, noise_seed=0, until_tick=stall.tick)
+        rerun = execute_mission(plan, fig2, noise_seed=0, until_tick=stall.trace.ticks)
         assert not stall.trace.completed
         assert stall.trace == rerun
         assert stall.trace.to_json() == rerun.to_json()

@@ -4,6 +4,7 @@ goals, and of the cluster split that promotes far goals to destinations."""
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -77,3 +78,16 @@ def test_wave_plan_visits_every_goal_once_and_completes_connected(seed, mode_cap
     assert events and all(e.data["connected"] for e in events)
 
     assert plan_deployment(sc, mode).to_json() == plan.to_json()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known DP-FMM defect: goal 4 is reached at tick 83 with connected False")
+def test_dp_plan_at_seed_87_reaches_every_goal_connected():
+    sc = random_scenario(87, 24, 24, N_GOALS, 0.5, RadioParams(p_tx=-16.0, seed=87))
+    assert check_feasibility(sc.map, sc.bs, sc.goals, N_GOALS, sc.radio).feasible
+    sc = replace(sc, visit_cap=9)
+    trace = execute_mission(plan_deployment(sc, "dp"), sc)
+    assert trace.completed
+    assert trace.reached_goals == set(range(N_GOALS))
+    events = [e for e in trace.events if e.kind == "goal-reached"]
+    assert [(e.tick, e.data["goal"]) for e in events if not e.data["connected"]] == []
