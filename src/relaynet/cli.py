@@ -573,10 +573,10 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
     if getattr(args, "seed", None) is not None:
         radio = radio.with_(seed=args.seed)
     if getattr(args, "margin_k", None) is not None:
-        radio = radio.with_(margin_k=args.margin_k)
+        radio = radio.with_(margin_k=_number(args.margin_k, "--margin-k"))
     updates: dict = {"radio": radio}
     if getattr(args, "w_c", None) is not None:
-        updates["w_c"] = args.w_c
+        updates["w_c"] = _number(args.w_c, "--w-c", 0.0)
     return dataclasses.replace(sc, **updates)
 
 
@@ -628,16 +628,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "render":
             return cmd_render(args.scenario, args.out)
         raise SchemaError(f"unknown command {args.command!r}")
-    except (SchemaError, MapParseError, ValueError) as e:
-        log.error("%s", e)
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SCHEMA
+    # InfeasibleRadioError is a ValueError, so this clause comes first
     except (InfeasibleScenarioError, InfeasibleRadioError, InfeasibleRelayError) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         if isinstance(e, InfeasibleScenarioError) and e.report is not None:
             print(f"  ratio {e.report.ratio:.3f} vs {e.report.d_cov:.2f} m coverage distance",
                   file=sys.stderr)
         return EXIT_INFEASIBLE
+    except (SchemaError, MapParseError, ValueError) as e:
+        log.error("%s", e)
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_SCHEMA
     except (DeadlockError, GoalConnectivityStallError, ReplanBudgetError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return EXIT_RUNTIME

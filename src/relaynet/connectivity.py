@@ -29,15 +29,6 @@ class ConnGraph:
     positions: tuple[WorldPoint, ...]
     edges: frozenset[tuple[int, int]]  # (i, j) with i < j
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.positions]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        for a in adj:
-            a.sort()
-        return adj
-
 
 @dataclass(frozen=True)
 class ConnTree:
@@ -100,11 +91,15 @@ def build_conn_graph(book: CoverageBook, positions: list[WorldPoint]) -> ConnGra
                      edges=frozenset(book.links(positions)))
 
 
-def bfs_tree(adj: list[list[int]]) -> tuple[list[int | None], list[int | None]]:
-    """Level-synchronized BFS from node 0 over adjacency lists: (parent,
-    depth), None where unreachable. Equal-depth parent ties go to the lower
-    parent index."""
-    n = len(adj)
+def bfs_tree(n: int, edges) -> tuple[list[int | None], list[int | None]]:
+    """Level-synchronized BFS from node 0 over the undirected edges (i, j)
+    of nodes 0..n-1: (parent, depth), None where unreachable. A node's
+    parent is the lowest-index node of the previous level that links to it,
+    so the result depends only on the edge set."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
     parent: list[int | None] = [None] * n
     depth: list[int | None] = [None] * n
     depth[0] = 0
@@ -123,7 +118,7 @@ def bfs_tree(adj: list[list[int]]) -> tuple[list[int | None], list[int | None]]:
 
 def min_hop_tree(graph: ConnGraph) -> ConnTree:
     """Min-hop tree of the graph rooted at node 0 (see bfs_tree)."""
-    parent, depth = bfs_tree(graph.adjacency())
+    parent, depth = bfs_tree(len(graph.positions), graph.edges)
     return ConnTree(parent=tuple(parent), depth=tuple(depth))
 
 
@@ -227,8 +222,9 @@ def plan_relays(book: CoverageBook, goals: list[WorldPoint], free_robots: list[W
     guard = 4 * len(goals) + 16
     while True:
         positions = node_list()
-        adj = build_conn_graph(book, positions).adjacency()
-        depth = bfs_tree(adj)[1]
+        n = len(positions)
+        edges = list(build_conn_graph(book, positions).edges)
+        depth = bfs_tree(n, edges)[1]
         depths = goal_depths(depth)
         unreachable = [gi for gi, d in enumerate(depths) if d is None]
         if len(committed) > guard:
@@ -239,18 +235,16 @@ def plan_relays(book: CoverageBook, goals: list[WorldPoint], free_robots: list[W
         far = [positions[i] for i, d in enumerate(depth) if d is None or d >= 3]
 
         cands = candidate_cells()
+        cand_pos = [grid.to_world(cell) for cell in cands] if far else []
+        to_far = book.rss_pairs([(c, p) for c in cand_pos for p in far])
+        linking = [c for k, c in enumerate(cand_pos)
+                   if max(to_far[k * len(far):(k + 1) * len(far)]) >= gamma]
+        to_all = book.rss_pairs([(c, p) for c in linking for p in positions])
         best = None
         best_score = None
-        for cell in cands if far else ():
-            cpos = grid.to_world(cell)
-            if not any(book.rss(cpos, p) >= gamma for p in far):
-                continue
-            cadj = [i for i, p in enumerate(positions) if book.rss(cpos, p) >= gamma]
-            ext_adj = [list(a) for a in adj] + [cadj]
-            ci = len(positions)
-            for i in cadj:
-                ext_adj[i].append(ci)
-            new_depths = goal_depths(bfs_tree(ext_adj)[1])
+        for k, cpos in enumerate(linking):
+            cedges = [(i, n) for i in range(n) if to_all[k * n + i] >= gamma]
+            new_depths = goal_depths(bfs_tree(n + 1, edges + cedges)[1])
             connected = sum(1 for gi in unreachable if new_depths[gi] is not None)
             reduced = sum(
                 1 for gi in range(len(goals))

@@ -72,9 +72,6 @@ class DistanceField:
             raise OutOfBoundsError(f"cell {c} outside {self.grid.width}x{self.grid.height} grid")
         return self._march.value(self._march.index(c))
 
-    def to_csv(self) -> str:
-        return "\n".join(",".join(f"{v:.6f}" for v in row) for row in self.D) + "\n"
-
 
 @dataclass
 class Path:
@@ -83,9 +80,6 @@ class Path:
     points: list[WorldPoint]
     length: float
     coverage_fraction: float = 0.0
-
-    def to_text(self) -> str:
-        return "\n".join(f"{x:.4f} {y:.4f}" for x, y in self.points) + "\n"
 
 
 def _polyline_length(points: Sequence[WorldPoint]) -> float:

@@ -264,9 +264,11 @@ class _Planner:
         """Key of the (key, position) candidate, by default the active
         transmitters, with the strongest rss at p; the first one on ties.
         With gated only rss >= gamma counts. None when no candidate qualifies."""
+        if candidates is None:
+            candidates = self.tx_candidates()
+        values = self.book.rss_pairs([(pos, p) for _, pos in candidates])
         best, best_rss = None, -math.inf
-        for key, pos in self.tx_candidates() if candidates is None else candidates:
-            r = self.book.rss(pos, p)
+        for (key, _), r in zip(candidates, values):
             if r > best_rss and (not gated or r >= self.book.params.gamma):
                 best, best_rss = key, r
         return best
@@ -416,7 +418,7 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
         progressed = False
         frontier = sorted(g for g in unplanned if pl.strongest(goals[g]) is not None)
         if frontier:
-            avail = [r for r in range(N) if assigned_goal[r] is None and r not in pl.fixed_robots]
+            avail = [r for r in range(N) if assigned_goal[r] is None]
             if avail:
                 costs = [[movement_cost(grid, pl.robot_pos[r], goals[g]) for g in frontier]
                          for r in avail]
@@ -439,8 +441,7 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
                     progressed = True
         if unplanned:
             remaining = sorted(unplanned)
-            free = [r for r in range(N)
-                    if assigned_goal[r] is not None and not relay_done[r] and r not in pl.fixed_robots]
+            free = [r for r in range(N) if assigned_goal[r] is not None and not relay_done[r]]
             try:
                 rp = pl.relay_plan(remaining, free)
             except InfeasibleScenarioError:
@@ -677,11 +678,7 @@ def _tick_tree(book: CoverageBook, bs: WorldPoint, positions: list[WorldPoint],
         grid, gamma = book.grid, book.params.gamma
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rss(grid, nodes[i], nodes[j], noise, "stochastic", (tick,)) >= gamma]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    parent, depth = bfs_tree(adj)
+    parent, depth = bfs_tree(n, edges)
     connected = [depth[i + 1] is not None for i in range(len(positions))]
     return parent, connected
 

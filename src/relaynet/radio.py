@@ -5,6 +5,7 @@ coverage distance used by the deployment feasibility check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -81,12 +82,6 @@ class RssField:
 
     def covered(self, cell: CellIndex) -> bool:
         return bool(self.rss[cell[1], cell[0]] >= self.gamma)
-
-    def to_csv(self) -> str:
-        lines = []
-        for row in self.rss:
-            lines.append(",".join("nan" if v == NO_SIGNAL else f"{v:.4f}" for v in row))
-        return "\n".join(lines) + "\n"
 
 
 def _multipath_draw(params: RadioParams, sigma2: float, cell_a: CellIndex,
@@ -250,35 +245,32 @@ class CoverageBook:
             return empty_field(self.grid, self.params)
         return combine_coverage([self.field_at(s) for s in sources])
 
-    def rss(self, a: WorldPoint, b: WorldPoint) -> float:
-        """Deterministic rss between a and b, memoised: every path_loss call
-        it makes is a memo miss."""
-        a, b = tuple(a), tuple(b)
-        pair = (a, b) if a <= b else (b, a)
-        loss = self._losses.get(pair)
-        if loss is None:
-            loss = self._losses[pair] = path_loss(self.grid, pair[0], pair[1], self.params)
-        return self.params.p_tx - loss
-
-    def links(self, points: list[WorldPoint]) -> list[tuple[int, int]]:
-        """Index pairs (i, j), i < j in lexicographic order, whose memoised
-        deterministic rss clears gamma: exactly the pairs with
-        rss(points[i], points[j]) >= gamma. The memo misses are raycast
-        together in one segment_runs call and finished with path_loss's
-        formula, so every loss is bit-equal to path_loss's.
-        """
-        grid = self.grid
-        pts = [tuple(p) for p in points]
-        for p in pts:
-            grid.require_in_bounds(p)
-        pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
-        keys = [(pts[i], pts[j]) if pts[i] <= pts[j] else (pts[j], pts[i]) for i, j in pairs]
+    def rss_pairs(self, pairs: list[tuple[WorldPoint, WorldPoint]]) -> list[float]:
+        """Deterministic rss of each pair of (x, y) tuples, memoised. The
+        memo misses are raycast together in one segment_runs call, after
+        every one of their points is checked, and finished with path_loss's
+        formula, so every loss is bit-equal to path_loss's."""
+        keys = [(a, b) if a <= b else (b, a) for a, b in pairs]
         misses = list(dict.fromkeys(k for k in keys if k not in self._losses))
         if misses:
+            grid = self.grid
+            for a, b in misses:
+                grid.require_in_bounds(a)
+                grid.require_in_bounds(b)
             ax, ay, bx, by = np.array(misses, dtype=float).reshape(-1, 4, 1).transpose(1, 0, 2)
             steps = np.array([[segment_steps(grid, a, b)] for a, b in misses])
             runs = segment_runs(grid, ax, ay, bx, by, steps)
             for (a, b), walls, glass in zip(misses, *runs.tolist()):
                 self._losses[(a, b)] = _link_loss(self.params, a, b, walls, glass)
-        p_tx, gamma = self.params.p_tx, self.params.gamma
-        return [ij for ij, k in zip(pairs, keys) if p_tx - self._losses[k] >= gamma]
+        p_tx = self.params.p_tx
+        return [p_tx - self._losses[k] for k in keys]
+
+    def rss(self, a: WorldPoint, b: WorldPoint) -> float:
+        return self.rss_pairs([(tuple(a), tuple(b))])[0]
+
+    def links(self, points: list[WorldPoint]) -> list[tuple[int, int]]:
+        """Index pairs (i, j), i < j in lexicographic order, whose rss clears gamma."""
+        pts = [tuple(p) for p in points]
+        pairs = itertools.combinations(range(len(pts)), 2)
+        values = self.rss_pairs(list(itertools.combinations(pts, 2)))
+        return [ij for ij, r in zip(pairs, values) if r >= self.params.gamma]

@@ -142,6 +142,13 @@ class TestExitCodes:
         assert main(["plan", str(tmp_path / "c.json"), "--mode", "dp",
                      "--out", str(tmp_path / "o")]) == EXIT_INFEASIBLE
 
+    def test_infeasible_radio_exit_3(self, tmp_path, capsys):
+        # no coverage range at all: InfeasibleRadioError, which is also a ValueError
+        path = write_fig2_files(tmp_path, radio={"p_tx": -40, "l0": 40, "gamma": -70})
+        assert main(["plan", str(path), "--mode", "dp",
+                     "--out", str(tmp_path / "o")]) == EXIT_INFEASIBLE
+        assert "infeasible: no coverage range" in capsys.readouterr().err
+
     def test_dpa_without_progress_names_clusters_and_robots(self, tmp_path, capsys):
         # fig2 at visit_cap 0: every goal and post is its own cluster, so the
         # last wave has 4 clusters for 1 robot, assigned one entering through
@@ -369,3 +376,13 @@ class TestOverrides:
         main(["plan", str(path), "--mode", "fmm", "--w-c", "2.5",
               "--margin-k", "1.0", "--out", str(tmp_path / "o")])
         assert captured == {"w_c": 2.5, "margin_k": 1.0}
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--w-c", "nan"), ("--w-c", "inf"), ("--w-c", "-1"),
+        ("--margin-k", "nan"), ("--margin-k", "inf"), ("--margin-k", "-inf"),
+    ])
+    def test_bad_override_is_a_schema_error(self, tmp_path, flag, value):
+        # the flags get the checks a scenario file's w_c and radio values get
+        path = write_fig2_files(tmp_path)
+        assert main(["plan", str(path), "--mode", "ca", f"{flag}={value}",
+                     "--out", str(tmp_path / "o")]) == EXIT_SCHEMA

@@ -241,7 +241,7 @@ class TestExtractPath:
         p = extract_path(d, (20, 0))
         assert abs(p.length - 20 * 0.5) <= 0.25
         assert p.points[-1] == m.to_world((0, 0))
-        assert p.points[0] == m.to_world((20, 0))
+        assert p.points[0] == (10.25, 0.25)  # the start cell's centre
 
     def test_open_grid_corner_length(self):
         m = open_map(41, 41)
@@ -342,20 +342,3 @@ class TestCaFmmPath:
         p = ca_fmm_path(CoverageBook(m, RadioParams()), (0, 1), (4, 1), [], blocked=[(2, 1)])
         for pt in p.points:
             assert m.to_cell(pt) != (2, 1)
-
-
-class TestExport:
-    def test_distance_field_csv(self):
-        m = make_map(["...", "..."])
-        d = solve_eikonal(base_velocity(m), (0, 0))
-        lines = d.to_csv().strip().splitlines()
-        assert len(lines) == 2
-        assert lines[0].split(",")[0] == "0.000000"
-
-    def test_path_point_list(self):
-        m = make_map(["....."])
-        d = solve_eikonal(base_velocity(m), (0, 0))
-        p = extract_path(d, (4, 0))
-        text = p.to_text()
-        assert text.splitlines()[0] == "2.2500 0.2500"
-        assert len(text.strip().splitlines()) == len(p.points)

@@ -121,22 +121,26 @@ def test_padded_row_ends_on_its_endpoint():
 @PROPS
 @given(st.data())
 def test_batched_losses_equal_path_loss(data):
-    # links() prices its memo misses in one batch; the losses it stores
-    # must be bit-equal to path_loss, so >= gamma decides the same way
+    # every deterministic rss goes through rss_pairs, which prices its memo
+    # misses in one batch: on any pair list (reversed, repeated and already
+    # memoised pairs), one pair through rss and all pairs through links, the
+    # loss is bit-equal to path_loss, so >= gamma decides the same way
     grid = data.draw(small_maps())
     params = RadioParams(p_tx=data.draw(st.floats(-40.0, 10.0)))
     book = CoverageBook(grid, params)
-    pts = data.draw(st.lists(points(grid), min_size=1, max_size=7))
-    for a, b in data.draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)),
-                                   max_size=3)):
-        book.rss(a, b)  # some pairs are memo hits before the batch
+    pts = [tuple(p) for p in data.draw(st.lists(points(grid), min_size=1, max_size=7))]
+    pair_lists = st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), max_size=8)
+    for a, b in data.draw(pair_lists):
+        assert book.rss(a, b) == rss(grid, a, b, params)  # memo hits for the batches
+    pairs = data.draw(pair_lists)
+    pairs += [(b, a) for a, b in reversed(pairs)]
+    links = [(i, j) for i, j in itertools.combinations(range(len(pts)), 2)
+             if rss(grid, pts[i], pts[j], params) >= params.gamma]
     for _ in range(2):  # the second pass is served from the memo
-        pairs = list(itertools.combinations(range(len(pts)), 2))
-        assert book.links(pts) == [(i, j) for i, j in pairs
-                                   if rss(grid, pts[i], pts[j], params) >= params.gamma]
-        for i, j in pairs:
-            a, b = sorted((pts[i], pts[j]))
-            assert book._losses[(a, b)] == path_loss(grid, a, b, params)
+        assert book.rss_pairs(pairs) == [rss(grid, a, b, params) for a, b in pairs]
+        assert book.links(pts) == links
+        assert book._losses == {(a, b): path_loss(grid, a, b, params) for a, b in book._losses}
+        assert all(a <= b for a, b in book._losses)
 
 
 @PROPS
@@ -265,14 +269,17 @@ def test_memoised_coverage_bit_equal(data):
 def test_bfs_matches_hop_oracle(n, data):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = set(data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
-    adj = [sorted({j for i, j in edges if i == v} | {i for i, j in edges if j == v})
-           for v in range(n)]
-    parent, depth = bfs_tree(adj)
+    parent, depth = bfs_tree(n, edges)
     assert depth == bfs_hops(n, edges)
     for v in range(1, n):
         if depth[v] is None:
             assert parent[v] is None
         else:
             # the parent is the lowest-index neighbour one hop closer to the root
-            closer = [u for u in adj[v] if depth[u] == depth[v] - 1]
+            closer = [u for u in range(n) if depth[u] == depth[v] - 1
+                      and (min(u, v), max(u, v)) in edges]
             assert parent[v] == min(closer)
+    # the tree depends only on the edge set, not on its order or orientation
+    shuffled = data.draw(st.permutations(sorted(edges)))
+    flipped = [(j, i) if data.draw(st.booleans()) else (i, j) for i, j in shuffled]
+    assert bfs_tree(n, shuffled) == bfs_tree(n, flipped) == (parent, depth)

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from relaynet import radio
 from relaynet.eikonal import Path
 from relaynet.mission import (
+    MODES,
     DeadlockError,
     DeploymentPlan,
     InfeasibleScenarioError,
@@ -222,6 +224,17 @@ class TestFig2Pipelines:
         t1 = execute_mission(p1, fig2)
         t2 = execute_mission(p2, fig2)
         assert t1.to_json() == t2.to_json()
+
+    def test_deterministic_links_never_reach_path_loss(self, fig2, monkeypatch):
+        # every deterministic link is priced by the coverage book's batched
+        # pricer; only a noisy tick calls path_loss
+        def boom(*args, **kwargs):
+            raise AssertionError("path_loss called on a deterministic link")
+
+        monkeypatch.setattr(radio, "path_loss", boom)
+        for mode in MODES:
+            plan = plan_deployment(fig2, mode)
+            assert execute_mission(plan, fig2).reached_goals == set(range(6))
 
     def test_noise_same_seed_reproducible(self, fig2):
         plan = plan_deployment(fig2, "DP-FMM")

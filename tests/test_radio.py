@@ -321,13 +321,3 @@ class TestValidation:
         with pytest.raises(OutOfBoundsError):
             book.links([(0.25, 0.25), (1.0, -0.1)])
         assert book._losses == {}
-
-
-class TestExport:
-    def test_field_csv_matrix(self):
-        m = make_map(["..", ".#"])
-        field = coverage_field(m, m.to_world((0, 0)), RadioParams())
-        lines = field.to_csv().strip().splitlines()
-        assert len(lines) == 2
-        assert all(len(line.split(",")) == 2 for line in lines)
-        assert lines[1].split(",")[1] == "nan"  # obstacle cell carries no signal
