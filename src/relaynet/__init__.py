@@ -12,6 +12,7 @@ from .connectivity import (
     hungarian_assign,
     min_hop_tree,
     movement_cost,
+    movement_costs,
     plan_relays,
 )
 from .eikonal import (

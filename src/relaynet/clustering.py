@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .connectivity import movement_cost
+from .connectivity import movement_costs
 from .gridmap import GridMap, WorldPoint
 
 VISIT_CAP = 9  # hard bound on exhaustive ordering
@@ -47,18 +47,18 @@ def cluster_goals(grid: GridMap, start: WorldPoint, destinations: list[WorldPoin
     k = len(destinations)
     if k < 1:
         raise ValueError("at least one destination is required")
-    c_li = [movement_cost(grid, start, d) for d in destinations]
+    c_li, *c_pi = movement_costs(grid, [start] + list(waypoints), destinations)
+    c_lp = movement_costs(grid, [start], waypoints)[0]
     clusters = [
         Cluster(start=tuple(start), destination=tuple(destinations[i]), destination_index=i,
                 waypoints=[], waypoint_indices=[])
         for i in range(k)
     ]
     for p_idx, p in enumerate(waypoints):
-        c_lp = movement_cost(grid, start, p)
         best_i = 0
         best_dev = None
         for i in range(k):
-            dev = round((c_lp + movement_cost(grid, p, destinations[i])) - c_li[i], 9)
+            dev = round((c_lp[p_idx] + c_pi[p_idx][i]) - c_li[i], 9)
             if best_dev is None or dev < best_dev:
                 best_dev = dev
                 best_i = i
@@ -82,10 +82,7 @@ def visit_order(grid: GridMap, cluster: Cluster, cap: int = VISIT_CAP) -> VisitS
         )
     pts = [cluster.start] + list(cluster.waypoints) + [cluster.destination]
     m = len(pts)
-    cost = [[0.0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            cost[i][j] = cost[j][i] = movement_cost(grid, pts[i], pts[j])
+    cost = movement_costs(grid, pts, pts)
 
     if n == 0:
         total = round(cost[0][1], 9)

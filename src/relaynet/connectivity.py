@@ -1,6 +1,7 @@
 """Centralized deployment support: mutual-connectivity graph, min-hop tree,
-movement costs with obstacle penalties, optimal task assignment, relay
-position synthesis, and the chain feasibility check.
+movement costs with obstacle penalties, optimal task assignment (an exact
+shortest-augmenting-path solver), relay position synthesis, and the chain
+feasibility check.
 """
 
 from __future__ import annotations
@@ -9,10 +10,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .eikonal import base_velocity, solve_eikonal
-from .gridmap import CellIndex, GridMap, WorldPoint, count_traversals
+from .gridmap import CellIndex, GridMap, WorldPoint, count_traversals_batch
 from .radio import CoverageBook, RadioParams, coverage_distance
 
 
@@ -122,13 +122,75 @@ def min_hop_tree(graph: ConnGraph) -> ConnTree:
     return ConnTree(parent=tuple(parent), depth=tuple(depth))
 
 
+def movement_costs(grid: GridMap, froms: list[WorldPoint], tos: list[WorldPoint]) -> list[list[float]]:
+    """Movement cost from each point of froms (rows) to each point of tos:
+    Euclidean distance inflated by the number of obstacle runs in between.
+
+    The segments of nonzero length are raycast together, each canonical
+    segment once (count_traversals_batch); a coincident pair costs 0.0."""
+    table = [[((a, b) if a <= b else (b, a), math.hypot(b[0] - a[0], b[1] - a[1]))
+              for b in map(tuple, tos)] for a in map(tuple, froms)]
+    segs = list(dict.fromkeys(seg for row in table for seg, d in row if d != 0.0))
+    factor = {seg: 1.0 + walls + glass
+              for seg, (walls, glass) in zip(segs, count_traversals_batch(grid, segs))}
+    return [[d * factor[seg] if d != 0.0 else 0.0 for seg, d in row] for row in table]
+
+
 def movement_cost(grid: GridMap, a: WorldPoint, b: WorldPoint) -> float:
-    """Euclidean distance inflated by the number of obstacle runs in between."""
-    d = math.hypot(b[0] - a[0], b[1] - a[1])
-    if d == 0.0:
-        return 0.0
-    counts = count_traversals(grid, a, b)
-    return d * (1.0 + counts.walls + counts.glass)
+    """Movement cost of one pair (see movement_costs)."""
+    return movement_costs(grid, [a], [b])[0][0]
+
+
+def _min_cost_matching(costs: list[list[float]]) -> list[int]:
+    """Column of each row in a minimal-cost perfect matching of the square
+    matrix costs: shortest augmenting paths over reduced costs, with row and
+    column potentials (Kuhn 1955; Jonker & Volgenant 1987), O(n^3).
+
+    Rows join one at a time. A Dijkstra search from the new row labels each
+    column with its path length, taking the unused column of least label
+    each step, until that column is free. The potentials then absorb the
+    labels, which keeps every reduced cost >= 0 and the matched pairs at 0,
+    and the path is flipped. Every step uses up a column, so a search ends
+    within n steps whatever the values are."""
+    n = len(costs)
+    u = [0.0] * n                 # row potentials
+    v = [0.0] * n                 # column potentials
+    col_of = [-1] * n             # column matched to each row
+    row_of = [-1] * n             # row matched to each column, -1 when free
+    for i in range(n):
+        dist = [math.inf] * n     # path length from row i to each column
+        pred = [i] * n            # the row before each column on its path
+        unused = list(range(n))
+        scanned = []
+        r, dr = i, 0.0
+        while True:
+            row, ur = costs[r], u[r]
+            best, jb = math.inf, unused[0]
+            for j in unused:
+                d = dr + row[j] - ur - v[j]
+                if d < dist[j]:
+                    dist[j] = d
+                    pred[j] = r
+                else:
+                    d = dist[j]
+                if d < best:
+                    best, jb = d, j
+            unused.remove(jb)
+            if row_of[jb] < 0:
+                break
+            scanned.append(jb)
+            r, dr = row_of[jb], best
+        u[i] += best
+        for j in scanned:
+            u[row_of[j]] += best - dist[j]
+            v[j] -= best - dist[j]
+        while True:
+            r = pred[jb]
+            row_of[jb] = r
+            col_of[r], jb = jb, col_of[r]
+            if r == i:
+                break
+    return col_of
 
 
 def hungarian_assign(costs) -> Assignment:
@@ -137,6 +199,7 @@ def hungarian_assign(costs) -> Assignment:
 
     Rectangular matrices are padded square with a dominating sentinel, so the
     padded entries add a constant offset and never change the real optimum.
+    Costs so large that the padded problem could overflow are rejected.
     """
     M = np.asarray(costs, dtype=np.float64)
     if M.ndim != 2 or M.size == 0:
@@ -146,11 +209,20 @@ def hungarian_assign(costs) -> Assignment:
     nr, nc = M.shape
     n = max(nr, nc)
     sentinel = float(M.max()) * n + 1.0
+    # a row's search moves each potential by at most the largest entry, so
+    # sums, potentials and path lengths all stay within (n + 2) * sentinel
+    if not math.isfinite(sentinel * (n + 2)):
+        raise ValueError("costs too large: the padded assignment would overflow")
     P = np.full((n, n), sentinel)
     P[:nr, :nc] = M
+    rows = P.tolist()
 
-    ri, ci = linear_sum_assignment(P)
-    best = float(P[ri, ci].sum())
+    def optimum(r0: int, cols: list[int]) -> float:
+        """Least cost of matching rows r0.. to cols, its entries summed by numpy."""
+        picked = _min_cost_matching([[rows[r][c] for c in cols] for r in range(r0, n)])
+        return float(P[np.arange(r0, n), [cols[k] for k in picked]].sum())
+
+    best = optimum(0, list(range(n)))
     tol = 1e-9 * max(1.0, abs(best))
 
     chosen: list[int] = []
@@ -160,11 +232,7 @@ def hungarian_assign(costs) -> Assignment:
         picked = None
         for c in remaining:
             rest_cols = [x for x in remaining if x != c]
-            if r + 1 < n:
-                sub = P[np.ix_(range(r + 1, n), rest_cols)]
-                rest = float(sub[linear_sum_assignment(sub)].sum())
-            else:
-                rest = 0.0
+            rest = optimum(r + 1, rest_cols) if r + 1 < n else 0.0
             if fixed + P[r, c] + rest <= best + tol:
                 picked = c
                 break
@@ -240,27 +308,26 @@ def plan_relays(book: CoverageBook, goals: list[WorldPoint], free_robots: list[W
         linking = [c for k, c in enumerate(cand_pos)
                    if max(to_far[k * len(far):(k + 1) * len(far)]) >= gamma]
         to_all = book.rss_pairs([(c, p) for c in linking for p in positions])
-        best = None
-        best_score = None
+        scoring = []  # (connected, reduced, position, goals it connects)
         for k, cpos in enumerate(linking):
             cedges = [(i, n) for i in range(n) if to_all[k * n + i] >= gamma]
             new_depths = goal_depths(bfs_tree(n + 1, edges + cedges)[1])
-            connected = sum(1 for gi in unreachable if new_depths[gi] is not None)
+            covered_goals = [gi for gi in unreachable if new_depths[gi] is not None]
             reduced = sum(
                 1 for gi in range(len(goals))
                 if depths[gi] is not None and new_depths[gi] is not None
                 and new_depths[gi] < depths[gi]
             )
-            if connected == 0 and reduced == 0:
-                continue
-            if free_robots:
-                min_cost = min(movement_cost(grid, fr, cpos) for fr in free_robots)
-            else:
-                min_cost = 0.0
-            score = (connected, reduced, -min_cost)
+            if covered_goals or reduced:
+                scoring.append((len(covered_goals), reduced, cpos, covered_goals))
+        robot_costs = movement_costs(grid, [s[2] for s in scoring], free_robots)
+        best = None
+        best_score = None
+        for (connected, reduced, cpos, covered_goals), costs in zip(scoring, robot_costs):
+            score = (connected, reduced, -min(costs, default=0.0))
             if best_score is None or score > best_score:
                 best_score = score
-                best = (cpos, [gi for gi in unreachable if new_depths[gi] is not None])
+                best = (cpos, covered_goals)
         if best is not None:
             cpos, covered_goals = best
             committed.append(cpos)

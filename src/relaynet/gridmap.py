@@ -288,6 +288,21 @@ def count_traversals(grid: GridMap, a: WorldPoint, b: WorldPoint) -> TraversalCo
     return TraversalCount(walls, glass)
 
 
+def count_traversals_batch(grid: GridMap,
+                           segments: list[tuple[WorldPoint, WorldPoint]]) -> list[tuple[int, int]]:
+    """count_traversals of each segment (a, b), bit for bit, for endpoints
+    given in canonical order (a <= b): every endpoint is checked, then all
+    segments are raycast in one padded segment_runs call."""
+    for a, b in segments:
+        grid.require_in_bounds(a)
+        grid.require_in_bounds(b)
+    if not segments:
+        return []
+    ax, ay, bx, by = np.array(segments, dtype=float).reshape(-1, 4, 1).transpose(1, 0, 2)
+    steps = np.array([[segment_steps(grid, a, b)] for a, b in segments])
+    return list(zip(*segment_runs(grid, ax, ay, bx, by, steps).tolist()))
+
+
 def line_of_sight(grid: GridMap, a: WorldPoint, b: WorldPoint) -> bool:
     """True iff the segment a-b crosses no wall and no glass."""
     return count_traversals(grid, a, b) == (0, 0)

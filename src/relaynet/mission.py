@@ -19,6 +19,7 @@ from .connectivity import (
     hungarian_assign,
     min_hop_tree,
     movement_cost,
+    movement_costs,
     plan_relays,
 )
 from .eikonal import Path, ca_fmm_path
@@ -372,8 +373,7 @@ def _plan_simple(sc: Scenario, mode: str) -> DeploymentPlan:
     N, G = len(sc.robot_starts), len(sc.goals)
     segs: list[list[PlanSegment]] = [[] for _ in range(N)]
     book = CoverageBook(grid, sc.radio)
-    costs = [[movement_cost(grid, s, g) for g in sc.goals] for s in sc.robot_starts]
-    asn = hungarian_assign(costs)
+    asn = hungarian_assign(movement_costs(grid, sc.robot_starts, sc.goals))
     robot_of_goal = {g: r for r, g in asn.pairs}
 
     if mode == "CA-FMM":
@@ -420,9 +420,8 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
         if frontier:
             avail = [r for r in range(N) if assigned_goal[r] is None]
             if avail:
-                costs = [[movement_cost(grid, pl.robot_pos[r], goals[g]) for g in frontier]
-                         for r in avail]
-                asn = hungarian_assign(costs)
+                asn = hungarian_assign(movement_costs(
+                    grid, [pl.robot_pos[r] for r in avail], [goals[g] for g in frontier]))
                 for ai, fi in asn.pairs:
                     robot, g = avail[ai], frontier[fi]
                     # frontier goals have a coverer, and no transmitter goes
@@ -451,9 +450,8 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
             # only posts whose coverage is already materialized may be manned now
             eligible = [i for i, post in enumerate(rp.positions) if pl.strongest(post) is not None]
             if free and eligible:
-                costs = [[movement_cost(grid, pl.robot_pos[r], rp.positions[i]) for i in eligible]
-                         for r in free]
-                asn = hungarian_assign(costs)
+                asn = hungarian_assign(movement_costs(
+                    grid, [pl.robot_pos[r] for r in free], [rp.positions[i] for i in eligible]))
                 # a post must stay covered once its robot leaves its old spot,
                 # so commit pairs in sweeps and drop any that lose coverage
                 pending = list(asn.pairs)
@@ -569,8 +567,8 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
                 f"DPA planning ran out of robots with goals {sorted(unplanned)} unplanned"
             )
 
-        costs = [[movement_cost(grid, pl.robot_pos[r], seq.points[1]) for _, seq, _, _ in specs]
-                 for r in available]
+        costs = movement_costs(grid, [pl.robot_pos[r] for r in available],
+                               [seq.points[1] for _, seq, _, _ in specs])
         assigned = {ci: available[ai] for ai, ci in hungarian_assign(costs).pairs}
         manned = sorted(specs[ci][3] for ci in assigned if specs[ci][3] is not None)
 

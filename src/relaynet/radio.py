@@ -17,8 +17,8 @@ from .gridmap import (
     GridMap,
     WorldPoint,
     count_traversals,
+    count_traversals_batch,
     segment_runs,
-    segment_steps,
 )
 
 MIN_SEPARATION = 0.1   # meters; clamp below this to dodge the log10 singularity
@@ -247,21 +247,13 @@ class CoverageBook:
 
     def rss_pairs(self, pairs: list[tuple[WorldPoint, WorldPoint]]) -> list[float]:
         """Deterministic rss of each pair of (x, y) tuples, memoised. The
-        memo misses are raycast together in one segment_runs call, after
-        every one of their points is checked, and finished with path_loss's
-        formula, so every loss is bit-equal to path_loss's."""
+        memo misses are raycast together (count_traversals_batch) and
+        finished with path_loss's formula, so every loss is bit-equal to
+        path_loss's."""
         keys = [(a, b) if a <= b else (b, a) for a, b in pairs]
         misses = list(dict.fromkeys(k for k in keys if k not in self._losses))
-        if misses:
-            grid = self.grid
-            for a, b in misses:
-                grid.require_in_bounds(a)
-                grid.require_in_bounds(b)
-            ax, ay, bx, by = np.array(misses, dtype=float).reshape(-1, 4, 1).transpose(1, 0, 2)
-            steps = np.array([[segment_steps(grid, a, b)] for a, b in misses])
-            runs = segment_runs(grid, ax, ay, bx, by, steps)
-            for (a, b), walls, glass in zip(misses, *runs.tolist()):
-                self._losses[(a, b)] = _link_loss(self.params, a, b, walls, glass)
+        for (a, b), (walls, glass) in zip(misses, count_traversals_batch(self.grid, misses)):
+            self._losses[(a, b)] = _link_loss(self.params, a, b, walls, glass)
         p_tx = self.params.p_tx
         return [p_tx - self._losses[k] for k in keys]
 

@@ -3,11 +3,12 @@ permutation assignment solver, a BFS hop counter, a recursive tour
 enumerator, the scalar chord integral and string pulling that the batched
 path code must match bit for bit, the eager fast-marching loop that the
 resumable march must match bit for bit, an unpruned, unmemoised relay
-synthesis, a scalar raycast sampler, and the coverage field built one
-step-count group at a time. These deliberately share no code with the
-package internals, except that the relay oracle calls the public radio
-model (rss and coverage fields) and movement cost, and the coverage-field
-oracle calls the raycast kernel once per step count."""
+synthesis, a scalar raycast sampler, the one-pair movement cost, and the
+coverage field built one step-count group at a time. These deliberately
+share no code with the package internals, except that the relay oracle
+calls the public radio model (rss and coverage fields), the movement-cost
+oracle calls count_traversals once per pair, and the coverage-field oracle
+calls the raycast kernel once per step count."""
 
 import heapq
 import itertools
@@ -16,9 +17,9 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from relaynet.connectivity import InfeasibleRelayError, RelayPlan, movement_cost
+from relaynet.connectivity import InfeasibleRelayError, RelayPlan
 from relaynet.eikonal import UnreachableError, VelocityField
-from relaynet.gridmap import FREE, GridMap, segment_runs
+from relaynet.gridmap import FREE, GridMap, count_traversals, segment_runs
 from relaynet.radio import (
     MIN_SEPARATION,
     NO_SIGNAL,
@@ -73,13 +74,21 @@ def dijkstra8(velocity: VelocityField, source: tuple[int, int]) -> dict[tuple[in
 
 
 def brute_force_assignment(costs: list[list[float]]) -> tuple[list[int], float]:
-    """Minimal-cost assignment by enumerating every bijection; among ties the
-    lexicographically smallest assignment vector wins. Square matrices only."""
-    n = len(costs)
+    """Minimal-cost assignment by enumerating every injection of the smaller
+    side into the larger; among ties the lexicographically smallest
+    assignment vector wins.
+
+    An nr x nc matrix is taken as padded square to n = max(nr, nc), dummy
+    rows and columns numbered after the real ones, which is the order of
+    hungarian_assign's lexicographic pass. An assignment vector holds the
+    padded column of each padded row (a permutation of range(n)), and its
+    cost sums the real pairs (r < nr, c < nc) in row order. Returns the
+    winning vector and its cost."""
+    nr, nc = len(costs), len(costs[0])
     best_perm = None
     best_cost = math.inf
-    for perm in itertools.permutations(range(n)):
-        total = sum(costs[i][perm[i]] for i in range(n))
+    for perm in itertools.permutations(range(max(nr, nc))):
+        total = sum(costs[i][perm[i]] for i in range(nr) if perm[i] < nc)
         if total < best_cost - 1e-9:
             best_cost = total
             best_perm = perm
@@ -209,6 +218,17 @@ def shortcut(grid: GridMap, F, pts: list) -> list:
     return out
 
 
+def movement_cost_reference(grid: GridMap, a, b) -> float:
+    """Distance a-b times one plus its wall and glass runs, one raycast per
+    pair: the scalar formula every movement_costs entry must match bit for
+    bit."""
+    d = math.hypot(b[0] - a[0], b[1] - a[1])
+    if d == 0.0:
+        return 0.0
+    walls, glass = count_traversals(grid, a, b)
+    return d * (1.0 + walls + glass)
+
+
 def plan_relays_unpruned(grid: GridMap, params: RadioParams, goals: list, free_robots: list,
                          bs, transmitters: list, stride: int = 2) -> RelayPlan:
     """Greedy relay synthesis that scores every covered candidate on every
@@ -250,7 +270,8 @@ def plan_relays_unpruned(grid: GridMap, params: RadioParams, goals: list, free_r
                           if old is not None and new is not None and new < old)
             if not connected and reduced == 0:
                 continue
-            cost = min((movement_cost(grid, fr, cpos) for fr in free_robots), default=0.0)
+            cost = min((movement_cost_reference(grid, fr, cpos) for fr in free_robots),
+                       default=0.0)
             score = (len(connected), reduced, -cost)
             if best_score is None or score > best_score:
                 best, best_score = (cpos, connected), score

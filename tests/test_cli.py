@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path as FsPath
 
 import pytest
@@ -26,6 +29,8 @@ from relaynet.radio import RadioParams
 import numpy as np
 
 from conftest import fig2_map
+
+SRC = FsPath(__file__).resolve().parents[1] / "src"
 
 
 def write_fig2_files(tmp_path: FsPath, **extra) -> FsPath:
@@ -386,3 +391,13 @@ class TestOverrides:
         path = write_fig2_files(tmp_path)
         assert main(["plan", str(path), "--mode", "ca", f"{flag}={value}",
                      "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+
+
+def test_import_needs_no_scipy():
+    # the package runs on numpy alone: a fresh interpreter that imports it
+    # and its command line loads no scipy module
+    code = ("import sys, relaynet, relaynet.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -12,9 +12,10 @@ from relaynet.connectivity import (
     hungarian_assign,
     min_hop_tree,
     movement_cost,
+    movement_costs,
     plan_relays,
 )
-from relaynet.gridmap import GridMap
+from relaynet.gridmap import GridMap, segment_runs, segment_steps
 from relaynet.radio import CoverageBook, RadioParams, coverage_distance, rss
 
 from conftest import fig2_map, fig2_scenario, make_map, open_map
@@ -129,6 +130,17 @@ class TestMovementCost:
             d = math.hypot(b[0] - a[0], b[1] - a[1])
             assert movement_cost(m, a, b) >= d - 1e-12
 
+    def test_priced_in_canonical_order(self):
+        # sampled from a, the segment a-b clips the glass cell; sampled from
+        # its lexicographically smaller end b, as count_traversals samples
+        # it, it crosses nothing, and so it does in both orders of the matrix
+        m = GridMap(width=2, height=2, resolution=0.3,
+                    materials=np.array([[0, 0], [2, 0]], dtype=np.uint8))
+        a, b = (1.5 * 0.3, 1.5 * 0.3), (0.0, 0.5 * 0.3)
+        assert segment_runs(m, *a, *b, segment_steps(m, a, b)).tolist() == [0, 1]
+        d = math.hypot(b[0] - a[0], b[1] - a[1])
+        assert movement_costs(m, [a, b], [b, a]) == [[d, 0.0], [0.0, d]]
+
 
 class TestHungarian:
     def test_cheap_diagonal(self):
@@ -171,6 +183,30 @@ class TestHungarian:
             hungarian_assign([])
         with pytest.raises(ValueError):
             hungarian_assign([[math.inf]])
+
+    @pytest.mark.parametrize("costs", [
+        [[1e308, 1.0]],
+        [[1e308], [2.0]],
+        [[1e308, 1e308], [1e308, 1e308]],
+    ])
+    def test_overflowing_costs_rejected(self, costs):
+        # the padded problem's sentinel or sums would not be finite
+        with pytest.raises(ValueError, match="overflow"):
+            hungarian_assign(costs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 7), st.sampled_from([1, 2, 3, 15]),
+           st.sampled_from([1, 0.1, 1e3]), st.data())
+    def test_tie_heavy_vs_brute_force(self, nr, nc, top, scale, data):
+        # integer and scaled-integer entries from few values, so most
+        # matrices have many optima; square and rectangular both ways
+        ints = data.draw(st.lists(st.lists(st.integers(0, top), min_size=nc, max_size=nc),
+                                  min_size=nr, max_size=nr))
+        costs = [[v * scale for v in row] for row in ints]
+        perm, best = brute_force_assignment(costs)
+        asn = hungarian_assign(costs)
+        assert asn.pairs == tuple((r, c) for r, c in enumerate(perm) if r < nr and c < nc)
+        assert asn.total_cost == best
 
 
 class TestPlanRelays:

@@ -1,8 +1,8 @@
 """Property tests of the link layer over small random maps and sparse ones
 (where most segments clear the obstacle table and are not sampled): the
 shared raycast kernel and its padded batches, the coverage field's run
-counts, the memoised pairwise rss, the batched links and coverage, the tick
-tree, and the single BFS."""
+counts, the movement-cost matrix, the memoised pairwise rss, the batched
+links and coverage, the tick tree, and the single BFS."""
 
 import itertools
 import math
@@ -11,8 +11,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaynet.connectivity import bfs_tree, build_conn_graph
-from relaynet.gridmap import GridMap, count_traversals, segment_runs, segment_steps
+from relaynet.connectivity import bfs_tree, build_conn_graph, movement_cost, movement_costs
+from relaynet.gridmap import (
+    GridMap,
+    count_traversals,
+    count_traversals_batch,
+    segment_runs,
+    segment_steps,
+)
 from relaynet.mission import _tick_tree
 from relaynet.radio import (
     CoverageBook,
@@ -24,7 +30,7 @@ from relaynet.radio import (
     rss,
 )
 
-from helpers import bfs_hops, scalar_runs
+from helpers import bfs_hops, movement_cost_reference, scalar_runs
 
 PROPS = settings(max_examples=40, deadline=None)
 
@@ -78,6 +84,8 @@ def test_kernel_equals_count_traversals_both_orders(data):
             batched = segment_runs(grid, *(np.array([[v]]) for v in (*lo, *hi)), n)
             assert tuple(one.tolist()) == expected
             assert tuple(batched[:, 0].tolist()) == expected
+    segs = [(a, b) if a <= b else (b, a) for a in pts for b in pts]
+    assert count_traversals_batch(grid, segs) == [scalar_runs(grid, a, b) for a, b in segs]
 
 
 @PROPS
@@ -116,6 +124,21 @@ def test_padded_row_ends_on_its_endpoint():
                          np.array([[1.0], [2.5]]), np.array([[0.25], [0.25]]),
                          np.array([[49], [120]]))
     assert batch.tolist() == [[1, 2], [0, 0]]
+
+
+@PROPS
+@given(st.data())
+def test_movement_costs_equal_scalar_formula(data):
+    # one raycast batch per matrix, each canonical segment once: every entry
+    # is bit-equal to the one-pair formula, on repeated points, coincident
+    # pairs and both orders of a pair
+    grid = data.draw(small_maps() | sparse_maps())
+    pts = [tuple(p) for p in data.draw(st.lists(points(grid), min_size=1, max_size=6))]
+    froms = data.draw(st.lists(st.sampled_from(pts), max_size=7))
+    tos = data.draw(st.lists(st.sampled_from(pts), max_size=7))
+    expected = [[movement_cost_reference(grid, a, b) for b in tos] for a in froms]
+    assert movement_costs(grid, froms, tos) == expected
+    assert [[movement_cost(grid, a, b) for b in tos] for a in froms] == expected
 
 
 @PROPS
