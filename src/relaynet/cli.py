@@ -16,7 +16,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import mission
-from .connectivity import InfeasibleRelayError, check_feasibility
+from .connectivity import InfeasibleRelayError
 from .gridmap import FREE, GLASS, WALL, GridMap, MapParseError, WorldPoint, parse_map
 from .mission import (
     DeadlockError,
@@ -525,11 +525,7 @@ def cmd_sweep(experiment_path: str, out_dir: str) -> int:
                     radio = RadioParams(seed=seed, **spec["radio"])
                     cand = random_scenario(seed, width, height, gc,
                                            spec["obstacle_density"], radio)
-                    report = check_feasibility(cand.map, cand.bs, cand.goals,
-                                               len(cand.robot_starts), cand.radio)
-                    if not report.feasible:
-                        continue
-                    plan_deployment(cand, "DPA-FMM")  # probe plannability
+                    plan_deployment(cand, "DPA-FMM")  # probe feasibility and plannability
                     sc = cand
                     break
                 except (InfeasibleScenarioError, InfeasibleRelayError, InfeasibleRadioError) as e:
@@ -570,8 +566,6 @@ def cmd_render(scenario_path: str, out_path: str) -> int:
 
 def _apply_overrides(sc: Scenario, args) -> Scenario:
     radio = sc.radio
-    if getattr(args, "seed", None) is not None:
-        radio = radio.with_(seed=args.seed)
     if getattr(args, "margin_k", None) is not None:
         radio = radio.with_(margin_k=_number(args.margin_k, "--margin-k"))
     updates: dict = {"radio": radio}
@@ -590,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
         if mode:
             p.add_argument("--mode", default="dpa", help="fmm | ca-fmm | dp-fmm | dpa-fmm")
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--w-c", dest="w_c", type=float, default=None)
         p.add_argument("--margin-k", dest="margin_k", type=float, default=None)
 
@@ -625,9 +618,7 @@ def main(argv: list[str] | None = None) -> int:
             return _do_compare(sc, args.out)
         if args.command == "sweep":
             return cmd_sweep(args.experiment, args.out)
-        if args.command == "render":
-            return cmd_render(args.scenario, args.out)
-        raise SchemaError(f"unknown command {args.command!r}")
+        return cmd_render(args.scenario, args.out)
     # InfeasibleRadioError is a ValueError, so this clause comes first
     except (InfeasibleScenarioError, InfeasibleRadioError, InfeasibleRelayError) as e:
         print(f"infeasible: {e}", file=sys.stderr)

@@ -44,9 +44,6 @@ class ConnTree:
         finite = [d for d in self.depth if d is not None]
         return max(finite) if finite else 0
 
-    def to_dict(self) -> dict:
-        return {"parent": list(self.parent), "depth": list(self.depth)}
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -61,12 +58,6 @@ class Assignment:
 class RelayPlan:
     positions: list[WorldPoint]
     newly_covered: list[list[int]]        # goal indices first connected by each relay
-
-    def to_dict(self) -> dict:
-        return {
-            "positions": [list(p) for p in self.positions],
-            "newly_covered": self.newly_covered,
-        }
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 from .clustering import VISIT_CAP, cluster_goals, visit_order
 from .connectivity import (
@@ -236,7 +237,8 @@ class _Tx:
 
 
 class _Planner:
-    """Shared state for the wave-structured DP/DPA planners."""
+    """Shared state of the planners: the coverage book, each robot's segments
+    and position, and the transmitters with their uplink parents."""
 
     def __init__(self, sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = ()):
         self.sc = sc
@@ -250,8 +252,7 @@ class _Planner:
         self.dependents: dict[int, list[tuple[int, CellIndex]]] = {}
         self.fixed_robots: set[int] = set()
         for robot, pos in fixed_relays:
-            pos = tuple(pos)
-            self.park(pos, self.grid.to_cell(pos), robot, self.strongest(pos, gated=False))
+            self.park(pos, robot, self.strongest(tuple(pos), gated=False))
             self.fixed_robots.add(robot)
 
     def active_txs(self) -> list[int]:
@@ -314,28 +315,47 @@ class _Planner:
             rehome[child] = target
         return parent_ti, rehome
 
-    def register_dependency(self, ti: int, arrival: tuple[int, CellIndex]) -> None:
-        for t in self.uplink_chain(ti):
-            self.dependents.setdefault(t, []).append(arrival)
-
     def hold(self, robot: int, conditions: list[tuple[int, CellIndex]]) -> None:
         """Append a wait-until on the distinct (robot, cell) arrivals, if any."""
         conds = sorted(set(conditions))
         if conds:
             self.segs[robot].append(PlanSegment(purpose="wait-until", wait_for=conds))
 
-    def gate(self, robot: int, ti: int) -> None:
-        """Hold robot until the robot parked at transmitter ti, if any, is in place."""
-        tx = self.txs[ti]
-        if tx.robot is not None:
-            self.hold(robot, [(tx.robot, tx.cell)])
-
-    def park(self, pos: WorldPoint, cell: CellIndex, robot: int, parent: int | None) -> int:
+    def park(self, pos: WorldPoint, robot: int, parent: int | None) -> int:
         """Make robot a transmitter at pos under uplink parent; its index."""
         pos = tuple(pos)
-        self.txs.append(_Tx(pos, cell, robot, parent))
+        self.txs.append(_Tx(pos, self.grid.to_cell(pos), robot, parent))
         self.robot_pos[robot] = pos
         return len(self.txs) - 1
+
+    def move(self, robot: int, start: WorldPoint, target: WorldPoint,
+             sources: list[WorldPoint], blocked: list[CellIndex],
+             goal: int | None = None) -> WorldPoint:
+        """Plan robot's leg over the coverage of sources, around the blocked
+        cells, and append it: primary-goal for goal, else relay-move; the target."""
+        cell = self.grid.to_cell(target)
+        path = ca_fmm_path(self.book, self.grid.to_cell(start), cell, sources, self.sc.w_c,
+                           blocked=blocked)
+        self.segs[robot].append(PlanSegment(purpose="relay-move" if goal is None else "primary-goal",
+                                            path=path, goal_index=goal, post=cell))
+        return tuple(target)
+
+    def visit(self, robot: int, entry_ti: int, legs: list[tuple[WorldPoint, int | None]],
+              sources: list[WorldPoint]) -> int:
+        """Commit robot to its (target, goal or None) legs under transmitter
+        entry_ti: wait for entry_ti's robot, plan around the parked robots, make
+        entry_ti's uplink wait for the arrival and park there; its index."""
+        tx = self.txs[entry_ti]
+        if tx.robot is not None:
+            self.hold(robot, [(tx.robot, tx.cell)])
+        blocked = self.parked_cells(exclude_robot=robot)
+        cur = self.robot_pos[robot]
+        for target, goal in legs:
+            cur = self.move(robot, cur, target, sources, blocked, goal)
+        arrival = (robot, self.grid.to_cell(cur))
+        for t in self.uplink_chain(entry_ti):
+            self.dependents.setdefault(t, []).append(arrival)
+        return self.park(cur, robot, entry_ti)
 
     def relay_plan(self, goal_ids: list[int], free_robots: list[int]) -> RelayPlan:
         """Relay posts that connect the given goals over the base station and
@@ -349,11 +369,6 @@ class _Planner:
             raise InfeasibleScenarioError(
                 f"relay synthesis failed for goals {sorted(goal_ids[i] for i in e.goals)}"
             ) from e
-
-    def plan_leg(self, start: WorldPoint, target: WorldPoint,
-                 sources: list[WorldPoint], blocked: list[CellIndex]) -> Path:
-        return ca_fmm_path(self.book, self.grid.to_cell(start), self.grid.to_cell(target),
-                           sources, self.sc.w_c, blocked=blocked)
 
     def parked_cells(self, exclude_robot: int | None = None) -> list[CellIndex]:
         return [t.cell for i, t in enumerate(self.txs)
@@ -369,17 +384,14 @@ def _plan_simple(sc: Scenario, mode: str) -> DeploymentPlan:
     CA-FMM plans in tree-depth order against the coverage of the base station
     plus the goal endpoints already planned; FMM ignores coverage entirely.
     """
-    grid = sc.map
-    N, G = len(sc.robot_starts), len(sc.goals)
-    segs: list[list[PlanSegment]] = [[] for _ in range(N)]
-    book = CoverageBook(grid, sc.radio)
-    asn = hungarian_assign(movement_costs(grid, sc.robot_starts, sc.goals))
+    pl = _Planner(sc)
+    goals = pl.goals
+    asn = hungarian_assign(movement_costs(sc.map, sc.robot_starts, goals))
     robot_of_goal = {g: r for r, g in asn.pairs}
 
     if mode == "CA-FMM":
-        graph = build_conn_graph(book, [sc.bs] + [tuple(g) for g in sc.goals])
-        tree = min_hop_tree(graph)
-        order = sorted(range(G), key=lambda g: (tree.depth[g + 1] is None, tree.depth[g + 1] or 0, g))
+        depth = min_hop_tree(build_conn_graph(pl.book, [sc.bs] + goals)).depth
+        order = sorted(range(len(goals)), key=lambda g: (depth[g + 1] is None, depth[g + 1] or 0, g))
     else:
         order = sorted(robot_of_goal.keys())
 
@@ -388,14 +400,10 @@ def _plan_simple(sc: Scenario, mode: str) -> DeploymentPlan:
         r = robot_of_goal.get(g)
         if r is None:
             continue
-        relay_sources = sources if mode == "CA-FMM" else []
-        path = ca_fmm_path(book, grid.to_cell(sc.robot_starts[r]), grid.to_cell(sc.goals[g]),
-                           relay_sources, sc.w_c)
-        segs[r].append(PlanSegment(purpose="primary-goal", path=path, goal_index=g,
-                                   post=grid.to_cell(sc.goals[g])))
+        pl.move(r, pl.robot_pos[r], goals[g], sources if mode == "CA-FMM" else [], [], g)
         if mode == "CA-FMM":
-            sources.append(tuple(sc.goals[g]))
-    return DeploymentPlan.of(mode, segs)
+            sources.append(goals[g])
+    return DeploymentPlan.of(mode, pl.segs)
 
 
 def _plan_dp(sc: Scenario) -> DeploymentPlan:
@@ -426,15 +434,7 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
                     robot, g = avail[ai], frontier[fi]
                     # frontier goals have a coverer, and no transmitter goes
                     # inactive in this loop
-                    parent_ti = pl.strongest(goals[g])
-                    goal_cell = grid.to_cell(goals[g])
-                    path = pl.plan_leg(pl.robot_pos[robot], goals[g], pl.source_positions(),
-                                       pl.parked_cells(exclude_robot=robot))
-                    pl.gate(robot, parent_ti)
-                    pl.segs[robot].append(PlanSegment(purpose="primary-goal", path=path,
-                                                      goal_index=g, post=goal_cell))
-                    pl.register_dependency(parent_ti, (robot, goal_cell))
-                    pl.park(goals[g], goal_cell, robot, parent_ti)
+                    pl.visit(robot, pl.strongest(goals[g]), [(goals[g], g)], pl.source_positions())
                     assigned_goal[robot] = g
                     unplanned.discard(g)
                     progressed = True
@@ -465,14 +465,12 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
                         if rewire is None:
                             continue
                         parent_ti, rehome = rewire
-                        post_cell = grid.to_cell(post)
-                        path = pl.plan_leg(pl.robot_pos[robot], post, pl.source_positions(),
-                                           pl.parked_cells(exclude_robot=robot))
-                        pl.txs[old_ti].active = False
+                        # the leg still has the old post's coverage
                         pl.hold(robot, pl.dependents.get(old_ti, []))
-                        pl.segs[robot].append(PlanSegment(purpose="relay-move", path=path,
-                                                          post=post_cell))
-                        new_ti = pl.park(post, post_cell, robot, parent_ti)
+                        pl.move(robot, pl.robot_pos[robot], post, pl.source_positions(),
+                                pl.parked_cells(exclude_robot=robot))
+                        pl.txs[old_ti].active = False
+                        new_ti = pl.park(post, robot, parent_ti)
                         for child, target in rehome.items():
                             pl.txs[child].parent = new_ti if target == "new" else target
                         relay_done[robot] = True
@@ -577,21 +575,9 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
             robot, entry_ti = assigned.get(ci), tx_of[e]
             if robot is None or entry_ti is None:
                 continue  # no robot, or its entry post is not manned this wave
-            pl.gate(robot, entry_ti)
-            sources = pl.source_positions() + [entry_pos[p] for p in manned]
-            blocked = pl.parked_cells(exclude_robot=robot)
-            cur = pl.robot_pos[robot]
-            for li, target in enumerate(seq.points[1:]):
-                path = pl.plan_leg(cur, target, sources, blocked)
-                cell = grid.to_cell(target)
-                if li < len(leg_goals):
-                    pl.segs[robot].append(PlanSegment(purpose="primary-goal", path=path,
-                                                      goal_index=leg_goals[li], post=cell))
-                else:
-                    pl.segs[robot].append(PlanSegment(purpose="relay-move", path=path, post=cell))
-                cur = tuple(target)
-            pl.register_dependency(entry_ti, (robot, cell))
-            new_ti = pl.park(cur, cell, robot, entry_ti)
+            # a cluster ending at a post has one leg more than goals
+            new_ti = pl.visit(robot, entry_ti, list(zip_longest(seq.points[1:], leg_goals)),
+                              pl.source_positions() + [entry_pos[p] for p in manned])
             if post is not None:
                 tx_of[post] = new_ti
             available.remove(robot)

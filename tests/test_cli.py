@@ -28,7 +28,7 @@ from relaynet.radio import RadioParams
 
 import numpy as np
 
-from conftest import fig2_map
+from conftest import fig2_map, fig2_scenario
 
 SRC = FsPath(__file__).resolve().parents[1] / "src"
 
@@ -185,6 +185,13 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_with_replan", boom)
         assert main(["run", str(path), "--mode", "fmm",
                      "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+
+    def test_replan_budget_exhausted_chains_the_stall(self):
+        from relaynet.mission import GoalConnectivityStallError
+
+        with pytest.raises(ReplanBudgetError) as exc:
+            cli.run_with_replan(fig2_scenario(), "FMM", 0, budget=0)
+        assert isinstance(exc.value.__cause__, GoalConnectivityStallError)
 
 
 class TestRun:
@@ -381,6 +388,13 @@ class TestOverrides:
         main(["plan", str(path), "--mode", "fmm", "--w-c", "2.5",
               "--margin-k", "1.0", "--out", str(tmp_path / "o")])
         assert captured == {"w_c": 2.5, "margin_k": 1.0}
+
+    def test_seed_flag_is_gone(self, tmp_path):
+        # multipath draws come from --noise-seed; the scenario's seed key stays
+        path = write_fig2_files(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", str(path), "--seed", "3", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag, value", [
         ("--w-c", "nan"), ("--w-c", "inf"), ("--w-c", "-1"),

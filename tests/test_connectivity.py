@@ -253,7 +253,7 @@ class TestPlanRelays:
         parked = [goals[i] for i in range(4)]
         p1 = plan_relays(CoverageBook(m, params), goals, parked, bs=bs, transmitters=parked)
         p2 = plan_relays(CoverageBook(m, params), goals, parked, bs=bs, transmitters=parked)
-        assert p1.to_dict() == p2.to_dict()
+        assert p1 == p2
 
     @pytest.mark.parametrize("n_parked", [0, 4])
     def test_newly_covered_names_the_goals_each_relay_connects(self, n_parked):
@@ -348,27 +348,3 @@ class TestFeasibility:
     def test_empty_goals_rejected(self):
         with pytest.raises(ValueError):
             check_feasibility(open_map(4, 4), (0.25, 0.25), [], 1, RadioParams())
-
-
-class TestSerialization:
-    def test_tree_round_trips_through_json(self):
-        import json
-
-        m = open_map(40, 5)
-        params = params_with_range(3.0)
-        nodes = [(1.25, 1.25), (3.75, 1.25), (16.25, 1.25)]
-        tree = min_hop_tree(build_conn_graph(CoverageBook(m, params), nodes))
-        doc = json.loads(json.dumps(tree.to_dict()))
-        assert doc["depth"] == [0, 1, None]
-        assert doc["parent"] == [None, 0, None]
-
-    def test_relay_plan_round_trips_through_json(self):
-        import json
-
-        sc = fig2_scenario()
-        m, params, bs, goals = sc.map, sc.radio, sc.bs, sc.goals
-        parked = [goals[i] for i in range(4)]
-        plan = plan_relays(CoverageBook(m, params), goals, parked, bs=bs, transmitters=parked)
-        doc = json.loads(json.dumps(plan.to_dict()))
-        assert len(doc["positions"]) == len(plan.positions)
-        assert doc["newly_covered"] == plan.newly_covered

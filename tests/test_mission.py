@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from relaynet import radio
+from relaynet import mission, radio
 from relaynet.eikonal import Path
 from relaynet.mission import (
     MODES,
@@ -196,6 +196,28 @@ class TestFig2Pipelines:
                 if s.purpose == "relay-move":
                     assert s.post is not None
                     assert fig2.map.to_cell(s.path.points[-1]) == tuple(s.post)
+
+    def test_relay_move_plans_over_the_old_post(self, fig2, monkeypatch):
+        # the robot's old post stays a source until it leaves, so its relay
+        # leg plans over that post's coverage
+        calls = {}
+        real = mission.ca_fmm_path
+
+        def record(book, start, goal, relay_sources, *args, **kwargs):
+            calls[(tuple(start), tuple(goal))] = [tuple(p) for p in relay_sources]
+            return real(book, start, goal, relay_sources, *args, **kwargs)
+
+        monkeypatch.setattr(mission, "ca_fmm_path", record)
+        plan = plan_deployment(fig2, "DP-FMM")
+        movers = []
+        for r, segs in enumerate(plan.robots):
+            moves = [s for s in segs if s.path is not None]
+            for prev, s in zip(moves, moves[1:]):
+                if s.purpose == "relay-move":
+                    movers.append(r)
+                    old_post = tuple(prev.post)
+                    assert fig2.map.to_world(old_post) in calls[(old_post, tuple(s.post))]
+        assert movers == [2, 3, 5]
 
     def test_ca_paths_not_shorter_than_fmm(self, fig2):
         fmm = plan_deployment(fig2, "FMM")
