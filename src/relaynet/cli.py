@@ -492,12 +492,15 @@ def _do_compare(sc: Scenario, out_dir: str) -> int:
     return EXIT_OK
 
 
-def compare_scenario(sc: Scenario) -> tuple[dict[str, Metrics | None], dict[str, DeploymentPlan]]:
+def compare_scenario(sc: Scenario, planned: dict[str, DeploymentPlan] | None = None
+                     ) -> tuple[dict[str, Metrics | None], dict[str, DeploymentPlan]]:
+    """Plan and execute every mode on sc. A mode with a plan in planned,
+    which must be that mode's plan of sc, reuses it rather than planning."""
     results: dict[str, Metrics | None] = {}
     plans: dict[str, DeploymentPlan] = {}
     for m in mission.MODES:
         try:
-            plan = plan_deployment(sc, m)
+            plan = (planned or {}).get(m) or plan_deployment(sc, m)
             trace = execute_mission(plan, sc)
             results[m] = compute_metrics(trace, plan)
             plans[m] = plan
@@ -525,7 +528,7 @@ def cmd_sweep(experiment_path: str, out_dir: str) -> int:
                     radio = RadioParams(seed=seed, **spec["radio"])
                     cand = random_scenario(seed, width, height, gc,
                                            spec["obstacle_density"], radio)
-                    plan_deployment(cand, "DPA-FMM")  # probe feasibility and plannability
+                    probe = plan_deployment(cand, "DPA-FMM")  # feasible and plannable
                     sc = cand
                     break
                 except (InfeasibleScenarioError, InfeasibleRelayError, InfeasibleRadioError) as e:
@@ -534,7 +537,7 @@ def cmd_sweep(experiment_path: str, out_dir: str) -> int:
                 log.warning("skipping goal_count=%d trial=%d: no feasible scenario in 20 tries",
                             gc, trial)
                 continue
-            results, _ = compare_scenario(sc)
+            results, _ = compare_scenario(sc, {probe.mode: probe})
             for m in spec["modes"]:
                 r = results.get(m)
                 if r is None:

@@ -1,16 +1,17 @@
-"""Goal clustering by smallest deviation from the direct path, and exhaustive
-optimal visit ordering inside each cluster.
+"""Goal clustering by smallest deviation from the direct path, and the exact
+optimal visit order inside each cluster: a lexicographic depth-first search
+bounded by Held-Karp costs-to-go.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 from .connectivity import movement_costs
 from .gridmap import GridMap, WorldPoint
 
-VISIT_CAP = 9  # hard bound on exhaustive ordering
+VISIT_CAP = 9  # hard bound on the waypoints of one visit-order search
 
 
 class ClusterCapError(ValueError):
@@ -68,40 +69,81 @@ def cluster_goals(grid: GridMap, start: WorldPoint, destinations: list[WorldPoin
 
 
 def visit_order(grid: GridMap, cluster: Cluster, cap: int = VISIT_CAP) -> VisitSequence:
-    """Exhaustive minimal-cost ordering of the cluster's waypoints.
+    """Minimal-cost ordering of the cluster's waypoints.
 
-    Scores every permutation by the sum of leg costs start -> w... -> dest
-    and returns the cheapest; cost ties resolve to the lexicographically
-    smallest order. Rejects clusters above the cap rather than guessing.
+    A tour costs the sum of its leg costs start -> w... -> dest, added left
+    to right and rounded to 9 places; the cheapest wins and cost ties
+    resolve to the lexicographically smallest order. The search is exact
+    (see _best_order). Rejects clusters above the cap rather than guessing.
     """
     n = len(cluster.waypoints)
     if n > cap:
         raise ClusterCapError(
-            f"cluster has {n} waypoints, over the exhaustive-search cap {cap}; "
+            f"cluster has {n} waypoints, over the visit-order cap {cap}; "
             "raise the cap or split the cluster"
         )
     pts = [cluster.start] + list(cluster.waypoints) + [cluster.destination]
-    m = len(pts)
-    cost = movement_costs(grid, pts, pts)
+    perm, total = _best_order(movement_costs(grid, pts, pts), n)
+    points = [cluster.start] + [cluster.waypoints[i] for i in perm] + [cluster.destination]
+    order = [cluster.waypoint_indices[i] for i in perm]
+    return VisitSequence(points=points, waypoint_order=order, total_cost=total)
 
+
+def _best_order(cost, n: int) -> tuple[tuple[int, ...], float]:
+    """The waypoint order that scoring every permutation would pick, and its
+    rounded total. cost is an (n+2)x(n+2) matrix of non-negative leg costs
+    over [start, w0..w(n-1), dest].
+
+    togo[mask][j] is the cheapest cost from waypoint j through every waypoint
+    in the bit set mask to the destination (Held and Karp). A depth-first
+    search then tries the waypoints in ascending index, so it meets the tours
+    in lexicographic order, and drops a prefix once prefix + togo exceeds the
+    optimum by more than the slack. Prefix sums and the final rounding are
+    those of the enumeration, so it keeps the same leaf on a strict <.
+    """
+    dest = n + 1
     if n == 0:
-        total = round(cost[0][1], 9)
-        return VisitSequence(points=[cluster.start, cluster.destination],
-                             waypoint_order=[], total_cost=total)
-
+        return (), round(cost[0][dest], 9)
+    full = (1 << n) - 1
+    togo = [[cost[j + 1][dest] for j in range(n)]]
+    for mask in range(1, full + 1):
+        ks = [k for k in range(n) if mask >> k & 1]
+        togo.append([math.inf if mask >> j & 1 else
+                     min(cost[j + 1][k + 1] + togo[mask ^ 1 << k][k] for k in ks)
+                     for j in range(n)])
+    opt = min(cost[0][j + 1] + togo[full ^ 1 << j][j] for j in range(n))
+    # The slack. Let W be the tour the enumeration picks. Rounding to 9
+    # places merges totals up to 1e-9 apart, so W's left-to-right sum is at
+    # most the optimum's plus 1e-9. Float addition is monotone, so togo is at
+    # most W's suffix summed right to left, and each prefix + togo along W is
+    # at most a float sum of W's n + 1 legs. Such a sum, like opt, is off the
+    # exact sum by at most (n+1) * 2**-53 of its size. So prefix + togo
+    # along W stays below opt + 1e-9 + 4 * (n+1) * 2**-53 * opt, which
+    # 1e-6 * max(1, opt) covers with a wide margin. If every tour costs
+    # +inf, so do opt and the bound: nothing is pruned, and the search
+    # scores every tour as the enumeration did.
+    bound = opt + 1e-6 * max(1.0, opt)
     best_total = None
-    best_perm: tuple[int, ...] | None = None
-    dest = m - 1
-    for perm in itertools.permutations(range(n)):
-        total = cost[0][perm[0] + 1]
-        for i in range(n - 1):
-            total += cost[perm[i] + 1][perm[i + 1] + 1]
-        total += cost[perm[-1] + 1][dest]
-        total = round(total, 9)
-        if best_total is None or total < best_total:
-            best_total = total
-            best_perm = perm
-    assert best_perm is not None
-    points = [cluster.start] + [cluster.waypoints[i] for i in best_perm] + [cluster.destination]
-    order = [cluster.waypoint_indices[i] for i in best_perm]
-    return VisitSequence(points=points, waypoint_order=order, total_cost=best_total)
+    best_perm: tuple[int, ...] = ()
+    perm: list[int] = []
+
+    def descend(j: int, rest: int, prefix: float) -> None:
+        nonlocal best_total, best_perm
+        if prefix + togo[rest][j] > bound:
+            return
+        perm.append(j)
+        if rest:
+            cj = cost[j + 1]
+            for k in range(n):
+                if rest >> k & 1:
+                    descend(k, rest ^ 1 << k, prefix + cj[k + 1])
+        else:
+            total = round(prefix + cost[j + 1][dest], 9)
+            if best_total is None or total < best_total:
+                best_total = total
+                best_perm = tuple(perm)
+        perm.pop()
+
+    for j in range(n):
+        descend(j, full ^ 1 << j, cost[0][j + 1])
+    return best_perm, best_total

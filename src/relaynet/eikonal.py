@@ -423,13 +423,20 @@ def extract_path(dfield: DistanceField, start: CellIndex) -> Path:
     points: list[WorldPoint] = [p]
     cur = interp(*p)
     plateau = 0
-    max_steps = 8 * (grid.width + grid.height)
+    W, H = grid.width, grid.height
+    max_steps = 8 * (W + H)
+    ww, wh = grid.world_width, grid.world_height
+    # the march's h / f per padded cell is +inf exactly where F <= 0: no
+    # traversable F is so small that h / F overflows
+    hf, Wp = dfield._march.hf, W + 2
+    INF = math.inf
 
     def passable(q: WorldPoint) -> bool:
-        if not grid.in_bounds(q):
+        """q is in the map and its cell (GridMap.to_cell) has F > 0."""
+        x, y = q
+        if not (0.0 <= x <= ww and 0.0 <= y <= wh):
             return False
-        c = grid.to_cell(q)
-        return F[c[1], c[0]] > 0.0
+        return hf[(min(int(y / res), H - 1) + 1) * Wp + min(int(x / res), W - 1) + 1] < INF
 
     for _ in range(max_steps):
         if math.hypot(p[0] - src_center[0], p[1] - src_center[1]) <= res:

@@ -492,7 +492,7 @@ def _split_to_cap(grid: GridMap, entry: WorldPoint, posts: list[WorldPoint],
                   waypoints: list[WorldPoint], wp_ids: list[int], cap: int):
     """Cluster the waypoints onto the posts by smallest deviation, promoting
     the farthest waypoint to an extra destination while there is none or a
-    cluster is over the exhaustive-search cap. Returns the clusters, the goal
+    cluster is over the visit-order cap. Returns the clusters, the goal
     id of each destination (None for a post) and the ids of the waypoints."""
     dests, wpts, ids = list(posts), list(waypoints), list(wp_ids)
     dest_goal: list[int | None] = [None] * len(posts)
@@ -510,7 +510,7 @@ def _split_to_cap(grid: GridMap, entry: WorldPoint, posts: list[WorldPoint],
 
 def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = ()) -> DeploymentPlan:
     """DPA-FMM: DP plus clustering; each cluster is one robot visiting its
-    waypoints in exhaustively optimal order and remaining at its destination."""
+    waypoints in its exact optimal order and remaining at its destination."""
     pl = _Planner(sc, fixed_relays)
     grid, goals = sc.map, pl.goals
     unplanned = set(range(len(goals)))

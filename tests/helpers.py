@@ -1,6 +1,7 @@
 """Independent oracles used by the test suite: a grid-graph Dijkstra, a
 permutation assignment solver, a BFS hop counter, a recursive tour
-enumerator, the scalar chord integral and string pulling that the batched
+enumerator, the permutation loop that visit ordering must match bit for bit,
+the scalar chord integral and string pulling that the batched
 path code must match bit for bit, the eager fast-marching loop that the
 resumable march must match bit for bit, an unpruned, unmemoised relay
 synthesis, a scalar raycast sampler, the one-pair movement cost, and the
@@ -145,6 +146,31 @@ def best_tour(cost, n_waypoints: int) -> tuple[list[int], float]:
             best_order = order
             best_total = total
     return best_order, best_total
+
+
+def visit_order_enumerated(cost, n: int) -> tuple[tuple[int, ...], float]:
+    """The permutation loop that visit_order ran before its bounded search:
+    score every waypoint order left to right, round to 9 places and keep the
+    first strictly cheaper one. cost is an (n+2)x(n+2) matrix over
+    [start, w0..w(n-1), dest]. Returns the order and its rounded total."""
+    m = n + 2
+    if n == 0:
+        return (), round(cost[0][1], 9)
+
+    best_total = None
+    best_perm: tuple[int, ...] | None = None
+    dest = m - 1
+    for perm in itertools.permutations(range(n)):
+        total = cost[0][perm[0] + 1]
+        for i in range(n - 1):
+            total += cost[perm[i] + 1][perm[i + 1] + 1]
+        total += cost[perm[-1] + 1][dest]
+        total = round(total, 9)
+        if best_total is None or total < best_total:
+            best_total = total
+            best_perm = perm
+    assert best_perm is not None
+    return best_perm, best_total
 
 
 def metric_cost(grid: GridMap, F, a, b) -> float:

@@ -294,6 +294,26 @@ class TestSweep:
         a_dpa = [line for line in agg if ",DPA-FMM," in line][0].split(",")
         assert t_dpa[-7:] == a_dpa[-7:]
 
+    def test_plans_dpa_once_per_kept_trial(self, tmp_path, monkeypatch):
+        # p_tx -16 on a dense 24x24 map makes some probes fail and resample
+        (tmp_path / "exp.json").write_text(json.dumps({
+            "map_size": [24, 24], "obstacle_density": 0.4, "goal_counts": [4, 6],
+            "trials": 3, "seed_base": 3, "radio": {"p_tx": -16.0},
+        }))
+        planned = []
+
+        def recording(sc, mode, *args, **kwargs):
+            plan = plan_deployment(sc, mode, *args, **kwargs)
+            planned.append(plan.mode)
+            return plan
+
+        monkeypatch.setattr(cli, "plan_deployment", recording)
+        assert main(["sweep", str(tmp_path / "exp.json"), "--out", str(tmp_path / "sw")]) == EXIT_OK
+        rows = (tmp_path / "sw" / "trials.csv").read_text().splitlines()[1:]
+        kept = {tuple(row.split(",")[:2]) for row in rows}
+        assert len(kept) == 6
+        assert planned.count("DPA-FMM") == len(kept)
+
     def test_unknown_experiment_key_exit_2(self, tmp_path):
         (tmp_path / "exp.json").write_text(json.dumps({"surprise": 1}))
         assert main(["sweep", str(tmp_path / "exp.json"), "--out", str(tmp_path / "sw")]) == EXIT_SCHEMA

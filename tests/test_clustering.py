@@ -3,12 +3,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relaynet.clustering import Cluster, ClusterCapError, cluster_goals, visit_order
+from relaynet.clustering import Cluster, ClusterCapError, _best_order, cluster_goals, visit_order
 from relaynet.connectivity import movement_cost
 
 from conftest import make_map, open_map
-from helpers import best_tour
+from helpers import best_tour, visit_order_enumerated
+
+LEG_COSTS = [
+    st.integers(0, 3).map(float),
+    st.integers(0, 30).map(lambda k: k * 0.1),
+    st.floats(0.0, 1e3),
+    st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf]),
+]
+
+
+@st.composite
+def cost_matrices(draw):
+    """An (n+2)x(n+2) leg-cost matrix over [start, w0..w(n-1), dest]: small
+    integers and tenths make many tours tie, in exact and in float sums, and
+    +inf legs can make every tour infinite."""
+    n = draw(st.integers(0, 7))
+    leg = draw(st.sampled_from(LEG_COSTS))
+    m = n + 2
+    return draw(st.lists(st.lists(leg, min_size=m, max_size=m), min_size=m, max_size=m)), n
+
+
+def bits(order_total):
+    order, total = order_total
+    return tuple(order), total.hex()
 
 
 def obstacle_fixture():
@@ -167,3 +192,31 @@ class TestVisitOrder:
                 total += cost[order[i] + 1][order[i + 1] + 1]
             total += cost[order[-1] + 1][8]
             assert seq.total_cost <= total + 1e-9
+
+
+class TestBestOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(cost_matrices())
+    def test_equals_the_enumeration_bit_for_bit(self, matrix):
+        cost, n = matrix
+        assert bits(_best_order(cost, n)) == bits(visit_order_enumerated(cost, n))
+
+    def test_nine_waypoints_with_ties_equal_the_enumeration(self):
+        rng = np.random.default_rng(14)
+        cost = rng.integers(0, 4, size=(11, 11)).astype(float).tolist()
+        assert bits(_best_order(cost, 9)) == bits(visit_order_enumerated(cost, 9))
+
+    def test_rounding_tie_keeps_the_earlier_tour(self):
+        # Over [start, w0, w1, w2, dest], tour (0, 1, 2) sums to 0.6 plus
+        # three ulps and the later tour (2, 1, 0) to 0.6 in any order; every
+        # other tour costs at least 5. Both round to 0.6, so the enumeration
+        # keeps the earlier tour, while the float optimum is the later one.
+        over = 0.6
+        for _ in range(3):
+            over = math.nextafter(over, 1.0)
+        cost = [[5.0] * 5 for _ in range(5)]
+        for a, b, c in ((0, 1, over), (1, 2, 0.0), (2, 3, 0.0), (3, 4, 0.0),
+                        (0, 3, 0.6), (3, 2, 0.0), (2, 1, 0.0), (1, 4, 0.0)):
+            cost[a][b] = c
+        assert visit_order_enumerated(cost, 3) == ((0, 1, 2), 0.6)
+        assert bits(_best_order(cost, 3)) == ((0, 1, 2), (0.6).hex())
