@@ -215,14 +215,17 @@ class _March:
         Wp = self.stride
         INF = math.inf
         sqrt = math.sqrt
+        pop, push = heappop, heappush
         while heap:
-            d, idx = heappop(heap)
+            d, idx = pop(heap)
             if d > D[idx]:
                 continue
             A[idx] = d
             for nidx in (idx - 1, idx + 1, idx - Wp, idx + Wp):
+                if A[nidx] < INF:
+                    continue
                 hf = HF[nidx]
-                if hf == INF or A[nidx] < INF:
+                if hf == INF:
                     continue
                 # accepted-only axis minima around the trial cell
                 ux = A[nidx - 1]
@@ -235,14 +238,16 @@ class _March:
                     uy = v
                 if ux > uy:
                     ux, uy = uy, ux
-                if uy - ux < hf and uy < INF:
+                # ux is finite (idx, just accepted, is an axis neighbor), so
+                # an infinite uy fails this test on its own
+                if uy - ux < hf:
                     disc = 2.0 * hf * hf - (ux - uy) * (ux - uy)
                     nd = 0.5 * (ux + uy + sqrt(disc))
                 else:
                     nd = ux + hf
                 if nd < D[nidx]:
                     D[nidx] = nd
-                    heappush(heap, (nd, nidx))
+                    push(heap, (nd, nidx))
             if idx == stop:
                 return
 
@@ -273,41 +278,77 @@ _RING = [
 def _make_interp(dfield: DistanceField):
     """Bilinear interpolation of D on cell centers; +inf corners are dropped
     with weight renormalization so values next to obstacles stay usable.
-    Only corners of weight > 0 are read, so the march goes no further."""
+    Only corners of weight > 0 are read, so the march goes no further.
+
+    Plain scalar code with the corners unrolled: at a dozen points per
+    descent step, one numpy call over them measured two to three times
+    slower. On the last column fx is 0.0, so the corners one column on
+    weigh 0 and are never read (likewise on the last row); the padded
+    border keeps their index valid.
+    """
     march = dfield._march
-    values, value = march.accepted, march.value
-    W, H = dfield.grid.width, dfield.grid.height
-    Wp = W + 2
+    A, value = march.accepted, march.value
+    Wp = dfield.grid.width + 2
+    gx_max = dfield.grid.width - 1.0
+    gy_max = dfield.grid.height - 1.0
     res = dfield.grid.resolution
     INF = math.inf
 
     def interp(x: float, y: float) -> float:
-        gx = min(max(x / res - 0.5, 0.0), W - 1.0)
-        gy = min(max(y / res - 0.5, 0.0), H - 1.0)
-        c0 = min(int(gx), W - 1)
-        r0 = min(int(gy), H - 1)
-        dc = min(c0 + 1, W - 1) - c0
-        dr = (min(r0 + 1, H - 1) - r0) * Wp
-        i00 = (r0 + 1) * Wp + c0 + 1
+        gx = x / res - 0.5
+        if gx < 0.0:
+            gx = 0.0
+        elif gx > gx_max:
+            gx = gx_max
+        gy = y / res - 0.5
+        if gy < 0.0:
+            gy = 0.0
+        elif gy > gy_max:
+            gy = gy_max
+        c0 = int(gx)
+        r0 = int(gy)
         fx = gx - c0
         fy = gy - r0
+        ex = 1.0 - fx
+        ey = 1.0 - fy
+        i = (r0 + 1) * Wp + c0 + 1
         total = 0.0
         wsum = 0.0
-        for i, w in (
-            (i00, (1.0 - fx) * (1.0 - fy)),
-            (i00 + dc, fx * (1.0 - fy)),
-            (i00 + dr, (1.0 - fx) * fy),
-            (i00 + dr + dc, fx * fy),
-        ):
-            if w > 0.0:
-                v = values[i]
-                if v == INF:
-                    v = value(i)
-                if v < INF:
-                    total += w * v
-                    wsum += w
+        w = ex * ey
+        if w > 0.0:
+            v = A[i]
+            if v == INF:
+                v = value(i)
+            if v < INF:
+                total += w * v
+                wsum += w
+        w = fx * ey
+        if w > 0.0:
+            v = A[i + 1]
+            if v == INF:
+                v = value(i + 1)
+            if v < INF:
+                total += w * v
+                wsum += w
+        i += Wp
+        w = ex * fy
+        if w > 0.0:
+            v = A[i]
+            if v == INF:
+                v = value(i)
+            if v < INF:
+                total += w * v
+                wsum += w
+        w = fx * fy
+        if w > 0.0:
+            v = A[i + 1]
+            if v == INF:
+                v = value(i + 1)
+            if v < INF:
+                total += w * v
+                wsum += w
         if wsum == 0.0:
-            return math.inf
+            return INF
         return total / wsum
 
     return interp
@@ -419,6 +460,7 @@ def extract_path(dfield: DistanceField, start: CellIndex) -> Path:
     interp = _make_interp(dfield)
     F = dfield.velocity.F
     src_center = grid.to_world(dfield.source)
+    sx, sy = src_center
     p = grid.to_world(start)
     points: list[WorldPoint] = [p]
     cur = interp(*p)
@@ -429,34 +471,39 @@ def extract_path(dfield: DistanceField, start: CellIndex) -> Path:
     # the march's h / f per padded cell is +inf exactly where F <= 0: no
     # traversable F is so small that h / F overflows
     hf, Wp = dfield._march.hf, W + 2
+    W1, H1 = W - 1, H - 1
     INF = math.inf
-
-    def passable(q: WorldPoint) -> bool:
-        """q is in the map and its cell (GridMap.to_cell) has F > 0."""
-        x, y = q
-        if not (0.0 <= x <= ww and 0.0 <= y <= wh):
-            return False
-        return hf[(min(int(y / res), H - 1) + 1) * Wp + min(int(x / res), W - 1) + 1] < INF
+    hypot = math.hypot
+    eps = step * 0.5
+    ring = [(step * ux, step * uy) for ux, uy in _RING]
 
     for _ in range(max_steps):
-        if math.hypot(p[0] - src_center[0], p[1] - src_center[1]) <= res:
+        px, py = p
+        if hypot(px - sx, py - sy) <= res:
             break
-        candidates: list[WorldPoint] = []
-        eps = step * 0.5
-        dpx = interp(p[0] + eps, p[1]) - interp(p[0] - eps, p[1])
-        dpy = interp(p[0], p[1] + eps) - interp(p[0], p[1] - eps)
-        if math.isfinite(dpx) and math.isfinite(dpy):
-            norm = math.hypot(dpx, dpy)
+        candidates = [(px + ox, py + oy) for ox, oy in ring]
+        dpx = interp(px + eps, py) - interp(px - eps, py)
+        dpy = interp(px, py + eps) - interp(px, py - eps)
+        if -INF < dpx < INF and -INF < dpy < INF:
+            norm = hypot(dpx, dpy)
             if norm > 0.0:
-                candidates.append((p[0] - step * dpx / norm, p[1] - step * dpy / norm))
-        for ux, uy in _RING:
-            candidates.append((p[0] + step * ux, p[1] + step * uy))
+                candidates.insert(0, (px - step * dpx / norm, py - step * dpy / norm))
         best_q = None
-        best_v = math.inf
+        best_v = INF
         for q in candidates:
-            if not passable(q):
+            # q must be in the map and its cell (GridMap.to_cell) have F > 0
+            x, y = q
+            if not (0.0 <= x <= ww and 0.0 <= y <= wh):
                 continue
-            v = interp(*q)
+            c = int(x / res)
+            if c > W1:
+                c = W1
+            r = int(y / res)
+            if r > H1:
+                r = H1
+            if hf[(r + 1) * Wp + c + 1] == INF:
+                continue
+            v = interp(x, y)
             if v < best_v:
                 best_v = v
                 best_q = q

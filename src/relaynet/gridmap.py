@@ -293,12 +293,16 @@ def count_traversals_batch(grid: GridMap,
     """count_traversals of each segment (a, b), bit for bit, for endpoints
     given in canonical order (a <= b): every endpoint is checked, then all
     segments are raycast in one padded segment_runs call."""
-    for a, b in segments:
-        grid.require_in_bounds(a)
-        grid.require_in_bounds(b)
     if not segments:
         return []
-    ax, ay, bx, by = np.array(segments, dtype=float).reshape(-1, 4, 1).transpose(1, 0, 2)
+    ends = np.array(segments, dtype=float).reshape(-1, 4, 1)
+    x, y = ends[:, 0::2], ends[:, 1::2]
+    if not ((0.0 <= x) & (x <= grid.world_width) & (0.0 <= y) & (y <= grid.world_height)).all():
+        # the first bad endpoint raises as count_traversals would; NaN lands here too
+        for a, b in segments:
+            grid.require_in_bounds(a)
+            grid.require_in_bounds(b)
+    ax, ay, bx, by = ends.transpose(1, 0, 2)
     steps = np.array([[segment_steps(grid, a, b)] for a, b in segments])
     return list(zip(*segment_runs(grid, ax, ay, bx, by, steps).tolist()))
 

@@ -2,7 +2,8 @@
 permutation assignment solver, a BFS hop counter, a recursive tour
 enumerator, the permutation loop that visit ordering must match bit for bit,
 the scalar chord integral and string pulling that the batched
-path code must match bit for bit, the eager fast-marching loop that the
+path code must match bit for bit, the path descent with its interpolation
+as a corner loop (which reads the lazy field through its march), the eager fast-marching loop that the
 resumable march must match bit for bit, an unpruned, unmemoised relay
 synthesis, a scalar raycast sampler, the one-pair movement cost, and the
 coverage field built one step-count group at a time. These deliberately
@@ -19,7 +20,14 @@ from heapq import heappop, heappush
 import numpy as np
 
 from relaynet.connectivity import InfeasibleRelayError, RelayPlan
-from relaynet.eikonal import UnreachableError, VelocityField
+from relaynet.eikonal import (
+    _RING,
+    Path,
+    PathExtractionError,
+    UnreachableError,
+    VelocityField,
+    _polyline_length,
+)
 from relaynet.gridmap import FREE, GridMap, count_traversals, segment_runs
 from relaynet.radio import (
     MIN_SEPARATION,
@@ -242,6 +250,123 @@ def shortcut(grid: GridMap, F, pts: list) -> list:
         out.extend(chosen)
         i = j
     return out
+
+
+def _make_interp_reference(dfield):
+    """Bilinear interpolation of D on cell centers; +inf corners are dropped
+    with weight renormalization so values next to obstacles stay usable.
+    Only corners of weight > 0 are read, so the march goes no further."""
+    march = dfield._march
+    values, value = march.accepted, march.value
+    W, H = dfield.grid.width, dfield.grid.height
+    Wp = W + 2
+    res = dfield.grid.resolution
+    INF = math.inf
+
+    def interp(x: float, y: float) -> float:
+        gx = min(max(x / res - 0.5, 0.0), W - 1.0)
+        gy = min(max(y / res - 0.5, 0.0), H - 1.0)
+        c0 = min(int(gx), W - 1)
+        r0 = min(int(gy), H - 1)
+        dc = min(c0 + 1, W - 1) - c0
+        dr = (min(r0 + 1, H - 1) - r0) * Wp
+        i00 = (r0 + 1) * Wp + c0 + 1
+        fx = gx - c0
+        fy = gy - r0
+        total = 0.0
+        wsum = 0.0
+        for i, w in (
+            (i00, (1.0 - fx) * (1.0 - fy)),
+            (i00 + dc, fx * (1.0 - fy)),
+            (i00 + dr, (1.0 - fx) * fy),
+            (i00 + dr + dc, fx * fy),
+        ):
+            if w > 0.0:
+                v = values[i]
+                if v == INF:
+                    v = value(i)
+                if v < INF:
+                    total += w * v
+                    wsum += w
+        if wsum == 0.0:
+            return math.inf
+        return total / wsum
+
+    return interp
+
+
+def extract_path_reference(dfield, start: tuple[int, int]) -> Path:
+    """The descent that extract_path must match bit for bit, including how
+    far it advances the lazy field's march: a corner loop with min/max
+    clamps and edge folding in the interpolation, a candidate list and a
+    passability closure in the step, then the scalar string pulling."""
+    grid = dfield.grid
+    res = grid.resolution
+    step = res * 0.5
+    if not grid.cell_in_bounds(start):
+        raise UnreachableError(f"start cell {start} outside grid")
+    if not math.isfinite(dfield.at(start)):
+        raise UnreachableError(f"start cell {start} unreachable from source {dfield.source}")
+
+    interp = _make_interp_reference(dfield)
+    F = dfield.velocity.F
+    src_center = grid.to_world(dfield.source)
+    p = grid.to_world(start)
+    points = [p]
+    cur = interp(*p)
+    plateau = 0
+    W, H = grid.width, grid.height
+    max_steps = 8 * (W + H)
+    ww, wh = grid.world_width, grid.world_height
+    hf, Wp = dfield._march.hf, W + 2
+    INF = math.inf
+
+    def passable(q) -> bool:
+        x, y = q
+        if not (0.0 <= x <= ww and 0.0 <= y <= wh):
+            return False
+        return hf[(min(int(y / res), H - 1) + 1) * Wp + min(int(x / res), W - 1) + 1] < INF
+
+    for _ in range(max_steps):
+        if math.hypot(p[0] - src_center[0], p[1] - src_center[1]) <= res:
+            break
+        candidates = []
+        eps = step * 0.5
+        dpx = interp(p[0] + eps, p[1]) - interp(p[0] - eps, p[1])
+        dpy = interp(p[0], p[1] + eps) - interp(p[0], p[1] - eps)
+        if math.isfinite(dpx) and math.isfinite(dpy):
+            norm = math.hypot(dpx, dpy)
+            if norm > 0.0:
+                candidates.append((p[0] - step * dpx / norm, p[1] - step * dpy / norm))
+        for ux, uy in _RING:
+            candidates.append((p[0] + step * ux, p[1] + step * uy))
+        best_q = None
+        best_v = math.inf
+        for q in candidates:
+            if not passable(q):
+                continue
+            v = interp(*q)
+            if v < best_v:
+                best_v = v
+                best_q = q
+        if best_q is None:
+            raise PathExtractionError("descent blocked on all sides", p)
+        if best_v < cur - 1e-12:
+            plateau = 0
+        else:
+            plateau += 1
+            if plateau >= 8:
+                raise PathExtractionError("descent stagnated on a plateau", p)
+        p = best_q
+        cur = best_v
+        points.append(p)
+    else:
+        raise PathExtractionError("descent exceeded the step budget", p)
+
+    if points[-1] != src_center:
+        points.append(src_center)
+    points = shortcut(grid, F, points)
+    return Path(points=points, length=_polyline_length(points))
 
 
 def movement_cost_reference(grid: GridMap, a, b) -> float:

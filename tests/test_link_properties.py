@@ -8,12 +8,14 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaynet.connectivity import bfs_tree, build_conn_graph, movement_cost, movement_costs
 from relaynet.gridmap import (
     GridMap,
+    OutOfBoundsError,
     count_traversals,
     count_traversals_batch,
     segment_runs,
@@ -86,6 +88,33 @@ def test_kernel_equals_count_traversals_both_orders(data):
             assert tuple(batched[:, 0].tolist()) == expected
     segs = [(a, b) if a <= b else (b, a) for a in pts for b in pts]
     assert count_traversals_batch(grid, segs) == [scalar_runs(grid, a, b) for a, b in segs]
+
+
+@PROPS
+@given(st.data())
+def test_batch_bounds_check_accepts_the_far_edge_and_raises_as_count_traversals(data):
+    # one array test covers the batch; a failing endpoint must still raise
+    # the message count_traversals gives for its pair, for the first bad one
+    grid = data.draw(small_maps())
+    ww, wh = grid.world_width, grid.world_height
+    edge = [(0.0, 0.0), (ww, 0.0), (0.0, wh), (ww, wh)]
+    pts = data.draw(st.lists(points(grid) | st.sampled_from(edge), min_size=1, max_size=6))
+    segs = [(a, b) if a <= b else (b, a) for a, b in zip(pts, pts[1:] + pts[:1])]
+    assert count_traversals_batch(grid, segs) == [scalar_runs(grid, a, b) for a, b in segs]
+
+    seg = [list(segs[0][0]), list(segs[0][1])]
+    for end, axis in data.draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                                        min_size=1, max_size=4, unique=True)):
+        far = (ww, wh)[axis]
+        seg[end][axis] = data.draw(st.sampled_from([
+            math.nextafter(0.0, -1.0), -1.0, math.nan, math.nextafter(far, math.inf), 2 * far]))
+    bad = (tuple(seg[0]), tuple(seg[1]))
+    with pytest.raises(OutOfBoundsError) as scalar:
+        count_traversals(grid, *bad)
+    at = data.draw(st.integers(0, len(segs)))
+    with pytest.raises(OutOfBoundsError) as batched:
+        count_traversals_batch(grid, segs[:at] + [bad] + segs[at:])
+    assert batched.value.args == scalar.value.args
 
 
 @PROPS

@@ -1,6 +1,7 @@
-"""Property tests of the batched path code against its scalar oracles: the
-chord-cost kernel against the one-sample-at-a-time integral, and string
-pulling against the scalar scan, bit for bit, on random velocity fields."""
+"""Property tests of the path code against its scalar oracles: the
+chord-cost kernel against the one-sample-at-a-time integral, string pulling
+against the scalar scan, and the descent against its corner-loop form, bit
+for bit, on random velocity fields."""
 
 from unittest import mock
 
@@ -12,6 +13,7 @@ from relaynet import eikonal
 from relaynet.eikonal import (
     _CHORD_BLOCK,
     PathExtractionError,
+    UnreachableError,
     VelocityField,
     _chord_costs,
     _shortcut,
@@ -20,7 +22,7 @@ from relaynet.eikonal import (
 )
 from relaynet.gridmap import GridMap
 
-from helpers import metric_cost, shortcut
+from helpers import extract_path_reference, metric_cost, shortcut
 
 PROPS = settings(max_examples=40, deadline=None)
 
@@ -126,3 +128,51 @@ def test_extract_path_equals_scalar_string_pulling(seed, w, h, density):
         assume(False)
     with mock.patch.object(eikonal, "_shortcut", shortcut):
         assert extract_path(dfield, (int(sc), int(sr))).points == path.points
+
+
+@st.composite
+def descent_problems(draw):
+    """A walled map, one to three cells wide as often as wider, with the
+    velocity comm_velocity builds (1 plus a boost clipped to [0, 1], often
+    at its ends) and some free cells blocked; a source and a start, often on
+    the map border, and cells to read before the descent starts."""
+    w = draw(st.integers(1, 3) | st.integers(1, 16))
+    h = draw(st.integers(1, 3) | st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    grid = GridMap(width=w, height=h, resolution=draw(st.sampled_from([0.5, 1.0, 0.3])),
+                   materials=(rng.random((h, w)) < density).astype(np.uint8))
+    scale, shift = draw(st.sampled_from([(0.0, 0.0), (1.0, 0.0), (3.0, 1.0)]))
+    boost = np.clip(rng.random((h, w)) * scale - shift, 0.0, 1.0)
+    F = (grid.materials == 0) * (1.0 + boost)
+    F[rng.random((h, w)) < draw(st.sampled_from([0.0, 0.05, 0.2]))] = 0.0
+    free = [(c, r) for r, c in np.argwhere(F > 0.0).tolist()]
+    assume(free)
+    border = [(c, r) for c, r in free if c in (0, w - 1) or r in (0, h - 1)]
+    source = draw(st.sampled_from(border) | st.sampled_from(free))
+    start = draw(st.sampled_from(border) | st.sampled_from(free)
+                 | st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)))
+    reads = draw(st.lists(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)), max_size=3))
+    return VelocityField(grid=grid, F=F), source, start, reads
+
+
+def _descent(extract, velocity, source, start, reads):
+    """The path's points and length, or the error raised, and how many
+    cells the lazy field had accepted after the call."""
+    dfield = solve_eikonal(velocity, source)
+    for c in reads:
+        dfield.at(c)
+    try:
+        path = extract(dfield, start)
+        outcome = path.points, path.length
+    except (UnreachableError, PathExtractionError) as e:
+        outcome = type(e), e.args
+    return outcome, dfield.accepted
+
+
+@settings(max_examples=300, deadline=None)
+@given(descent_problems())
+def test_extract_path_equals_corner_loop_descent_and_marches_as_far(problem):
+    # the accepted count pins the march: reading a zero-weight corner would
+    # advance a lazy field further than the reference does
+    assert _descent(extract_path, *problem) == _descent(extract_path_reference, *problem)
