@@ -78,6 +78,13 @@ class GridMap:
         table.flags.writeable = False
         return table
 
+    @cached_property
+    def traversals(self) -> dict[tuple[WorldPoint, WorldPoint], TraversalCount]:
+        """count_traversals' memo, keyed by the canonical endpoint pair
+        (a <= b) of float tuples. It lives as long as the map, which the
+        CLI reads once per command."""
+        return {}
+
     # -- geometry ------------------------------------------------------
 
     @property
@@ -278,14 +285,20 @@ def count_traversals(grid: GridMap, a: WorldPoint, b: WorldPoint) -> TraversalCo
 
     A physical wall usually spans several cells, so each maximal run of
     Wall cells along the segment counts as one wall (same for glass). The
-    segment is supersampled at steps <= resolution/2.
+    segment is supersampled at steps <= resolution/2. Each segment is
+    raycast once per map: later calls, in either order, read grid.traversals.
     """
     grid.require_in_bounds(a)
     grid.require_in_bounds(b)
-    if (b[0], b[1]) < (a[0], a[1]):
+    a, b = (float(a[0]), float(a[1])), (float(b[0]), float(b[1]))
+    if b < a:
         a, b = b, a
-    walls, glass = segment_runs(grid, a[0], a[1], b[0], b[1], segment_steps(grid, a, b)).tolist()
-    return TraversalCount(walls, glass)
+    counts = grid.traversals.get((a, b))
+    if counts is None:
+        walls, glass = segment_runs(grid, a[0], a[1], b[0], b[1],
+                                    segment_steps(grid, a, b)).tolist()
+        counts = grid.traversals[a, b] = TraversalCount(walls, glass)
+    return counts
 
 
 def count_traversals_batch(grid: GridMap,

@@ -84,6 +84,24 @@ class RssField:
         return bool(self.rss[cell[1], cell[0]] >= self.gamma)
 
 
+def _seed_words(values) -> np.ndarray:
+    """The entropy SeedSequence reads from a list of ints, as one uint32
+    array: each int split into little-endian 32-bit words, [0] for 0. An
+    array seeds the same generator as the list, without numpy's per-int
+    conversion."""
+    words = []
+    for v in values:
+        v = int(v)
+        if v < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(v & 0xFFFFFFFF)
+        v >>= 32
+        while v:
+            words.append(v & 0xFFFFFFFF)
+            v >>= 32
+    return np.array(words, dtype=np.uint32)
+
+
 def _multipath_draw(params: RadioParams, sigma2: float, cell_a: CellIndex,
                     cell_b: CellIndex, key: tuple[int, ...]) -> float:
     """One seeded Gaussian multipath draw, symmetric in the cell pair."""
@@ -91,9 +109,7 @@ def _multipath_draw(params: RadioParams, sigma2: float, cell_a: CellIndex,
         return 0.0
     if cell_b < cell_a:
         cell_a, cell_b = cell_b, cell_a
-    seq = np.random.SeedSequence(
-        [int(params.seed), cell_a[0], cell_a[1], cell_b[0], cell_b[1], *(int(k) for k in key)]
-    )
+    seq = np.random.SeedSequence(_seed_words((params.seed, *cell_a, *cell_b, *key)))
     rng = np.random.default_rng(seq)
     return float(rng.normal(0.0, math.sqrt(sigma2)))
 
@@ -115,8 +131,6 @@ def path_loss(grid: GridMap, tx: WorldPoint, rx: WorldPoint, params: RadioParams
     added; the draw is keyed on (seed, cell pair, key) so repeated calls
     with the same inputs are identical and order-independent.
     """
-    grid.require_in_bounds(tx)
-    grid.require_in_bounds(rx)
     walls, glass = count_traversals(grid, tx, rx)
     loss = _link_loss(params, tx, rx, walls, glass)
     if mode == "stochastic":

@@ -5,12 +5,13 @@ the scalar chord integral and string pulling that the batched
 path code must match bit for bit, the path descent with its interpolation
 as a corner loop (which reads the lazy field through its march), the eager fast-marching loop that the
 resumable march must match bit for bit, an unpruned, unmemoised relay
-synthesis, a scalar raycast sampler, the one-pair movement cost, and the
-coverage field built one step-count group at a time. These deliberately
-share no code with the package internals, except that the relay oracle
-calls the public radio model (rss and coverage fields), the movement-cost
-oracle calls count_traversals once per pair, and the coverage-field oracle
-calls the raycast kernel once per step count."""
+synthesis, a scalar raycast sampler, the one-pair movement cost, the
+coverage field built one step-count group at a time, the multipath draw
+seeded from a list of ints, and the path loss over the scalar sampler.
+These deliberately share no code with the package internals, except that
+the relay oracle calls the public radio model (rss and coverage fields),
+the movement-cost oracle calls count_traversals once per pair, and the
+coverage-field oracle calls the raycast kernel once per step count."""
 
 import heapq
 import itertools
@@ -580,6 +581,40 @@ def scalar_runs(grid: GridMap, a, b, n: int | None = None) -> tuple[int, int]:
         mats.append(int(grid.materials[row, col]))
     return tuple(sum(1 for i, m in enumerate(mats) if m == code and (i == 0 or mats[i - 1] != code))
                  for code in (1, 2))
+
+
+def multipath_draw_reference(params: RadioParams, sigma2: float, cell_a, cell_b,
+                             key: tuple[int, ...]) -> float:
+    """One seeded Gaussian multipath draw, symmetric in the cell pair, with
+    its entropy given to SeedSequence as a list of Python ints."""
+    if sigma2 == 0.0:
+        return 0.0
+    if cell_b < cell_a:
+        cell_a, cell_b = cell_b, cell_a
+    seq = np.random.SeedSequence(
+        [int(params.seed), cell_a[0], cell_a[1], cell_b[0], cell_b[1], *(int(k) for k in key)]
+    )
+    rng = np.random.default_rng(seq)
+    return float(rng.normal(0.0, math.sqrt(sigma2)))
+
+
+def path_loss_reference(grid: GridMap, tx, rx, params: RadioParams,
+                        mode: str = "deterministic", key: tuple[int, ...] = ()) -> float:
+    """Path loss tx->rx from the log-distance formula over scalar_runs,
+    plus, in stochastic mode, multipath_draw_reference on the endpoints'
+    cells."""
+    walls, glass = scalar_runs(grid, tx, rx)
+    los = walls == glass == 0
+    n = params.n_los if los else params.n_nlos
+    d = max(math.hypot(rx[0] - tx[0], rx[1] - tx[1]), MIN_SEPARATION)
+    loss = params.l0 + 10.0 * n * math.log10(d) + walls * params.a_wall + glass * params.a_glass
+    if mode == "stochastic":
+        res = grid.resolution
+        cell_a, cell_b = ((min(int(p[0] / res), grid.width - 1),
+                           min(int(p[1] / res), grid.height - 1)) for p in (tx, rx))
+        loss += multipath_draw_reference(params, params.sigma2_los if los else params.sigma2_nlos,
+                                         cell_a, cell_b, key)
+    return loss
 
 
 def _traversal_field_reference(grid: GridMap, tx) -> tuple[np.ndarray, np.ndarray]:

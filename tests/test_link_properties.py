@@ -1,8 +1,9 @@
 """Property tests of the link layer over small random maps and sparse ones
 (where most segments clear the obstacle table and are not sampled): the
-shared raycast kernel and its padded batches, the coverage field's run
-counts, the movement-cost matrix, the memoised pairwise rss, the batched
-links and coverage, the tick tree, and the single BFS."""
+shared raycast kernel and its padded batches, the per-map raycast memo, the
+coverage field's run counts, the movement-cost matrix, the memoised pairwise
+rss, the multipath draw's seeding, the batched links and coverage, the tick
+tree, and the single BFS."""
 
 import itertools
 import math
@@ -25,6 +26,7 @@ from relaynet.mission import _tick_tree
 from relaynet.radio import (
     CoverageBook,
     RadioParams,
+    _multipath_draw,
     _traversal_field,
     combine_coverage,
     coverage_field,
@@ -32,7 +34,13 @@ from relaynet.radio import (
     rss,
 )
 
-from helpers import bfs_hops, movement_cost_reference, scalar_runs
+from helpers import (
+    bfs_hops,
+    movement_cost_reference,
+    multipath_draw_reference,
+    path_loss_reference,
+    scalar_runs,
+)
 
 PROPS = settings(max_examples=40, deadline=None)
 
@@ -119,6 +127,78 @@ def test_batch_bounds_check_accepts_the_far_edge_and_raises_as_count_traversals(
 
 @PROPS
 @given(st.data())
+def test_count_traversals_memo_equals_scalar_oracle(data):
+    # repeated and reversed pairs are served from the map's memo, which
+    # holds one canonical float-tuple key per segment; bounds are checked
+    # before the memo is read, and an equal map has a memo of its own
+    grid = data.draw(small_maps() | sparse_maps())
+    pts = [tuple(p) for p in data.draw(st.lists(points(grid), min_size=1, max_size=5))]
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)),
+                               min_size=1, max_size=10))
+    pairs += [(b, a) for a, b in reversed(pairs)]
+    for a, b in pairs:
+        assert count_traversals(grid, a, b) == scalar_runs(grid, a, b)
+    assert set(grid.traversals) == {(min(a, b), max(a, b)) for a, b in pairs}
+    assert all(a <= b for a, b in grid.traversals)
+    assert {type(v) for seg in grid.traversals for p in seg for v in p} == {float}
+
+    twin = GridMap(width=grid.width, height=grid.height, resolution=grid.resolution,
+                   materials=grid.materials.copy())
+    assert twin == grid and twin.traversals == {}
+    memo = dict(grid.traversals)
+    a, b = pairs[0]
+    assert count_traversals(twin, b, a) == scalar_runs(grid, a, b)
+    assert twin.traversals.keys() == {(min(a, b), max(a, b))}
+    assert grid.traversals == memo
+
+    ww, wh = grid.world_width, grid.world_height
+    seg = [list(a), list(b)]
+    end, axis = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    far = (ww, wh)[axis]
+    seg[end][axis] = data.draw(st.sampled_from([
+        math.nextafter(0.0, -1.0), -1.0, math.nan, math.nextafter(far, math.inf), 2 * far]))
+    bad = (tuple(seg[0]), tuple(seg[1]))
+    fresh = GridMap(width=grid.width, height=grid.height, resolution=grid.resolution,
+                    materials=grid.materials)
+    for ends in (bad, bad[::-1]):
+        with pytest.raises(OutOfBoundsError) as unmemoised:
+            count_traversals(fresh, *ends)
+        with pytest.raises(OutOfBoundsError) as memoised:
+            count_traversals(grid, *ends)
+        assert memoised.value.args == unmemoised.value.args
+    assert grid.traversals == memo and fresh.traversals == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64]) | st.integers(0, 2**70 - 1),
+       cells=st.tuples(*[st.integers(0, 300)] * 4),
+       key=st.lists(st.sampled_from([0, 2**32 - 1, 2**32, 2**64]) | st.integers(0, 2**40),
+                    max_size=3).map(tuple),
+       sigma2=st.sampled_from([0.0, 3.25, 3.45]) | st.floats(0.0, 100.0))
+def test_multipath_draw_equals_list_seeded_reference(seed, cells, key, sigma2):
+    # the uint32 word array seeds the same generator as the list of ints
+    params = RadioParams(seed=seed)
+    a, b = cells[:2], cells[2:]
+    draw = _multipath_draw(params, sigma2, a, b, key)
+    assert draw.hex() == multipath_draw_reference(params, sigma2, a, b, key).hex()
+    assert draw.hex() == _multipath_draw(params, sigma2, b, a, key).hex()
+
+
+@PROPS
+@given(seed=st.integers(0, 2**70 - 1), key=st.lists(st.integers(0, 2**40), max_size=3),
+       at=st.integers(0, 3), negative=st.integers(-2**40, -1))
+def test_negative_key_entry_raises_like_the_reference(seed, key, at, negative):
+    params = RadioParams(seed=seed)
+    key = tuple(key[:at] + [negative] + key[at:])
+    with pytest.raises(ValueError) as ours:
+        _multipath_draw(params, 3.25, (1, 2), (3, 4), key)
+    with pytest.raises(ValueError) as reference:
+        multipath_draw_reference(params, 3.25, (1, 2), (3, 4), key)
+    assert ours.value.args == reference.value.args
+
+
+@PROPS
+@given(st.data())
 def test_mixed_step_batch_equals_scalar_calls(data):
     # rows of one batch take their own step counts: the natural one, n = 1,
     # n = 49 (the least n with n * (1 / n) < 1) or any other, so short rows
@@ -199,7 +279,8 @@ def test_batched_losses_equal_path_loss(data):
 @given(st.data())
 def test_tick_tree_equals_unmemoised_oracle(data):
     # parents are the lowest-index neighbour one hop closer to the base
-    # station, over links decided by unmemoised rss (noisy on some ticks)
+    # station, over links decided by the scalar-sampler rss (noisy on some
+    # ticks, with the list-seeded draw)
     grid = data.draw(small_maps())
     params = RadioParams(p_tx=data.draw(st.floats(-40.0, 10.0)))
     noise = data.draw(st.none() | st.integers(0, 50).map(lambda s: params.with_(seed=s)))
@@ -211,9 +292,10 @@ def test_tick_tree_equals_unmemoised_oracle(data):
         parents, connected = _tick_tree(book, bs, robots, noise, tick)
         nodes = [bs] + robots
         if noise is None:
-            link = lambda a, b: rss(grid, a, b, params)
+            link = lambda a, b: params.p_tx - path_loss_reference(grid, a, b, params)
         else:
-            link = lambda a, b: rss(grid, a, b, noise, "stochastic", (tick,))
+            link = lambda a, b: noise.p_tx - path_loss_reference(grid, a, b, noise,
+                                                                 "stochastic", (tick,))
         edges = {(i, j) for i in range(len(nodes)) for j in range(i + 1, len(nodes))
                  if link(nodes[i], nodes[j]) >= params.gamma}
         depth = bfs_hops(len(nodes), edges)
@@ -291,11 +373,11 @@ def test_memoised_rss_bit_equal(data):
     for _ in range(2):  # the second pass is served from the memo
         for a in pts:
             for b in pts:
-                assert book.rss(a, b) == rss(grid, a, b, params)
+                assert book.rss(a, b) == params.p_tx - path_loss_reference(grid, a, b, params)
         # a noisy tick prices its links outside the memo, which keeps
         # exactly the deterministic loss of each pair
         _tick_tree(book, pts[0], pts[1:], noise, tick)
-        assert book._losses == {p: path_loss(grid, *p, params) for p in pairs}
+        assert book._losses == {p: path_loss_reference(grid, *p, params) for p in pairs}
 
 
 @PROPS

@@ -82,6 +82,29 @@ class TestPathLoss:
         with pytest.raises(ValueError, match="mode"):
             path_loss(m, (0.25, 0.25), (1.25, 0.25), RadioParams(), mode="fuzzy")
 
+    @pytest.mark.parametrize("tx, rx, message", [
+        ((-0.5, 1.0), (1.0, 1.0), "point (-0.5, 1.0) outside map 2.0x2.0 m"),
+        ((1.0, 1.0), (1.0, 2.5), "point (1.0, 2.5) outside map 2.0x2.0 m"),
+        ((math.nan, 1.0), (1.0, 1.0), "point (nan, 1.0) outside map 2.0x2.0 m"),
+        ((1.0, 1.0), (1.0, math.nan), "point (1.0, nan) outside map 2.0x2.0 m"),
+        ((3.0, 1.0), (1.0, -1.0), "point (3.0, 1.0) outside map 2.0x2.0 m"),
+        ((1.0, -1.0), (3.0, 1.0), "point (1.0, -1.0) outside map 2.0x2.0 m"),
+    ])
+    def test_out_of_bounds_endpoint_errors(self, tx, rx, message):
+        # the first bad endpoint in (tx, rx) order names itself, in both
+        # modes and whether or not the good pair was priced before
+        m = open_map(4, 4)
+        params = RadioParams()
+        path_loss(m, (1.0, 1.0), (1.0, 1.0), params)
+        for call in (lambda: path_loss(m, tx, rx, params),
+                     lambda: path_loss(m, tx, rx, params, "stochastic", (3,)),
+                     lambda: path_loss(m, tx, rx, params, mode="fuzzy"),
+                     lambda: rss(m, tx, rx, params)):
+            with pytest.raises(OutOfBoundsError) as err:
+                call()
+            assert type(err.value) is OutOfBoundsError
+            assert err.value.args == (message,)
+
 
 class TestCoverageField:
     def test_matches_scalar_path_loss_everywhere(self):
