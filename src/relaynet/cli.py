@@ -16,7 +16,6 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import mission
-from .connectivity import InfeasibleRelayError
 from .gridmap import FREE, GLASS, WALL, GridMap, MapParseError, WorldPoint, parse_map
 from .mission import (
     DeadlockError,
@@ -454,7 +453,7 @@ def run_with_replan(scenario: Scenario, mode: str, noise_seed: int | None,
             sc, cur_plan = replan(sc, tr.reached_goals, tr.positions[-1])
             for r in range(len(merged_plan)):
                 merged_plan[r].extend(cur_plan.robots[r])
-    return _merge_traces(traces, goal_maps), DeploymentPlan.of(plan.mode, merged_plan), replans
+    return _merge_traces(traces, goal_maps), DeploymentPlan(plan.mode, merged_plan), replans
 
 
 def _do_plan(sc: Scenario, mode: str, out_dir: str) -> int:
@@ -504,8 +503,7 @@ def compare_scenario(sc: Scenario, planned: dict[str, DeploymentPlan] | None = N
             trace = execute_mission(plan, sc)
             results[m] = compute_metrics(trace, plan)
             plans[m] = plan
-        except (InfeasibleScenarioError, InfeasibleRelayError, InfeasibleRadioError,
-                DeadlockError) as e:
+        except (InfeasibleScenarioError, InfeasibleRadioError, DeadlockError) as e:
             log.warning("mode %s failed: %s", m, e)
             results[m] = None
     return results, plans
@@ -531,7 +529,7 @@ def cmd_sweep(experiment_path: str, out_dir: str) -> int:
                     probe = plan_deployment(cand, "DPA-FMM")  # feasible and plannable
                     sc = cand
                     break
-                except (InfeasibleScenarioError, InfeasibleRelayError, InfeasibleRadioError) as e:
+                except (InfeasibleScenarioError, InfeasibleRadioError) as e:
                     log.info("resampling trial (seed %d): %s", seed, e)
             if sc is None:
                 log.warning("skipping goal_count=%d trial=%d: no feasible scenario in 20 tries",
@@ -614,6 +612,8 @@ def main(argv: list[str] | None = None) -> int:
             sc = _apply_overrides(load_scenario(args.scenario), args)
             return _do_plan(sc, args.mode, args.out)
         if args.command == "run":
+            if args.noise_seed is not None:
+                _integer(args.noise_seed, "--noise-seed", 0)
             sc = _apply_overrides(load_scenario(args.scenario), args)
             return _do_run(sc, args.mode, args.noise_seed, args.out, FsPath(args.scenario).name)
         if args.command == "compare":
@@ -623,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sweep(args.experiment, args.out)
         return cmd_render(args.scenario, args.out)
     # InfeasibleRadioError is a ValueError, so this clause comes first
-    except (InfeasibleScenarioError, InfeasibleRadioError, InfeasibleRelayError) as e:
+    except (InfeasibleScenarioError, InfeasibleRadioError) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         if isinstance(e, InfeasibleScenarioError) and e.report is not None:
             print(f"  ratio {e.report.ratio:.3f} vs {e.report.d_cov:.2f} m coverage distance",

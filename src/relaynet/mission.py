@@ -148,12 +148,10 @@ def used_robots(robots: list[list[PlanSegment]]) -> list[int]:
 class DeploymentPlan:
     mode: str
     robots: list[list[PlanSegment]]
-    robots_used: int
 
-    @classmethod
-    def of(cls, mode: str, robots: list[list[PlanSegment]]) -> DeploymentPlan:
-        """The plan with robots_used counted by used_robots."""
-        return cls(mode=mode, robots=robots, robots_used=len(used_robots(robots)))
+    @property
+    def robots_used(self) -> int:
+        return len(used_robots(self.robots))
 
     def to_dict(self) -> dict:
         return {
@@ -403,7 +401,7 @@ def _plan_simple(sc: Scenario, mode: str) -> DeploymentPlan:
         pl.move(r, pl.robot_pos[r], goals[g], sources if mode == "CA-FMM" else [], [], g)
         if mode == "CA-FMM":
             sources.append(goals[g])
-    return DeploymentPlan.of(mode, pl.segs)
+    return DeploymentPlan(mode, pl.segs)
 
 
 def _plan_dp(sc: Scenario) -> DeploymentPlan:
@@ -485,7 +483,7 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
             )
     if unplanned:
         raise InfeasibleScenarioError(f"DP planning ran out of waves; unplanned {sorted(unplanned)}")
-    return DeploymentPlan.of("DP-FMM", pl.segs)
+    return DeploymentPlan("DP-FMM", pl.segs)
 
 
 def _split_to_cap(grid: GridMap, entry: WorldPoint, posts: list[WorldPoint],
@@ -593,7 +591,7 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
             )
     if unplanned:
         raise InfeasibleScenarioError(f"DPA planning ran out of waves; unplanned {sorted(unplanned)}")
-    return DeploymentPlan.of("DPA-FMM", pl.segs)
+    return DeploymentPlan("DPA-FMM", pl.segs)
 
 
 def plan_deployment(scenario: Scenario, mode: str,
@@ -604,7 +602,7 @@ def plan_deployment(scenario: Scenario, mode: str,
     mode = normalize_mode(mode)
     scenario.validate(initial=False)
     if not scenario.goals:
-        return DeploymentPlan.of(mode, [[] for _ in scenario.robot_starts])
+        return DeploymentPlan(mode, [[] for _ in scenario.robot_starts])
     if mode in ("DP-FMM", "DPA-FMM"):
         report = check_feasibility(scenario.map, scenario.bs, scenario.goals,
                                    len(scenario.robot_starts), scenario.radio)
@@ -667,6 +665,20 @@ def _tick_tree(book: CoverageBook, bs: WorldPoint, positions: list[WorldPoint],
     return parent, connected
 
 
+@dataclass
+class _Robot:
+    """A robot in execution: its position, its remaining segments, how far
+    along the head one it is, the goal it stands on but has not reported,
+    the ticks it has held there disconnected, and whether the wait at its
+    head is logged."""
+    pos: WorldPoint
+    queue: list[PlanSegment]
+    progress: float = 0.0
+    goal: int | None = None
+    hold: int = 0
+    waiting: bool = False
+
+
 def execute_mission(plan: DeploymentPlan, scenario: Scenario,
                     noise_seed: int | None = None, until_tick: int | None = None,
                     hold_limit: int = 25) -> MissionTrace:
@@ -678,141 +690,126 @@ def execute_mission(plan: DeploymentPlan, scenario: Scenario,
     tick's tree; a robot blocked on that for hold_limit ticks raises a stall
     so the caller can replan.
     """
-    grid, params = scenario.map, scenario.radio
+    grid = scenario.map
     N = len(scenario.robot_starts)
     if len(plan.robots) != N:
         raise ValueError(f"plan covers {len(plan.robots)} robots, scenario has {N}")
-    book = CoverageBook(grid, params)
-    noise = None if noise_seed is None else params.with_(seed=noise_seed)
+    book = CoverageBook(grid, scenario.radio)
+    noise = None if noise_seed is None else scenario.radio.with_(seed=noise_seed)
     speed = scenario.speed()
-    pos: list[WorldPoint] = [tuple(p) for p in scenario.robot_starts]
-    queues: list[list[PlanSegment]] = [list(s) for s in plan.robots]
-    progress = [0.0] * N
-    arrivals: set[tuple[int, CellIndex]] = set()
-    events: list[MissionEvent] = []
-    reached: set[int] = set()
-    pending_goal: list[int | None] = [None] * N
-    hold_ticks = [0] * N
-    waiting_logged = [False] * N
+    robots = [_Robot(tuple(p), list(segs)) for p, segs in zip(scenario.robot_starts, plan.robots)]
+    arrivals = {(r, grid.to_cell(rb.pos)) for r, rb in enumerate(robots)}
+    # the robots with a segment left or a goal to report, in order; no
+    # robot rejoins once it leaves, so every step skips the others
+    busy = [r for r, rb in enumerate(robots) if rb.queue]
+    trace = MissionTrace([], [], [], [], [], set(), False)
+    events = trace.events
 
-    positions_log: list[list[WorldPoint]] = []
-    parents_log: list[list[int | None]] = []
-    connected_log: list[list[bool]] = []
-    active_log: list[list[bool]] = []
-    prev_connected: list[bool] | None = None
-
-    for r in range(N):
-        arrivals.add((r, grid.to_cell(pos[r])))
-
-    def waits_met(seg: PlanSegment) -> bool:
-        return all((rb, tuple(c)) in arrivals for rb, c in seg.wait_for)
-
-    def complete_move(r: int, seg: PlanSegment, tick: int) -> None:
-        endpoint = seg.path.points[-1]
-        pos[r] = tuple(endpoint)
-        cell = grid.to_cell(endpoint)
+    def arrive(r: int, seg: PlanSegment, tick: int) -> None:
+        rb = robots[r]
+        rb.pos = tuple(seg.path.points[-1])
+        cell = grid.to_cell(rb.pos)
         arrivals.add((r, cell))
         if seg.purpose == "primary-goal":
-            pending_goal[r] = seg.goal_index
+            rb.goal = seg.goal_index
         else:
             events.append(MissionEvent(tick, "relay-in-place", r, {"post": list(cell)}))
 
+    def advance(r: int, tick: int) -> bool:
+        """Move robot r up to speed along its segments, stopping at a wait
+        or a goal to report; whether it moved."""
+        rb, budget, moved = robots[r], speed, False
+        while budget > 1e-9 and rb.queue and rb.goal is None:
+            seg = rb.queue[0]
+            if seg.purpose == "wait-until":
+                if not rb.waiting:
+                    events.append(MissionEvent(tick, "wait-start", r,
+                                               {"for": [[a, list(b)] for a, b in seg.wait_for]}))
+                    rb.waiting = True
+                break
+            remaining = seg.path.length - rb.progress
+            if remaining <= budget + 1e-9:
+                budget -= max(remaining, 0.0)
+                rb.progress = 0.0
+                rb.queue.pop(0)
+                arrive(r, seg, tick)
+            else:
+                rb.progress += budget
+                rb.pos = _point_along(seg.path.points, rb.progress)
+                budget = 0.0
+            moved = True
+        return moved
+
+    def settle(r: int, tick: int, connected: list[bool]) -> bool:
+        """Report robot r's goal once it counts, release its wait once met,
+        or finish its zero-length move; whether it fired."""
+        rb = robots[r]
+        seg = rb.queue[0] if rb.queue else None
+        if rb.goal is not None:
+            if noise is not None and not connected[r]:
+                return False
+            events.append(MissionEvent(tick, "goal-reached", r,
+                                       {"goal": rb.goal, "connected": connected[r]}))
+            trace.reached_goals.add(rb.goal)
+            rb.goal, rb.hold = None, 0
+        elif seg is None:
+            return False
+        elif seg.purpose == "wait-until":
+            if not all((a, tuple(c)) in arrivals for a, c in seg.wait_for):
+                return False
+            rb.queue.pop(0)
+            events.append(MissionEvent(tick, "wait-end", r))
+            rb.waiting = False
+        elif seg.path.length <= 1e-9:
+            rb.queue.pop(0)
+            arrive(r, seg, tick)
+        else:
+            return False
+        return True
+
+    def post_phase(tick: int, connected: list[bool]) -> bool:
+        """Settle the busy robots in passes until a pass fires nothing;
+        whether any fired."""
+        fired = False
+        while any([settle(r, tick, connected) for r in busy]):
+            fired = True
+        return fired
+
+    def check_stall(connected: list[bool]) -> None:
+        for r in busy:
+            rb = robots[r]
+            if rb.goal is not None and not connected[r]:
+                rb.hold += 1
+                if rb.hold > hold_limit:
+                    raise GoalConnectivityStallError(
+                        f"robot {r} held disconnected at goal {rb.goal} for {rb.hold} ticks", trace)
+
+    def check_deadlock(tick: int) -> None:
+        if all(robots[r].goal is None for r in busy):
+            raise DeadlockError(f"no progress at tick {tick}", {
+                r: [[a, list(b)] for a, b in robots[r].queue[0].wait_for] for r in busy
+                if robots[r].queue and robots[r].queue[0].purpose == "wait-until"})
+
     tick = 0
     while True:
-        active_now = [bool(queues[r]) or pending_goal[r] is not None for r in range(N)]
-        moved = False
-        if tick > 0:
-            for r in range(N):
-                budget = speed
-                while budget > 1e-9 and queues[r] and pending_goal[r] is None:
-                    seg = queues[r][0]
-                    if seg.purpose == "wait-until":
-                        if not waiting_logged[r]:
-                            events.append(MissionEvent(tick, "wait-start", r,
-                                                       {"for": [[a, list(b)] for a, b in seg.wait_for]}))
-                            waiting_logged[r] = True
-                        break
-                    remaining = seg.path.length - progress[r]
-                    if remaining <= budget + 1e-9:
-                        budget -= max(remaining, 0.0)
-                        progress[r] = 0.0
-                        queues[r].pop(0)
-                        complete_move(r, seg, tick)
-                        moved = True
-                    else:
-                        progress[r] += budget
-                        pos[r] = _point_along(seg.path.points, progress[r])
-                        budget = 0.0
-                        moved = True
-
-        parents, connected = _tick_tree(book, scenario.bs, pos, noise, tick)
-        positions_log.append([tuple(p) for p in pos])
-        parents_log.append(parents)
-        connected_log.append(connected)
-        active_log.append(active_now)
-
-        if prev_connected is not None:
-            for r in range(N):
-                if active_now[r] and prev_connected[r] and not connected[r]:
-                    events.append(MissionEvent(tick, "disconnection", r, {}))
-        prev_connected = connected
-
-        # post phase: goal events, wait releases, instantaneous segments
-        fired = False
-        changed = True
-        while changed:
-            changed = False
-            for r in range(N):
-                if pending_goal[r] is not None:
-                    if noise_seed is None or connected[r]:
-                        g = pending_goal[r]
-                        events.append(MissionEvent(tick, "goal-reached", r,
-                                                   {"goal": g, "connected": bool(connected[r])}))
-                        reached.add(g)
-                        pending_goal[r] = None
-                        hold_ticks[r] = 0
-                        fired = True
-                        changed = True
-                    continue
-                if not queues[r]:
-                    continue
-                seg = queues[r][0]
-                if seg.purpose == "wait-until":
-                    if waits_met(seg):
-                        queues[r].pop(0)
-                        events.append(MissionEvent(tick, "wait-end", r, {}))
-                        waiting_logged[r] = False
-                        fired = True
-                        changed = True
-                elif seg.path.length <= 1e-9:
-                    queues[r].pop(0)
-                    complete_move(r, seg, tick)
-                    fired = True
-                    changed = True
-
-        done = all(not q for q in queues) and all(g is None for g in pending_goal)
-        trace = MissionTrace(positions=positions_log, parents=parents_log,
-                             connected=connected_log, active=active_log, events=events,
-                             reached_goals=reached, completed=done)
-        if done or (until_tick is not None and tick >= until_tick):
+        moved = tick > 0 and any([advance(r, tick) for r in busy])
+        positions = [tuple(rb.pos) for rb in robots]
+        parents, connected = _tick_tree(book, scenario.bs, positions, noise, tick)
+        prev = trace.connected[-1] if tick else connected
+        events.extend(MissionEvent(tick, "disconnection", r) for r in busy if prev[r] and not connected[r])
+        trace.positions.append(positions)
+        trace.parents.append(parents)
+        trace.connected.append(connected)
+        trace.active.append([r in busy for r in range(N)])
+        fired = post_phase(tick, connected)
+        busy = [r for r in busy if robots[r].queue or robots[r].goal is not None]
+        trace.completed = not busy
+        if trace.completed or (until_tick is not None and tick >= until_tick):
             return trace
-
-        for r in range(N):
-            if pending_goal[r] is not None and noise_seed is not None and not connected[r]:
-                hold_ticks[r] += 1
-                if hold_ticks[r] > hold_limit:
-                    raise GoalConnectivityStallError(
-                        f"robot {r} held disconnected at goal {pending_goal[r]} for {hold_ticks[r]} ticks",
-                        trace)
+        if noise is not None:
+            check_stall(connected)
         if tick > 0 and not moved and not fired:
-            holding = [r for r in range(N) if pending_goal[r] is not None]
-            if not holding:
-                waiting = {
-                    r: [[a, list(b)] for a, b in queues[r][0].wait_for]
-                    for r in range(N)
-                    if queues[r] and queues[r][0].purpose == "wait-until"
-                }
-                raise DeadlockError(f"no progress at tick {tick}", waiting)
+            check_deadlock(tick)
         tick += 1
 
 

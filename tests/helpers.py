@@ -7,11 +7,13 @@ as a corner loop (which reads the lazy field through its march), the eager fast-
 resumable march must match bit for bit, an unpruned, unmemoised relay
 synthesis, a scalar raycast sampler, the one-pair movement cost, the
 coverage field built one step-count group at a time, the multipath draw
-seeded from a list of ints, and the path loss over the scalar sampler.
+seeded from a list of ints, the path loss over the scalar sampler, and the
+mission execution as one loop over parallel per-robot lists.
 These deliberately share no code with the package internals, except that
 the relay oracle calls the public radio model (rss and coverage fields),
-the movement-cost oracle calls count_traversals once per pair, and the
-coverage-field oracle calls the raycast kernel once per step count."""
+the movement-cost oracle calls count_traversals once per pair, the
+coverage-field oracle calls the raycast kernel once per step count, and the
+execution oracle calls the tick tree (which has an oracle of its own)."""
 
 import heapq
 import itertools
@@ -30,9 +32,17 @@ from relaynet.eikonal import (
     _polyline_length,
 )
 from relaynet.gridmap import FREE, GridMap, count_traversals, segment_runs
+from relaynet.mission import (
+    DeadlockError,
+    GoalConnectivityStallError,
+    MissionEvent,
+    MissionTrace,
+    _tick_tree,
+)
 from relaynet.radio import (
     MIN_SEPARATION,
     NO_SIGNAL,
+    CoverageBook,
     RadioConfigError,
     RadioParams,
     RssField,
@@ -663,3 +673,168 @@ def coverage_field_reference(grid: GridMap, tx, params: RadioParams) -> RssField
     values[grid.materials != FREE] = NO_SIGNAL
     return RssField(grid=grid, rss=values, sources=(tuple(tx),), gamma=params.gamma,
                     rss_ref=params.p_tx - params.l0)
+
+
+def _point_along_reference(points, s: float):
+    remaining = s
+    for i in range(len(points) - 1):
+        ax, ay = points[i]
+        bx, by = points[i + 1]
+        seg = math.hypot(bx - ax, by - ay)
+        if seg >= remaining or i == len(points) - 2:
+            if seg == 0.0:
+                return points[i + 1]
+            f = min(remaining / seg, 1.0)
+            return (ax + f * (bx - ax), ay + f * (by - ay))
+        remaining -= seg
+    return points[-1]
+
+
+def execute_mission_reference(plan, scenario, noise_seed: int | None = None,
+                              until_tick: int | None = None, hold_limit: int = 25) -> MissionTrace:
+    """The tick simulation of a deployment plan as one loop over parallel
+    per-robot lists, rebuilding the trace every tick; execute_mission must
+    return, log and raise exactly as it does.
+
+    Robots advance at most robot_speed along their current path each tick;
+    wait segments release in the tick their arrival conditions are met. Goal
+    events under noise require connectivity to the base station through that
+    tick's tree; a robot blocked on that for hold_limit ticks raises a stall
+    so the caller can replan.
+    """
+    grid, params = scenario.map, scenario.radio
+    N = len(scenario.robot_starts)
+    if len(plan.robots) != N:
+        raise ValueError(f"plan covers {len(plan.robots)} robots, scenario has {N}")
+    book = CoverageBook(grid, params)
+    noise = None if noise_seed is None else params.with_(seed=noise_seed)
+    speed = scenario.speed()
+    pos = [tuple(p) for p in scenario.robot_starts]
+    queues = [list(s) for s in plan.robots]
+    progress = [0.0] * N
+    arrivals: set = set()
+    events: list[MissionEvent] = []
+    reached: set[int] = set()
+    pending_goal: list[int | None] = [None] * N
+    hold_ticks = [0] * N
+    waiting_logged = [False] * N
+
+    positions_log: list[list] = []
+    parents_log: list[list[int | None]] = []
+    connected_log: list[list[bool]] = []
+    active_log: list[list[bool]] = []
+    prev_connected: list[bool] | None = None
+
+    for r in range(N):
+        arrivals.add((r, grid.to_cell(pos[r])))
+
+    def waits_met(seg) -> bool:
+        return all((rb, tuple(c)) in arrivals for rb, c in seg.wait_for)
+
+    def complete_move(r: int, seg, tick: int) -> None:
+        endpoint = seg.path.points[-1]
+        pos[r] = tuple(endpoint)
+        cell = grid.to_cell(endpoint)
+        arrivals.add((r, cell))
+        if seg.purpose == "primary-goal":
+            pending_goal[r] = seg.goal_index
+        else:
+            events.append(MissionEvent(tick, "relay-in-place", r, {"post": list(cell)}))
+
+    tick = 0
+    while True:
+        active_now = [bool(queues[r]) or pending_goal[r] is not None for r in range(N)]
+        moved = False
+        if tick > 0:
+            for r in range(N):
+                budget = speed
+                while budget > 1e-9 and queues[r] and pending_goal[r] is None:
+                    seg = queues[r][0]
+                    if seg.purpose == "wait-until":
+                        if not waiting_logged[r]:
+                            events.append(MissionEvent(tick, "wait-start", r,
+                                                       {"for": [[a, list(b)] for a, b in seg.wait_for]}))
+                            waiting_logged[r] = True
+                        break
+                    remaining = seg.path.length - progress[r]
+                    if remaining <= budget + 1e-9:
+                        budget -= max(remaining, 0.0)
+                        progress[r] = 0.0
+                        queues[r].pop(0)
+                        complete_move(r, seg, tick)
+                        moved = True
+                    else:
+                        progress[r] += budget
+                        pos[r] = _point_along_reference(seg.path.points, progress[r])
+                        budget = 0.0
+                        moved = True
+
+        parents, connected = _tick_tree(book, scenario.bs, pos, noise, tick)
+        positions_log.append([tuple(p) for p in pos])
+        parents_log.append(parents)
+        connected_log.append(connected)
+        active_log.append(active_now)
+
+        if prev_connected is not None:
+            for r in range(N):
+                if active_now[r] and prev_connected[r] and not connected[r]:
+                    events.append(MissionEvent(tick, "disconnection", r, {}))
+        prev_connected = connected
+
+        # post phase: goal events, wait releases, instantaneous segments
+        fired = False
+        changed = True
+        while changed:
+            changed = False
+            for r in range(N):
+                if pending_goal[r] is not None:
+                    if noise_seed is None or connected[r]:
+                        g = pending_goal[r]
+                        events.append(MissionEvent(tick, "goal-reached", r,
+                                                   {"goal": g, "connected": bool(connected[r])}))
+                        reached.add(g)
+                        pending_goal[r] = None
+                        hold_ticks[r] = 0
+                        fired = True
+                        changed = True
+                    continue
+                if not queues[r]:
+                    continue
+                seg = queues[r][0]
+                if seg.purpose == "wait-until":
+                    if waits_met(seg):
+                        queues[r].pop(0)
+                        events.append(MissionEvent(tick, "wait-end", r, {}))
+                        waiting_logged[r] = False
+                        fired = True
+                        changed = True
+                elif seg.path.length <= 1e-9:
+                    queues[r].pop(0)
+                    complete_move(r, seg, tick)
+                    fired = True
+                    changed = True
+
+        done = all(not q for q in queues) and all(g is None for g in pending_goal)
+        trace = MissionTrace(positions=positions_log, parents=parents_log,
+                             connected=connected_log, active=active_log, events=events,
+                             reached_goals=reached, completed=done)
+        if done or (until_tick is not None and tick >= until_tick):
+            return trace
+
+        for r in range(N):
+            if pending_goal[r] is not None and noise_seed is not None and not connected[r]:
+                hold_ticks[r] += 1
+                if hold_ticks[r] > hold_limit:
+                    raise GoalConnectivityStallError(
+                        f"robot {r} held disconnected at goal {pending_goal[r]} for {hold_ticks[r]} ticks",
+                        trace)
+        if tick > 0 and not moved and not fired:
+            holding = [r for r in range(N) if pending_goal[r] is not None]
+            if not holding:
+                waiting = {
+                    r: [[a, list(b)] for a, b in queues[r][0].wait_for]
+                    for r in range(N)
+                    if queues[r] and queues[r][0].purpose == "wait-until"
+                }
+                raise DeadlockError(f"no progress at tick {tick}", waiting)
+        tick += 1

@@ -416,6 +416,17 @@ class TestOverrides:
             main(["plan", str(path), "--seed", "3", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
 
+    def test_negative_noise_seed_fails_before_planning(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("plan_deployment called")
+
+        monkeypatch.setattr(cli, "plan_deployment", never)
+        path = write_fig2_files(tmp_path)
+        assert main(["run", str(path), "--noise-seed", "-1",
+                     "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+        assert "--noise-seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--w-c", "nan"), ("--w-c", "inf"), ("--w-c", "-1"),
         ("--margin-k", "nan"), ("--margin-k", "inf"), ("--margin-k", "-inf"),

@@ -144,7 +144,7 @@ class TestWaitSemantics:
              PlanSegment(purpose="primary-goal", path=dummy, goal_index=0, post=(6, 2))],
             [PlanSegment(purpose="wait-until", wait_for=[(0, (6, 2))]),
              PlanSegment(purpose="primary-goal", path=dummy, goal_index=1, post=(8, 2))],
-        ], robots_used=2)
+        ])
         with pytest.raises(DeadlockError) as exc:
             execute_mission(bad, sc)
         assert 0 in exc.value.waiting and 1 in exc.value.waiting
@@ -361,7 +361,7 @@ class TestMetrics:
         plan = DeploymentPlan(mode="DP-FMM", robots=[
             [PlanSegment(purpose="primary-goal", path=dummy, goal_index=0)],
             [PlanSegment(purpose="relay-move", path=dummy)],
-        ], robots_used=2)
+        ])
         met = compute_metrics(trace, plan)
         assert met.o_mean == pytest.approx(0.5)  # r1 occupied 100%, r0 never
         assert met.c_mean == 1.0
