@@ -355,8 +355,8 @@ def render_svg(scenario: Scenario, plan: DeploymentPlan | None = None) -> str:
         out.append(f'<circle cx="{st[0] * s:.2f}" cy="{st[1] * s:.2f}" r="2.0" fill="#444444"/>')
     bx, by = scenario.bs[0] * s, scenario.bs[1] * s
     out.append(f'<rect x="{bx - 4:.2f}" y="{by - 4:.2f}" width="8" height="8" fill="#2ca02c"/>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")  # the final newline, without a copy of the joined text
+    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,13 @@ class GridMap:
         CLI reads once per command."""
         return {}
 
+    @cached_property
+    def coverage_fields(self) -> dict:
+        """The coverage fields built on this map, keyed by radio parameters
+        and then by source cell, so every CoverageBook on the map with equal
+        parameters builds each field once. It lives as long as the map."""
+        return {}
+
     # -- geometry ------------------------------------------------------
 
     @property
@@ -233,7 +240,8 @@ def segment_runs(grid: GridMap, ax, ay, bx, by, n) -> np.ndarray:
     one shape for many segments, each with its own step count (n may also be
     one int for all); the result then has shape (2, ...). The sample
     parameters are bit-equal to np.linspace(0, 1, n + 1). Callers pass the
-    endpoints in canonical order, so counts are exactly symmetric.
+    endpoints in canonical order (a <= b), so counts are exactly symmetric;
+    a batch's box test relies on that order too.
 
     A row's sample cells are monotone in t, so they all lie in the box of
     its first sample cell (at ax + 0.0 * (bx - ax) == ax) and its last (at
@@ -255,13 +263,14 @@ def segment_runs(grid: GridMap, ax, ay, bx, by, n) -> np.ndarray:
     ax, ay, bx, by = (np.ravel(v) for v in (ax, ay, bx, by))
     n = np.ravel(n) if np.ndim(n) else np.full(ax.size, n)
     dx, dy = bx - ax, by - ay
-    # box[axis, end]: first and last sample cells, sorted, the last one + 1
-    box = _cells(np.stack((ax, ax + dx, ay, ay + dy), dtype=float).reshape(2, 2, -1),
-                 res, np.array([[[W - 1]], [[H - 1]]]))
-    box.sort(axis=1)
-    box[:, 1] += 1
-    box[1] *= W + 1
-    corner = table.reshape(-1).take(box[1, :, None] + box[0, None])
+    # box[end, axis]: first and last sample cells, the last one + 1; canonical
+    # endpoints give ax <= ax + dx, so only the rows need sorting
+    box = _cells(np.concatenate((ax, ay, ax + dx, ay + dy), dtype=float).reshape(2, 2, -1),
+                 res, ((W - 1,), (H - 1,)))
+    box[:, 1].sort(axis=0)
+    box[1] += 1
+    box[:, 1] *= W + 1
+    corner = table.reshape(-1).take(box[:, None, 1] + box[None, :, 0])
     inside = corner[1, 1] - corner[0, 1] - corner[1, 0] + corner[0, 0]
     # the other rows, sorted by step count, in blocks of about _SAMPLE_BLOCK
     # samples, each padded to its longest row
@@ -316,7 +325,11 @@ def count_traversals_batch(grid: GridMap,
             grid.require_in_bounds(a)
             grid.require_in_bounds(b)
     ax, ay, bx, by = ends.transpose(1, 0, 2)
-    steps = np.array([[segment_steps(grid, a, b)] for a, b in segments])
+    # segment_steps of each segment, written out: a call per segment costs
+    # more than the expression on the tick path
+    h = grid.resolution * 0.5
+    steps = np.array([[max(1, math.ceil(math.hypot(b[0] - a[0], b[1] - a[1]) / h))]
+                      for a, b in segments])
     return list(zip(*segment_runs(grid, ax, ay, bx, by, steps).tolist()))
 
 

@@ -50,9 +50,14 @@ class InfeasibleScenarioError(RuntimeError):
 
 
 class DeadlockError(RuntimeError):
-    def __init__(self, message: str, waiting: dict):
+    """No robot moved or fired in a tick; waiting maps each robot held at a
+    wait gate to its conditions, and trace is the mission up to and
+    including the deadlock tick, as until_tick=trace.ticks would return it."""
+
+    def __init__(self, message: str, waiting: dict, trace: MissionTrace):
         super().__init__(f"{message}: {waiting}")
         self.waiting = waiting
+        self.trace = trace
 
 
 class GoalConnectivityStallError(RuntimeError):
@@ -632,15 +637,14 @@ def replan(scenario_updated: Scenario, reached_goals: set[int], robot_positions:
 # execution
 
 
-def _point_along(points: list[WorldPoint], s: float) -> WorldPoint:
-    remaining = s
-    for i in range(len(points) - 1):
-        ax, ay = points[i]
-        bx, by = points[i + 1]
-        seg = math.hypot(bx - ax, by - ay)
-        if seg >= remaining or i == len(points) - 2:
+def _point_along(points: list[WorldPoint], lengths: list[float], s: float) -> WorldPoint:
+    """The point s along the polyline points, whose segment lengths are lengths."""
+    remaining, last = s, len(lengths) - 1
+    for i, seg in enumerate(lengths):
+        if seg >= remaining or i == last:
             if seg == 0.0:
                 return points[i + 1]
+            (ax, ay), (bx, by) = points[i], points[i + 1]
             f = min(remaining / seg, 1.0)
             return (ax + f * (bx - ax), ay + f * (by - ay))
         remaining -= seg
@@ -668,12 +672,13 @@ def _tick_tree(book: CoverageBook, bs: WorldPoint, positions: list[WorldPoint],
 @dataclass
 class _Robot:
     """A robot in execution: its position, its remaining segments, how far
-    along the head one it is, the goal it stands on but has not reported,
-    the ticks it has held there disconnected, and whether the wait at its
-    head is logged."""
+    along the head one it is and that segment's lengths once it is part
+    way, the goal it stands on but has not reported, the ticks it has held
+    there disconnected, and whether the wait at its head is logged."""
     pos: WorldPoint
     queue: list[PlanSegment]
     progress: float = 0.0
+    lengths: list[float] | None = None
     goal: int | None = None
     hold: int = 0
     waiting: bool = False
@@ -730,12 +735,15 @@ def execute_mission(plan: DeploymentPlan, scenario: Scenario,
             remaining = seg.path.length - rb.progress
             if remaining <= budget + 1e-9:
                 budget -= max(remaining, 0.0)
-                rb.progress = 0.0
+                rb.progress, rb.lengths = 0.0, None
                 rb.queue.pop(0)
                 arrive(r, seg, tick)
             else:
+                if rb.lengths is None:
+                    pts = seg.path.points
+                    rb.lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:])]
                 rb.progress += budget
-                rb.pos = _point_along(seg.path.points, rb.progress)
+                rb.pos = _point_along(seg.path.points, rb.lengths, rb.progress)
                 budget = 0.0
             moved = True
         return moved
@@ -788,7 +796,7 @@ def execute_mission(plan: DeploymentPlan, scenario: Scenario,
         if all(robots[r].goal is None for r in busy):
             raise DeadlockError(f"no progress at tick {tick}", {
                 r: [[a, list(b)] for a, b in robots[r].queue[0].wait_for] for r in busy
-                if robots[r].queue and robots[r].queue[0].purpose == "wait-until"})
+                if robots[r].queue and robots[r].queue[0].purpose == "wait-until"}, trace)
 
     tick = 0
     while True:

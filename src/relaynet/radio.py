@@ -236,14 +236,16 @@ def coverage_distance(params: RadioParams) -> float:
 
 class CoverageBook:
     """Radio memo over one grid: single-source coverage fields keyed by
-    source cell, and deterministic link losses keyed by the canonical point
-    pair (a loss is exactly reciprocal, so one entry serves both directions).
+    source cell, shared by every book on the grid with equal parameters
+    (grid.coverage_fields), and this book's deterministic link losses keyed
+    by the canonical point pair (a loss is exactly reciprocal, so one entry
+    serves both directions).
     """
 
     def __init__(self, grid: GridMap, params: RadioParams):
         self.grid = grid
         self.params = params
-        self._fields: dict[CellIndex, RssField] = {}
+        self._fields: dict[CellIndex, RssField] = grid.coverage_fields.setdefault(params, {})
         self._losses: dict[tuple[WorldPoint, WorldPoint], float] = {}
 
     def field_at(self, src: WorldPoint) -> RssField:

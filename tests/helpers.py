@@ -836,5 +836,5 @@ def execute_mission_reference(plan, scenario, noise_seed: int | None = None,
                     for r in range(N)
                     if queues[r] and queues[r][0].purpose == "wait-until"
                 }
-                raise DeadlockError(f"no progress at tick {tick}", waiting)
+                raise DeadlockError(f"no progress at tick {tick}", waiting, trace)
         tick += 1

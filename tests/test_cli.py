@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path as FsPath
 import pytest
 
 import relaynet.cli as cli
+import relaynet.radio as radio
 from relaynet.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -24,7 +26,7 @@ from relaynet.cli import (
     render_svg,
 )
 from relaynet.mission import InfeasibleScenarioError, plan_deployment
-from relaynet.radio import RadioParams
+from relaynet.radio import RadioParams, coverage_field
 
 import numpy as np
 
@@ -278,6 +280,27 @@ class TestCompare:
         assert vals["DPA-FMM"]["T"] > vals["DP-FMM"]["T"]
         assert vals["DPA-FMM"]["R"] < len(load_scenario(path).goals)
 
+    def test_builds_each_coverage_field_once(self, tmp_path, monkeypatch):
+        # every planner, execution and render on the map shares its fields
+        sc = random_scenario(1, 20, 20, 4, 0.3, RadioParams(p_tx=-16.0, seed=1))
+        (tmp_path / "r.map").write_text(sc.map.serialize())
+        (tmp_path / "r.json").write_text(json.dumps({
+            "map": "r.map", "bs": list(sc.bs), "robot_starts": [list(p) for p in sc.robot_starts],
+            "goals": [list(p) for p in sc.goals], "radio": {"p_tx": -16.0}, "seed": 1,
+        }))
+        built = []
+
+        def counting(grid, tx, params):
+            built.append(grid.to_cell(tx))
+            return coverage_field(grid, tx, params)
+
+        monkeypatch.setattr(radio, "coverage_field", counting)
+        assert main(["compare", str(tmp_path / "r.json"), "--out", str(tmp_path / "cmp")]) == EXIT_OK
+        lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
+        assert len(lines) == 5 and not any(",NA" in line for line in lines)
+        assert sc.map.to_cell(sc.bs) in built
+        assert sorted(built) == sorted(set(built))
+
 
 class TestSweep:
     def test_single_trial_aggregate_equals_trial(self, tmp_path):
@@ -313,6 +336,12 @@ class TestSweep:
         kept = {tuple(row.split(",")[:2]) for row in rows}
         assert len(kept) == 6
         assert planned.count("DPA-FMM") == len(kept)
+        digests = {name: hashlib.sha256((tmp_path / "sw" / name).read_bytes()).hexdigest()
+                   for name in ("trials.csv", "aggregate.csv")}
+        assert digests == {
+            "trials.csv": "70d27eccb2e9e76bf924379df505b083c5705a9f612ebc9768e1b6f01941bf74",
+            "aggregate.csv": "fdea8004042a0649061ce1f95b708acf192ae575cdb725c6136f87929f4c3a36",
+        }
 
     def test_unknown_experiment_key_exit_2(self, tmp_path):
         (tmp_path / "exp.json").write_text(json.dumps({"surprise": 1}))

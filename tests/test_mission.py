@@ -145,9 +145,13 @@ class TestWaitSemantics:
             [PlanSegment(purpose="wait-until", wait_for=[(0, (6, 2))]),
              PlanSegment(purpose="primary-goal", path=dummy, goal_index=1, post=(8, 2))],
         ])
-        with pytest.raises(DeadlockError) as exc:
+        with pytest.raises(DeadlockError, match="at tick 1") as exc:
             execute_mission(bad, sc)
         assert 0 in exc.value.waiting and 1 in exc.value.waiting
+        trace = exc.value.trace
+        assert trace.ticks == 1 and not trace.completed
+        assert [(e.tick, e.kind, e.robot) for e in trace.events] == [(1, "wait-start", 0),
+                                                                     (1, "wait-start", 1)]
 
 
 class TestFig2Pipelines:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import relaynet.radio as radio
 from relaynet.cli import generate_map
 from relaynet.gridmap import FREE, GLASS, GridMap, OutOfBoundsError, parse_map
 from relaynet.radio import (
@@ -335,6 +336,36 @@ class TestValidation:
         f1 = book.field_at((1.3, 1.4))
         f2 = book.field_at((1.2, 1.2))  # same cell
         assert f1 is f2
+
+    def test_books_on_one_map_share_its_fields(self, monkeypatch):
+        built = []
+
+        def counting(grid, tx, params):
+            built.append((grid, grid.to_cell(tx), params))
+            return coverage_field(grid, tx, params)
+
+        monkeypatch.setattr(radio, "coverage_field", counting)
+        m, params = fig2_map(), RadioParams(p_tx=-14.65)
+        cells = [(2, 2), (12, 9), (30, 4)]
+        a, b = CoverageBook(m, params), CoverageBook(m, params.with_())  # equal, not identical
+        for c in cells:
+            ref = coverage_field_reference(m, m.to_world(c), params)
+            field = a.field_at(m.to_world(c))
+            assert b.field_at((m.to_world(c)[0] + 0.1, m.to_world(c)[1] - 0.1)) is field
+            assert np.array_equal(field.rss, ref.rss)
+            assert (field.sources, field.gamma, field.rss_ref) == (ref.sources, ref.gamma,
+                                                                   ref.rss_ref)
+        assert [(g is m, c) for g, c, _ in built] == [(True, c) for c in cells]
+        # other parameters, or an equal but distinct map, build their own
+        louder = params.with_(p_tx=-10.0)
+        other = CoverageBook(m, louder).field_at(m.to_world(cells[0]))
+        assert np.array_equal(other.rss, coverage_field_reference(m, m.to_world(cells[0]),
+                                                                  louder).rss)
+        twin = fig2_map()
+        assert twin == m
+        CoverageBook(twin, params).field_at(m.to_world(cells[0]))
+        assert [(g is twin, p) for g, _, p in built[len(cells):]] == [(False, louder),
+                                                                       (True, params)]
 
     def test_links_check_every_point_before_pricing(self):
         m = open_map(10, 10)
