@@ -314,23 +314,15 @@ def render_svg(scenario: Scenario, plan: DeploymentPlan | None = None) -> str:
                     posts.append(post)
                     sources.append(post)
     book = CoverageBook(grid, scenario.radio)
-    mask = book.combined(sources).mask
-    for r in range(grid.height):
-        for c in range(grid.width):
-            if mask[r, c] and grid.materials[r, c] == FREE:
-                out.append(f'<rect x="{c * _CELL_PX}" y="{r * _CELL_PX}" '
-                           f'width="{_CELL_PX}" height="{_CELL_PX}" fill="#d6eaff"/>')
-    for r in range(grid.height):
-        for c in range(grid.width):
-            m = grid.materials[r, c]
-            if m == WALL:
-                fill = "#222222"
-            elif m == GLASS:
-                fill = "#7fd4d4"
-            else:
-                continue
-            out.append(f'<rect x="{c * _CELL_PX}" y="{r * _CELL_PX}" '
-                       f'width="{_CELL_PX}" height="{_CELL_PX}" fill="{fill}"/>')
+    cover = book.combined(sources).mask & (grid.materials == FREE)
+    for r, c in zip(*(v.tolist() for v in np.nonzero(cover))):
+        out.append(f'<rect x="{c * _CELL_PX}" y="{r * _CELL_PX}" '
+                   f'width="{_CELL_PX}" height="{_CELL_PX}" fill="#d6eaff"/>')
+    fills = {WALL: "#222222", GLASS: "#7fd4d4"}
+    solid = np.isin(grid.materials, tuple(fills))
+    for r, c, m in zip(*(v.tolist() for v in (*np.nonzero(solid), grid.materials[solid]))):
+        out.append(f'<rect x="{c * _CELL_PX}" y="{r * _CELL_PX}" '
+                   f'width="{_CELL_PX}" height="{_CELL_PX}" fill="{fills[m]}"/>')
 
     if plan is not None:
         for ri, segs in enumerate(plan.robots):

@@ -87,9 +87,10 @@ class GridMap:
 
     @cached_property
     def coverage_fields(self) -> dict:
-        """The coverage fields built on this map, keyed by radio parameters
-        and then by source cell, so every CoverageBook on the map with equal
-        parameters builds each field once. It lives as long as the map."""
+        """The rss arrays of the coverage fields built on this map, keyed
+        by radio parameters and then by source cell, so every CoverageBook
+        on the map with equal parameters builds each field once. It lives as
+        long as the map, and holds nothing that refers back to it."""
         return {}
 
     # -- geometry ------------------------------------------------------
@@ -203,6 +204,7 @@ def parse_map(text: str) -> GridMap:
 
 _RUN_CODES = np.array([WALL, GLASS], dtype=np.uint8)
 _SAMPLE_BLOCK = 1 << 14  # samples per block of cast rows in segment_runs
+_PIECE = 16              # sample steps per piece of a long batch in segment_runs
 
 
 def segment_steps(grid: GridMap, a: WorldPoint, b: WorldPoint) -> int:
@@ -219,17 +221,68 @@ def _cells(v: np.ndarray, res: float, last) -> np.ndarray:
     return np.minimum(cells, last, out=cells)
 
 
-def _sampled_runs(grid: GridMap, ax, ay, dx, dy, n, width: int) -> np.ndarray:
+def _box_obstacles(grid: GridMap, box: np.ndarray) -> np.ndarray:
+    """Obstacle count in the box between two cells per row, given as
+    box[end, axis] (a (2, 2, rows) int array, overwritten) with box[0, 0]
+    <= box[1, 0]: four lookups in grid.obstacle_table. Only the rows need
+    ordering."""
+    lo = np.minimum(box[0, 1], box[1, 1])
+    np.maximum(box[0, 1], box[1, 1], out=box[1, 1])
+    box[0, 1] = lo
+    box[1] += 1
+    box[:, 1] *= grid.width + 1
+    corner = grid.obstacle_table.reshape(-1).take(box[:, None, 1] + box[None, :, 0])
+    return corner[1, 1] - corner[0, 1] - corner[1, 0] + corner[0, 0]
+
+
+def _piece_box(grid: GridMap, ax, ay, dx, dy, n, k0: int) -> np.ndarray:
+    """The first and last sample cells, box[end, axis], of the piece of
+    _PIECE steps from sample k0 of each row a-(a + d) (1-D arrays, rows
+    longer than k0), placed as _sampled_runs places them. The coordinates
+    are freed on return, before the box test allocates its lookups."""
+    t0 = k0 * (1.0 / n)
+    t1 = np.where(k0 + _PIECE >= n, 1.0, (k0 + _PIECE) * (1.0 / n))
+    return _cells(np.concatenate((ax + t0 * dx, ay + t0 * dy, ax + t1 * dx, ay + t1 * dy))
+                  .reshape(2, 2, -1), grid.resolution, ((grid.width - 1,), (grid.height - 1,)))
+
+
+def _sampled_runs(grid: GridMap, ax, ay, dx, dy, n, width: int, k0: int = 0) -> np.ndarray:
     """Runs along the rows a-(a + d), sampled at n + 1 points and padded to
     width samples by repeating the endpoint sample, which starts no run:
-    scalars for one row, (k, 1) arrays for k rows."""
-    k = np.arange(width)
+    scalars for one row, (k, 1) arrays for k rows. From k0 > 0, only the
+    samples k0 .. k0 + width - 1 are taken, and the runs that start after
+    sample k0 are counted."""
+    k = np.arange(k0, k0 + width)
     t = np.where(k >= n, 1.0, k * (1.0 / n))
     cells = _cells(ay + t * dy, grid.resolution, grid.height - 1)
     cells *= grid.width
     cells += _cells(ax + t * dx, grid.resolution, grid.width - 1)
     hit = grid.materials.reshape(-1).take(cells) == _RUN_CODES.reshape((2,) + (1,) * cells.ndim)
-    return hit[..., 0] + (hit[..., 1:] > hit[..., :-1]).sum(axis=-1)
+    rises = (hit[..., 1:] > hit[..., :-1]).sum(axis=-1)
+    return hit[..., 0] + rises if k0 == 0 else rises
+
+
+def _piece_runs(grid: GridMap, ax, ay, dx, dy, n, cast) -> np.ndarray:
+    """Runs along the rows a-(a + d) (1-D arrays) listed in cast, zero on
+    the others, shape (2, rows), piece by piece: for k0 = 0, _PIECE,
+    2 * _PIECE, ..., the piece of _PIECE steps from sample k0 of every row
+    longer than k0 is box-tested, and sampled only if its box holds an
+    obstacle. The rows go _SAMPLE_BLOCK / 4 at a time, so that their boxes'
+    ends fill one sample block, and the pieces sampled at once hold about
+    _SAMPLE_BLOCK samples."""
+    runs = np.zeros((2, n.size), dtype=np.int64)
+    chunk, group = max(1, _SAMPLE_BLOCK // 4), max(1, _SAMPLE_BLOCK // (_PIECE + 1))
+    for i in range(0, cast.size, chunk):
+        live = cast[i:i + chunk]
+        for k0 in range(0, int(n[live].max()), _PIECE):
+            live = live[n[live] > k0]
+            box = _piece_box(grid, *(v[live] for v in (ax, ay, dx, dy, n)), k0)
+            sampled = live[np.flatnonzero(_box_obstacles(grid, box))]
+            for j in range(0, sampled.size, group):
+                rows = sampled[j:j + group, None]
+                runs[:, rows[:, 0]] += _sampled_runs(grid, ax[rows], ay[rows], dx[rows], dy[rows],
+                                                     n[rows], _PIECE + 1, k0)
+    return runs
 
 
 def segment_runs(grid: GridMap, ax, ay, bx, by, n) -> np.ndarray:
@@ -241,12 +294,16 @@ def segment_runs(grid: GridMap, ax, ay, bx, by, n) -> np.ndarray:
     one int for all); the result then has shape (2, ...). The sample
     parameters are bit-equal to np.linspace(0, 1, n + 1). Callers pass the
     endpoints in canonical order (a <= b), so counts are exactly symmetric;
-    a batch's box test relies on that order too.
+    a batch's box tests rely on that order too.
 
     A row's sample cells are monotone in t, so they all lie in the box of
     its first sample cell (at ax + 0.0 * (bx - ax) == ax) and its last (at
     ax + 1.0 * (bx - ax)). A row whose box holds no obstacle (four lookups
-    in grid.obstacle_table) has no runs and is not sampled.
+    in grid.obstacle_table) has no runs and is not sampled. When the rows
+    left hold more than _SAMPLE_BLOCK samples, each is cut into pieces of
+    _PIECE steps, and a piece is sampled only if the box of its first and
+    last sample cells holds an obstacle: a clean piece holds only FREE
+    samples, so no run starts in it.
     """
     res, W, H = grid.resolution, grid.width, grid.height
     table = grid.obstacle_table
@@ -263,21 +320,17 @@ def segment_runs(grid: GridMap, ax, ay, bx, by, n) -> np.ndarray:
     ax, ay, bx, by = (np.ravel(v) for v in (ax, ay, bx, by))
     n = np.ravel(n) if np.ndim(n) else np.full(ax.size, n)
     dx, dy = bx - ax, by - ay
-    # box[end, axis]: first and last sample cells, the last one + 1; canonical
-    # endpoints give ax <= ax + dx, so only the rows need sorting
-    box = _cells(np.concatenate((ax, ay, ax + dx, ay + dy), dtype=float).reshape(2, 2, -1),
-                 res, ((W - 1,), (H - 1,)))
-    box[:, 1].sort(axis=0)
-    box[1] += 1
-    box[:, 1] *= W + 1
-    corner = table.reshape(-1).take(box[:, None, 1] + box[None, :, 0])
-    inside = corner[1, 1] - corner[0, 1] - corner[1, 0] + corner[0, 0]
-    # the other rows, sorted by step count, in blocks of about _SAMPLE_BLOCK
+    # the first and last sample cells, the last at ax + 1.0 * dx
+    cast = np.flatnonzero(_box_obstacles(grid, _cells(
+        np.concatenate((ax, ay, ax + dx, ay + dy), dtype=float).reshape(2, 2, -1),
+        res, ((W - 1,), (H - 1,)))))
+    if n[cast].sum() + cast.size > _SAMPLE_BLOCK:
+        return _piece_runs(grid, ax, ay, dx, dy, n, cast).reshape(shape)
+    runs = np.zeros((2, ax.size), dtype=np.int64)
+    # the rows sorted by step count, in blocks of about _SAMPLE_BLOCK
     # samples, each padded to its longest row
-    cast = np.flatnonzero(inside)
     cast = cast[np.argsort(n[cast], kind="stable"), None]
     ax, ay, dx, dy, n = (v[cast] for v in (ax, ay, dx, dy, n))
-    runs = np.zeros((2, inside.size), dtype=np.int64)
     i = 0
     while i < cast.size:
         # the rows that fit the budget at the first row's width, then at the last's

@@ -147,21 +147,24 @@ def rss(grid: GridMap, tx: WorldPoint, rx: WorldPoint, params: RadioParams,
 
 
 def _traversal_field(grid: GridMap, tx: WorldPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Wall/glass run counts from tx to every cell center, in one
-    segment_runs call (obstacle cells included)."""
+    """Wall/glass run counts from tx to every free cell center, in one
+    segment_runs call; obstacle cells read (0, 0)."""
     res = grid.resolution
-    ex = ((np.arange(grid.width) + 0.5) * res)[None, :]
-    ey = ((np.arange(grid.height) + 0.5) * res)[:, None]
+    free = np.flatnonzero(grid.materials == FREE)
+    ex = (free % grid.width + 0.5) * res
+    ey = (free // grid.width + 0.5) * res
     tx0, ty0 = float(tx[0]), float(tx[1])
+    nsteps = np.maximum(1, np.ceil(np.hypot(ex - tx0, ey - ty0) / (res * 0.5))).astype(np.int64)
+    # canonical endpoints: s the smaller point, f the other (f overwrites e)
     swap = (ex < tx0) | ((ex == tx0) & (ey < ty0))
     sx = np.where(swap, ex, tx0)
     sy = np.where(swap, ey, ty0)
-    fx = np.where(swap, tx0, ex)
-    fy = np.where(swap, ty0, ey)
-    d = np.hypot(ex - tx0, ey - ty0)
-    nsteps = np.maximum(1, np.ceil(d / (res * 0.5))).astype(np.int64)
-    walls, glass = segment_runs(grid, sx[..., None], sy[..., None], fx[..., None],
-                                fy[..., None], nsteps[..., None])
+    fx, fy = ex, ey
+    fx[swap], fy[swap] = tx0, ty0
+    runs = np.zeros((2, grid.height * grid.width), dtype=np.int64)
+    runs[:, free] = segment_runs(grid, sx[:, None], sy[:, None], fx[:, None], fy[:, None],
+                                 nsteps[:, None])
+    walls, glass = runs.reshape(2, grid.height, grid.width)
     return walls, glass
 
 
@@ -236,24 +239,31 @@ def coverage_distance(params: RadioParams) -> float:
 
 class CoverageBook:
     """Radio memo over one grid: single-source coverage fields keyed by
-    source cell, shared by every book on the grid with equal parameters
-    (grid.coverage_fields), and this book's deterministic link losses keyed
-    by the canonical point pair (a loss is exactly reciprocal, so one entry
-    serves both directions).
+    source cell, whose rss arrays every book on the grid with equal
+    parameters shares (grid.coverage_fields), and this book's deterministic
+    link losses keyed by the canonical point pair (a loss is exactly
+    reciprocal, so one entry serves both directions). The map holds only
+    the arrays, not the RssFields, which refer back to it.
     """
 
     def __init__(self, grid: GridMap, params: RadioParams):
         self.grid = grid
         self.params = params
-        self._fields: dict[CellIndex, RssField] = grid.coverage_fields.setdefault(params, {})
+        self._rss: dict[CellIndex, np.ndarray] = grid.coverage_fields.setdefault(params, {})
+        self._fields: dict[CellIndex, RssField] = {}
         self._losses: dict[tuple[WorldPoint, WorldPoint], float] = {}
 
     def field_at(self, src: WorldPoint) -> RssField:
         cell = self.grid.to_cell(src)
         field = self._fields.get(cell)
         if field is None:
-            field = coverage_field(self.grid, self.grid.to_world(cell), self.params)
-            self._fields[cell] = field
+            tx = self.grid.to_world(cell)
+            rss = self._rss.get(cell)
+            if rss is None:
+                rss = self._rss[cell] = coverage_field(self.grid, tx, self.params).rss
+            field = self._fields[cell] = RssField(grid=self.grid, rss=rss, sources=(tx,),
+                                                  gamma=self.params.gamma,
+                                                  rss_ref=self.params.p_tx - self.params.l0)
         return field
 
     def combined(self, sources: list[WorldPoint]) -> RssField:

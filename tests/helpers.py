@@ -6,14 +6,17 @@ path code must match bit for bit, the path descent with its interpolation
 as a corner loop (which reads the lazy field through its march), the eager fast-marching loop that the
 resumable march must match bit for bit, an unpruned, unmemoised relay
 synthesis, a scalar raycast sampler, the one-pair movement cost, the
-coverage field built one step-count group at a time, the multipath draw
-seeded from a list of ints, the path loss over the scalar sampler, and the
-mission execution as one loop over parallel per-robot lists.
+coverage field built one step-count group at a time from whole rows, the
+multipath draw seeded from a list of ints, the path loss over the scalar
+sampler, the mission execution as one loop over parallel per-robot lists,
+and the SVG render with one loop over every cell per layer.
 These deliberately share no code with the package internals, except that
 the relay oracle calls the public radio model (rss and coverage fields),
 the movement-cost oracle calls count_traversals once per pair, the
-coverage-field oracle calls the raycast kernel once per step count, and the
-execution oracle calls the tick tree (which has an oracle of its own)."""
+coverage-field oracle calls the raycast kernel on batches too small to be
+cut into pieces, the execution oracle calls the tick tree (which has an
+oracle of its own), and the render oracle reads the coverage through a
+CoverageBook."""
 
 import heapq
 import itertools
@@ -22,6 +25,8 @@ from heapq import heappop, heappush
 
 import numpy as np
 
+from relaynet import gridmap
+from relaynet.cli import _CELL_PX, _PALETTE
 from relaynet.connectivity import InfeasibleRelayError, RelayPlan
 from relaynet.eikonal import (
     _RING,
@@ -31,7 +36,7 @@ from relaynet.eikonal import (
     VelocityField,
     _polyline_length,
 )
-from relaynet.gridmap import FREE, GridMap, count_traversals, segment_runs
+from relaynet.gridmap import FREE, GLASS, WALL, GridMap, count_traversals, segment_runs
 from relaynet.mission import (
     DeadlockError,
     GoalConnectivityStallError,
@@ -628,7 +633,9 @@ def path_loss_reference(grid: GridMap, tx, rx, params: RadioParams,
 
 
 def _traversal_field_reference(grid: GridMap, tx) -> tuple[np.ndarray, np.ndarray]:
-    """Wall/glass run counts from tx to every cell center."""
+    """Wall/glass run counts from tx to every cell center, obstacle cells
+    included, each call too small for segment_runs to cut its rows into
+    pieces."""
     res = grid.resolution
     H, W = grid.height, grid.width
     ex = np.tile((np.arange(W) + 0.5) * res, H)
@@ -643,17 +650,22 @@ def _traversal_field_reference(grid: GridMap, tx) -> tuple[np.ndarray, np.ndarra
     nsteps = np.maximum(1, np.ceil(d / (res * 0.5))).astype(np.int64)
     runs = np.empty((2, H * W), dtype=np.int64)
     for n in np.unique(nsteps):
-        sel = np.nonzero(nsteps == n)[0]
-        runs[:, sel] = segment_runs(grid, sx[sel, None], sy[sel, None],
-                                    fx[sel, None], fy[sel, None], int(n))
+        # calls of at most _SAMPLE_BLOCK samples, which sample whole rows
+        rows = gridmap._SAMPLE_BLOCK // (int(n) + 1)
+        assert rows > 0
+        group = np.nonzero(nsteps == n)[0]
+        for i in range(0, group.size, rows):
+            sel = group[i:i + rows]
+            runs[:, sel] = segment_runs(grid, sx[sel, None], sy[sel, None],
+                                        fx[sel, None], fy[sel, None], int(n))
     walls, glass = runs.reshape(2, H, W)
     return walls, glass
 
 
 def coverage_field_reference(grid: GridMap, tx, params: RadioParams) -> RssField:
     """Deterministic rss at every cell center for a single transmitter, as
-    coverage_field must build it bit for bit; one raycast call per
-    step-count group of cells."""
+    coverage_field must build it bit for bit; raycast whole rows, in calls
+    of one step count each."""
     grid.require_in_bounds(tx)
     txc = grid.to_cell(tx)
     if not grid.is_free_cell(txc):
@@ -838,3 +850,71 @@ def execute_mission_reference(plan, scenario, noise_seed: int | None = None,
                 }
                 raise DeadlockError(f"no progress at tick {tick}", waiting, trace)
         tick += 1
+
+
+def render_svg_reference(scenario, plan=None) -> str:
+    """The SVG render as render_svg must write it byte for byte, shading
+    and obstacle cells found by a loop over every cell."""
+    grid = scenario.map
+    s = _CELL_PX / grid.resolution
+    w_px = grid.width * _CELL_PX
+    h_px = grid.height * _CELL_PX
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w_px}" height="{h_px}" '
+        f'viewBox="0 0 {w_px} {h_px}">',
+        f'<rect x="0" y="0" width="{w_px}" height="{h_px}" fill="#ffffff"/>',
+    ]
+
+    sources = [scenario.bs]
+    posts = []
+    if plan is not None:
+        for segs in plan.robots:
+            for seg in segs:
+                if seg.purpose == "relay-move" and seg.post is not None:
+                    post = grid.to_world(tuple(seg.post))
+                    posts.append(post)
+                    sources.append(post)
+    book = CoverageBook(grid, scenario.radio)
+    mask = book.combined(sources).mask
+    for r in range(grid.height):
+        for c in range(grid.width):
+            if mask[r, c] and grid.materials[r, c] == FREE:
+                out.append(f'<rect x="{c * _CELL_PX}" y="{r * _CELL_PX}" '
+                           f'width="{_CELL_PX}" height="{_CELL_PX}" fill="#d6eaff"/>')
+    for r in range(grid.height):
+        for c in range(grid.width):
+            m = grid.materials[r, c]
+            if m == WALL:
+                fill = "#222222"
+            elif m == GLASS:
+                fill = "#7fd4d4"
+            else:
+                continue
+            out.append(f'<rect x="{c * _CELL_PX}" y="{r * _CELL_PX}" '
+                       f'width="{_CELL_PX}" height="{_CELL_PX}" fill="{fill}"/>')
+
+    if plan is not None:
+        for ri, segs in enumerate(plan.robots):
+            color = _PALETTE[ri % len(_PALETTE)]
+            for seg in segs:
+                if seg.path is None or len(seg.path.points) < 2:
+                    continue
+                pts = " ".join(f"{x * s:.2f},{y * s:.2f}" for x, y in seg.path.points)
+                dash = ' stroke-dasharray="4,3"' if seg.purpose == "relay-move" else ""
+                out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                           f'stroke-width="1.5"{dash}/>')
+
+    for g in scenario.goals:
+        out.append(f'<circle cx="{g[0] * s:.2f}" cy="{g[1] * s:.2f}" r="3.5" '
+                   f'fill="none" stroke="#1f3fbf" stroke-width="1.5"/>')
+    for p in posts:
+        x, y = p[0] * s, p[1] * s
+        out.append(f'<path d="M {x - 3.5:.2f} {y - 3.5:.2f} L {x + 3.5:.2f} {y + 3.5:.2f} '
+                   f'M {x - 3.5:.2f} {y + 3.5:.2f} L {x + 3.5:.2f} {y - 3.5:.2f}" '
+                   f'stroke="#d62728" stroke-width="1.8"/>')
+    for st in scenario.robot_starts:
+        out.append(f'<circle cx="{st[0] * s:.2f}" cy="{st[1] * s:.2f}" r="2.0" fill="#444444"/>')
+    bx, by = scenario.bs[0] * s, scenario.bs[1] * s
+    out.append(f'<rect x="{bx - 4:.2f}" y="{by - 4:.2f}" width="8" height="8" fill="#2ca02c"/>')
+    out.append("</svg>\n")
+    return "\n".join(out)

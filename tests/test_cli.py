@@ -1,9 +1,13 @@
+import dataclasses
+import gc
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path as FsPath
 
 import pytest
@@ -25,12 +29,14 @@ from relaynet.cli import (
     random_scenario,
     render_svg,
 )
+from relaynet.gridmap import GLASS, parse_map
 from relaynet.mission import InfeasibleScenarioError, plan_deployment
 from relaynet.radio import RadioParams, coverage_field
 
 import numpy as np
 
-from conftest import fig2_map, fig2_scenario
+from conftest import fig2_map, fig2_scenario, make_map
+from helpers import render_svg_reference
 
 SRC = FsPath(__file__).resolve().parents[1] / "src"
 
@@ -242,6 +248,30 @@ class TestRun:
         assert trace["completed"] is True
         assert trace["reached_goals"] == [0, 1, 2, 3, 4, 5]
 
+    def test_map_is_freed_when_the_command_returns(self, tmp_path, monkeypatch):
+        # the map holds its fields' rss arrays, not the RssFields that refer
+        # back to it, so no reference cycle keeps it (and its memos) alive
+        # until the cyclic collector runs
+        path = write_fig2_files(tmp_path, seed=11)
+        maps = []
+
+        def parse(text):
+            grid = parse_map(text)
+            maps.append(weakref.ref(grid))
+            return grid
+
+        monkeypatch.setattr(cli, "parse_map", parse)
+        gc.collect()
+        gc.disable()
+        try:
+            for mode in ("ca-fmm", "dpa-fmm"):
+                assert main(["run", str(path), "--mode", mode, "--noise-seed", "0",
+                             "--out", str(tmp_path / mode)]) == EXIT_OK
+                assert len(maps) == 1 and maps[0]() is None
+                maps.clear()
+        finally:
+            gc.enable()
+
 
 class TestCompare:
     def test_degenerate_rows_identical(self, tmp_path):
@@ -300,7 +330,6 @@ class TestCompare:
         assert len(lines) == 5 and not any(",NA" in line for line in lines)
         assert sc.map.to_cell(sc.bs) in built
         assert sorted(built) == sorted(set(built))
-
 
 class TestSweep:
     def test_single_trial_aggregate_equals_trial(self, tmp_path):
@@ -400,6 +429,27 @@ class TestRender:
         svg = render_svg(sc, plan)
         assert "stroke-dasharray" in svg  # relay moves drawn dashed
         assert svg.count("<circle") >= 6
+
+    def test_render_equals_cell_loop_oracle(self):
+        # the shading and obstacle cells picked from index arrays, in the
+        # row-major order of one loop over every cell, byte for byte
+        sc = fig2_scenario()
+        rows = sc.map.serialize().splitlines()[3:]
+        rows[5] = rows[5][:8] + "%" * 8 + rows[5][16:]
+        rows[14] = rows[14][:20] + "%#%" + rows[14][23:]
+        glassy = dataclasses.replace(sc, map=make_map(rows))
+        cases = []
+        for scenario in (sc, glassy):
+            plan = plan_deployment(scenario, "DP-FMM")
+            cases += [(scenario, None), (scenario, plan)]
+        assert any(seg.purpose == "relay-move" and seg.post is not None
+                   for seg in itertools.chain(*cases[1][1].robots))
+        assert (glassy.map.materials == GLASS).sum() == 10
+        for scenario, plan in cases:
+            svg = render_svg(scenario, plan)
+            assert svg == render_svg_reference(scenario, plan)
+            assert 'fill="#d6eaff"' in svg
+        assert 'fill="#7fd4d4"' in render_svg(glassy)
 
 
 class TestGenerator:

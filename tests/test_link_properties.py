@@ -1,18 +1,21 @@
 """Property tests of the link layer over small random maps and sparse ones
 (where most segments clear the obstacle table and are not sampled): the
-shared raycast kernel and its padded batches, the per-map raycast memo, the
-coverage field's run counts, the movement-cost matrix, the memoised pairwise
-rss, the multipath draw's seeding, the batched links and coverage, the tick
-tree, and the single BFS."""
+shared raycast kernel, its padded batches and its piece path (forced on
+small batches, and natural on the fans of two larger maps), the per-map
+raycast memo, the coverage field's run counts, the movement-cost matrix,
+the memoised pairwise rss, the multipath draw's seeding, the batched links
+and coverage, the tick tree, and the single BFS."""
 
 import itertools
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaynet import gridmap
 from relaynet.connectivity import bfs_tree, build_conn_graph, movement_cost, movement_costs
 from relaynet.gridmap import (
     GridMap,
@@ -351,13 +354,127 @@ def test_sparse_map_kernel_equals_scalar_oracle(data):
 @PROPS
 @given(st.data())
 def test_field_counts_equal_count_traversals(data):
+    # rays go to the free cells only: an obstacle cell reads (0, 0), and
+    # coverage_field gives it NO_SIGNAL whatever its counts
     grid = data.draw(small_maps() | sparse_maps())
     tx = data.draw(points(grid))
     walls, glass = _traversal_field(grid, tx)
     for r in range(grid.height):
         for c in range(grid.width):
-            counts = count_traversals(grid, tx, grid.to_world((c, r)))
+            counts = count_traversals(grid, tx, grid.to_world((c, r))) \
+                if grid.is_free_cell((c, r)) else (0, 0)
             assert (walls[r, c], glass[r, c]) == tuple(counts)
+
+
+@contextmanager
+def pieces(block: int, piece: int):
+    """segment_runs with the given sample block and piece length; yields
+    the list of the row counts handed to the piece path."""
+    calls = []
+
+    def spy(grid, ax, ay, dx, dy, n, cast):
+        calls.append(cast.size)
+        return piece_runs(grid, ax, ay, dx, dy, n, cast)
+
+    piece_runs = gridmap._piece_runs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridmap, "_SAMPLE_BLOCK", block)
+        mp.setattr(gridmap, "_PIECE", piece)
+        mp.setattr(gridmap, "_piece_runs", spy)
+        yield calls
+
+
+def piece_steps(data, piece: int, natural: int):
+    """A step count around the piece length P: n < P, n = P, kP, kP + 1,
+    the segment's own count, or any other."""
+    k = data.draw(st.integers(1, 5))
+    return data.draw(st.sampled_from([max(1, piece - 1), piece, k * piece, k * piece + 1,
+                                      natural, 1]) | st.integers(1, 90))
+
+
+@PROPS
+@given(st.data())
+def test_piece_path_equals_scalar_oracle(data):
+    # cast rows cut into pieces under a sample block of 0-40 samples, so
+    # that 1-10 rows are box-tested and 1-20 pieces sampled at a time:
+    # padded last pieces, far-edge endpoints, coincident endpoints and rows
+    # of mixed step counts
+    grid = data.draw(small_maps() | sparse_maps())
+    ww, wh = grid.world_width, grid.world_height
+    edge = [(0.0, 0.0), (ww, 0.0), (0.0, wh), (ww, wh), (ww, wh / 2), (ww / 2, wh)]
+    ends = points(grid) | st.sampled_from(edge)
+    segs = data.draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=8))
+    segs = [(a, b) if a <= b else (b, a) for a, b in segs]
+    if data.draw(st.booleans()):
+        segs.append((segs[0][1], segs[0][1]))
+    piece = data.draw(st.integers(1, 6))
+    steps = [piece_steps(data, piece, segment_steps(grid, a, b)) for a, b in segs]
+    expected = [scalar_runs(grid, a, b, n) for (a, b), n in zip(segs, steps)]
+    ax, ay, bx, by = (np.array([[p[k]] for p in e]) for e in zip(*segs) for k in (0, 1))
+    block = data.draw(st.sampled_from([0, 4, 12, 40]))
+    with pieces(block, piece) as calls:
+        batch = segment_runs(grid, ax, ay, bx, by, np.array(steps)[:, None])
+    assert [tuple(runs) for runs in batch.T.tolist()] == expected
+    # a row with runs is cast, so its samples count towards the block
+    if sum(n + 1 for n, runs in zip(steps, expected) if any(runs)) > block:
+        assert calls
+
+
+@PROPS
+@given(st.data())
+def test_piece_path_with_obstacles_on_piece_boundaries(data):
+    # wall and glass cells placed on the samples where pieces meet (k = jP)
+    # and next to them, where a piece's box test and its first sample decide
+    grid = data.draw(sparse_maps())
+    a, b = sorted(data.draw(st.tuples(points(grid), points(grid))))
+    piece = data.draw(st.integers(1, 6))
+    n = piece_steps(data, piece, segment_steps(grid, a, b))
+    materials = grid.materials.copy()
+    res = grid.resolution
+    for k in data.draw(st.lists(st.integers(0, n // piece), min_size=1, max_size=4)):
+        k = min(n, k * piece + data.draw(st.sampled_from([0, 0, -1, 1])))
+        t = np.linspace(0.0, 1.0, n + 1)[max(k, 0)]
+        col = min(int((a[0] + t * (b[0] - a[0])) / res), grid.width - 1)
+        row = min(int((a[1] + t * (b[1] - a[1])) / res), grid.height - 1)
+        materials[row, col] = data.draw(st.sampled_from([1, 2]))
+    grid = GridMap(width=grid.width, height=grid.height, resolution=res, materials=materials)
+    expected = scalar_runs(grid, a, b, n)
+    with pieces(0, piece) as calls:
+        batch = segment_runs(grid, *(np.array([[v]]) for v in (*a, *b)), np.array([[n]]))
+    assert tuple(batch[:, 0].tolist()) == expected
+    assert calls
+
+
+def fan_map(dense: bool) -> GridMap:
+    """A 96 x 96 map whose fan of rays from any free cell holds more samples
+    than one sample block: a quarter wall or glass, where more rows are
+    cast than are box-tested at once, or four obstacles in the open."""
+    rng = np.random.default_rng(5)
+    if dense:
+        materials = np.where(rng.random((96, 96)) < 0.25, rng.integers(1, 3, (96, 96)), 0)
+    else:
+        materials = np.zeros((96, 96), dtype=np.int64)
+        materials[[20, 30, 31, 84], [17, 40, 40, 9]] = [1, 2, 1, 2]
+    return GridMap(width=96, height=96, resolution=0.5, materials=materials.astype(np.uint8))
+
+
+FAN_MAPS = {dense: fan_map(dense) for dense in (True, False)}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_natural_fan_above_the_sample_block_equals_scalar_oracle(data):
+    # a coverage field's fan, cut into pieces at the package's own sizes,
+    # checked row by row against the scalar sampler on a drawn subset
+    grid = FAN_MAPS[data.draw(st.booleans())]
+    free = [(c, r) for r in range(grid.height) for c in range(grid.width)
+            if grid.is_free_cell((c, r))]
+    tx = grid.to_world(data.draw(st.sampled_from(free)))
+    with pieces(gridmap._SAMPLE_BLOCK, gridmap._PIECE) as calls:
+        walls, glass = _traversal_field(grid, tx)
+    assert calls
+    for c, r in data.draw(st.lists(st.sampled_from(free), min_size=20, max_size=40)):
+        assert (walls[r, c], glass[r, c]) == scalar_runs(grid, tx, grid.to_world((c, r)))
 
 
 @PROPS

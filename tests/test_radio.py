@@ -187,8 +187,10 @@ def _next_to_walls(grid: GridMap, count: int) -> list[tuple[int, int]]:
 
 
 class TestCoverageFieldOracle:
-    """coverage_field (one raycast call over every cell) against the field
-    built one step-count group at a time, bit for bit, -inf included."""
+    """coverage_field (one raycast call over the free cells, its rows cut
+    into pieces on hall128) against the field built from whole rows to
+    every cell, one step-count group at a time, bit for bit, -inf
+    included."""
 
     @staticmethod
     def check(grid: GridMap, tx, params: RadioParams):
@@ -351,7 +353,11 @@ class TestValidation:
         for c in cells:
             ref = coverage_field_reference(m, m.to_world(c), params)
             field = a.field_at(m.to_world(c))
-            assert b.field_at((m.to_world(c)[0] + 0.1, m.to_world(c)[1] - 0.1)) is field
+            # each book wraps the map's one rss array in an RssField of its own
+            other = b.field_at((m.to_world(c)[0] + 0.1, m.to_world(c)[1] - 0.1))
+            assert other is not field and other.rss is field.rss
+            assert (other.sources, other.gamma, other.rss_ref) == (field.sources, field.gamma,
+                                                                   field.rss_ref)
             assert np.array_equal(field.rss, ref.rss)
             assert (field.sources, field.gamma, field.rss_ref) == (ref.sources, ref.gamma,
                                                                    ref.rss_ref)
