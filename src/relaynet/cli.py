@@ -23,13 +23,13 @@ from .mission import (
     GoalConnectivityStallError,
     InfeasibleScenarioError,
     Metrics,
-    MissionTrace,
+    ReplanBudgetError,
     Scenario,
     compute_metrics,
     execute_mission,
     normalize_mode,
     plan_deployment,
-    replan,
+    run_with_replan,
 )
 from .radio import CoverageBook, InfeasibleRadioError, RadioConfigError, RadioParams
 
@@ -41,14 +41,7 @@ EXIT_INFEASIBLE = 3
 EXIT_RUNTIME = 4
 EXIT_IO = 5
 
-REPLAN_BUDGET = 5
-
-
 class SchemaError(ValueError):
-    pass
-
-
-class ReplanBudgetError(RuntimeError):
     pass
 
 
@@ -59,10 +52,9 @@ _EXPERIMENT_KEYS = {"map_size", "obstacle_density", "goal_counts", "trials", "mo
 
 
 def _point(value, what: str) -> WorldPoint:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise SchemaError(f"{what} must be an [x, y] pair, got {value!r}")
-    return (float(value[0]), float(value[1]))
+    return (_number(value[0], f"{what} x"), _number(value[1], f"{what} y"))
 
 
 def _points(value, what: str) -> list[WorldPoint]:
@@ -102,18 +94,24 @@ def _radio(block, seed: int = 0) -> RadioParams:
         raise SchemaError(f"bad radio parameters: {e}") from e
 
 
-def load_scenario(path: str | FsPath) -> Scenario:
-    """Read and validate a scenario JSON file; unknown keys are rejected."""
-    path = FsPath(path)
+def _json_object(path: FsPath, what: str, keys: set[str]) -> dict:
+    """The JSON object in the file at path, whose keys must come from keys."""
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(data, dict):
-        raise SchemaError(f"{path}: scenario must be a JSON object")
-    unknown = set(data) - _SCENARIO_KEYS
+        raise SchemaError(f"{path}: {what} must be a JSON object")
+    unknown = set(data) - keys
     if unknown:
         raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
+    return data
+
+
+def load_scenario(path: str | FsPath) -> Scenario:
+    """Read and validate a scenario JSON file; unknown keys are rejected."""
+    path = FsPath(path)
+    data = _json_object(path, "scenario", _SCENARIO_KEYS)
     for key in ("map", "bs", "robot_starts", "goals"):
         if key not in data:
             raise SchemaError(f"{path}: missing required key {key!r}")
@@ -121,10 +119,6 @@ def load_scenario(path: str | FsPath) -> Scenario:
     if not isinstance(data["map"], str):
         raise SchemaError(f"{path}: map must be a file name, got {data['map']!r}")
     grid = parse_map((path.parent / data["map"]).read_text())
-
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise SchemaError(f"{path}: seed must be a nonnegative integer")
 
     # absent optional fields take the Scenario defaults
     knobs = data.get("knobs", {})
@@ -134,7 +128,7 @@ def load_scenario(path: str | FsPath) -> Scenario:
     if unknown:
         raise SchemaError(f"{path}: unknown knob keys {sorted(unknown)}")
     try:
-        radio = _radio(data.get("radio", {}), seed)
+        radio = _radio(data.get("radio", {}), _integer(data.get("seed", 0), "seed", 0))
         optional = {key: _integer(value, f"knob {key}", _KNOB_MINIMA[key])
                     for key, value in knobs.items()}
         if "w_c" in data:
@@ -158,15 +152,7 @@ def load_scenario(path: str | FsPath) -> Scenario:
 def load_experiment(path: str | FsPath) -> dict:
     """Read and validate a sweep experiment JSON file; unknown keys are rejected."""
     path = FsPath(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: invalid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: experiment must be a JSON object")
-    unknown = set(data) - _EXPERIMENT_KEYS
-    if unknown:
-        raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
+    data = _json_object(path, "experiment", _EXPERIMENT_KEYS)
     map_size = data.get("map_size", [32, 32])
     goal_counts = data.get("goal_counts", [6])
     modes = data.get("modes", list(mission.MODES))
@@ -387,65 +373,6 @@ def metrics_csv_rows(results: dict[str, Metrics | None]) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # commands
-
-
-def _merge_traces(traces: list[MissionTrace], goal_maps: list[list[int]]) -> MissionTrace:
-    """Concatenate partial traces, translating per-attempt goal indices back
-    to the original goal list via goal_maps."""
-    positions, parents, connected, active = [], [], [], []
-    events = []
-    reached: set[int] = set()
-    offset = 0
-    for i, tr in enumerate(traces):
-        gmap = goal_maps[i]
-        skip = 1 if i > 0 else 0  # boundary tick duplicates the previous state
-        positions.extend(tr.positions[skip:])
-        parents.extend(tr.parents[skip:])
-        connected.extend(tr.connected[skip:])
-        active.extend(tr.active[skip:])
-        for e in tr.events:
-            data = dict(e.data)
-            if "goal" in data:
-                data["goal"] = gmap[data["goal"]]
-            events.append(mission.MissionEvent(e.tick + offset, e.kind, e.robot, data))
-        reached |= {gmap[g] for g in tr.reached_goals}
-        offset = len(positions) - 1
-    return MissionTrace(positions=positions, parents=parents, connected=connected,
-                        active=active, events=events, reached_goals=reached,
-                        completed=traces[-1].completed)
-
-
-def run_with_replan(scenario: Scenario, mode: str, noise_seed: int | None,
-                    budget: int = REPLAN_BUDGET) -> tuple[MissionTrace, DeploymentPlan, int]:
-    """Plan and execute; on a goal-connectivity stall under noise, replan from
-    the stalled state (up to budget times) and continue."""
-    plan = plan_deployment(scenario, mode)
-    merged_plan = [list(segs) for segs in plan.robots]
-    traces: list[MissionTrace] = []
-    goal_maps: list[list[int]] = [list(range(len(scenario.goals)))]
-    sc = scenario
-    cur_plan = plan
-    replans = 0
-    while True:
-        try:
-            tr = execute_mission(cur_plan, sc, noise_seed=noise_seed)
-            traces.append(tr)
-            break
-        except GoalConnectivityStallError as stall:
-            replans += 1
-            if replans > budget:
-                raise ReplanBudgetError(
-                    f"replan budget of {budget} exhausted under noise seed {noise_seed}"
-                ) from stall
-            tr = stall.trace
-            traces.append(tr)
-            remaining_ids = [g for i, g in enumerate(goal_maps[-1]) if i not in tr.reached_goals]
-            log.info("replan %d: %d goals remain", replans, len(remaining_ids))
-            goal_maps.append(remaining_ids)
-            sc, cur_plan = replan(sc, tr.reached_goals, tr.positions[-1])
-            for r in range(len(merged_plan)):
-                merged_plan[r].extend(cur_plan.robots[r])
-    return _merge_traces(traces, goal_maps), DeploymentPlan(plan.mode, merged_plan), replans
 
 
 def _do_plan(sc: Scenario, mode: str, out_dir: str) -> int:

@@ -282,7 +282,7 @@ def plan_relays(book: CoverageBook, goals: list[WorldPoint], free_robots: list[W
     while True:
         positions = node_list()
         n = len(positions)
-        edges = list(build_conn_graph(book, positions).edges)
+        edges = book.links(positions)
         depth = bfs_tree(n, edges)[1]
         depths = goal_depths(depth)
         unreachable = [gi for gi, d in enumerate(depths) if d is None]

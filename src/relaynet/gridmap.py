@@ -299,11 +299,12 @@ def segment_runs(grid: GridMap, ax, ay, bx, by, n) -> np.ndarray:
     A row's sample cells are monotone in t, so they all lie in the box of
     its first sample cell (at ax + 0.0 * (bx - ax) == ax) and its last (at
     ax + 1.0 * (bx - ax)). A row whose box holds no obstacle (four lookups
-    in grid.obstacle_table) has no runs and is not sampled. When the rows
-    left hold more than _SAMPLE_BLOCK samples, each is cut into pieces of
-    _PIECE steps, and a piece is sampled only if the box of its first and
-    last sample cells holds an obstacle: a clean piece holds only FREE
-    samples, so no run starts in it.
+    in grid.obstacle_table) has no runs and is not sampled. The rows left,
+    each padded to the longest, are sampled in one call when they fit
+    _SAMPLE_BLOCK samples. Otherwise each is cut into pieces of _PIECE
+    steps, and a piece is sampled only if the box of its first and last
+    sample cells holds an obstacle: a clean piece holds only FREE samples,
+    so no run starts in it.
     """
     res, W, H = grid.resolution, grid.width, grid.height
     table = grid.obstacle_table
@@ -324,21 +325,14 @@ def segment_runs(grid: GridMap, ax, ay, bx, by, n) -> np.ndarray:
     cast = np.flatnonzero(_box_obstacles(grid, _cells(
         np.concatenate((ax, ay, ax + dx, ay + dy), dtype=float).reshape(2, 2, -1),
         res, ((W - 1,), (H - 1,)))))
-    if n[cast].sum() + cast.size > _SAMPLE_BLOCK:
+    # the cast rows, each padded to the longest with its endpoint sample
+    width = int(n[cast].max(initial=0)) + 1
+    if cast.size * width > _SAMPLE_BLOCK:
         return _piece_runs(grid, ax, ay, dx, dy, n, cast).reshape(shape)
     runs = np.zeros((2, ax.size), dtype=np.int64)
-    # the rows sorted by step count, in blocks of about _SAMPLE_BLOCK
-    # samples, each padded to its longest row
-    cast = cast[np.argsort(n[cast], kind="stable"), None]
-    ax, ay, dx, dy, n = (v[cast] for v in (ax, ay, dx, dy, n))
-    i = 0
-    while i < cast.size:
-        # the rows that fit the budget at the first row's width, then at the last's
-        j = min(cast.size, i + max(1, _SAMPLE_BLOCK // int(n[i, 0] + 1)))
-        j = i + max(1, min(j - i, _SAMPLE_BLOCK // int(n[j - 1, 0] + 1)))
-        runs[:, cast[i:j, 0]] = _sampled_runs(grid, ax[i:j], ay[i:j], dx[i:j], dy[i:j],
-                                              n[i:j], int(n[j - 1, 0]) + 1)
-        i = j
+    if cast.size:
+        rows = cast[:, None]
+        runs[:, cast] = _sampled_runs(grid, ax[rows], ay[rows], dx[rows], dy[rows], n[rows], width)
     return runs.reshape(shape)
 
 

@@ -5,6 +5,7 @@ mission execution with waiting semantics, reactive replanning, and metrics.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
@@ -15,10 +16,8 @@ from .connectivity import (
     InfeasibleRelayError,
     RelayPlan,
     bfs_tree,
-    build_conn_graph,
     check_feasibility,
     hungarian_assign,
-    min_hop_tree,
     movement_cost,
     movement_costs,
     plan_relays,
@@ -26,6 +25,8 @@ from .connectivity import (
 from .eikonal import Path, ca_fmm_path
 from .gridmap import CellIndex, GridMap, WorldPoint
 from .radio import CoverageBook, RadioParams, rss
+
+log = logging.getLogger("relaynet")
 
 MODES = ("FMM", "CA-FMM", "DP-FMM", "DPA-FMM")
 
@@ -73,6 +74,10 @@ class GoalConnectivityStallError(RuntimeError):
     def tick(self) -> int:
         """The stall tick, read from the trace."""
         return self.trace.ticks
+
+
+class ReplanBudgetError(RuntimeError):
+    pass
 
 
 def normalize_mode(mode: str) -> str:
@@ -393,7 +398,7 @@ def _plan_simple(sc: Scenario, mode: str) -> DeploymentPlan:
     robot_of_goal = {g: r for r, g in asn.pairs}
 
     if mode == "CA-FMM":
-        depth = min_hop_tree(build_conn_graph(pl.book, [sc.bs] + goals)).depth
+        depth = bfs_tree(len(goals) + 1, pl.book.links([sc.bs] + goals))[1]
         order = sorted(range(len(goals)), key=lambda g: (depth[g + 1] is None, depth[g + 1] or 0, g))
     else:
         order = sorted(robot_of_goal.keys())
@@ -623,12 +628,18 @@ def plan_deployment(scenario: Scenario, mode: str,
         raise InfeasibleScenarioError(f"planning failed: {e}") from e
 
 
+def _unreached(items: list, reached_goals: set[int]) -> list:
+    """The items whose goal index is not in reached_goals: a reduced
+    scenario's goal list, or the original ids of its goals."""
+    return [x for i, x in enumerate(items) if i not in reached_goals]
+
+
 def replan(scenario_updated: Scenario, reached_goals: set[int], robot_positions: list[WorldPoint],
            committed_relays: tuple[tuple[int, WorldPoint], ...] = ()) -> tuple[Scenario, DeploymentPlan]:
     """Re-run the full DPA pipeline from the robots' current positions with
     reached goals dropped: the reduced scenario and its plan, whose goal
     indices refer to the reduced goal list. Committed relays keep their posts."""
-    goals = [g for i, g in enumerate(scenario_updated.goals) if i not in reached_goals]
+    goals = _unreached(scenario_updated.goals, reached_goals)
     sc = replace(scenario_updated, robot_starts=[tuple(p) for p in robot_positions], goals=goals)
     return sc, plan_deployment(sc, "DPA-FMM", fixed_relays=committed_relays)
 
@@ -819,6 +830,54 @@ def execute_mission(plan: DeploymentPlan, scenario: Scenario,
         if tick > 0 and not moved and not fired:
             check_deadlock(tick)
         tick += 1
+
+
+REPLAN_BUDGET = 5
+
+
+def run_with_replan(scenario: Scenario, mode: str, noise_seed: int | None,
+                    budget: int = REPLAN_BUDGET) -> tuple[MissionTrace, DeploymentPlan, int]:
+    """Plan and execute; on a goal-connectivity stall under noise, replan from
+    the stalled state (up to budget times) and continue. Each attempt is
+    appended to one trace as it ends, its goal indices mapped back to the
+    scenario's through goal_ids, the original index of each goal of the
+    current (reduced) scenario; the plan is every attempt's segments."""
+    plan = plan_deployment(scenario, mode)
+    robots = [list(segs) for segs in plan.robots]
+    trace = MissionTrace([], [], [], [], [], set(), False)
+    goal_ids = list(range(len(scenario.goals)))
+    sc, cur = scenario, plan
+    replans = 0
+    while True:
+        try:
+            part = execute_mission(cur, sc, noise_seed=noise_seed)
+        except GoalConnectivityStallError as stall:
+            replans += 1
+            if replans > budget:
+                raise ReplanBudgetError(
+                    f"replan budget of {budget} exhausted under noise seed {noise_seed}"
+                ) from stall
+            part = stall.trace
+        # a replanned attempt starts on the stall tick's state, which the
+        # trace already ends on
+        skip = 1 if trace.positions else 0
+        offset = len(trace.positions) - skip
+        for rows, more in zip((trace.positions, trace.parents, trace.connected, trace.active),
+                              (part.positions, part.parents, part.connected, part.active)):
+            rows.extend(more[skip:])
+        trace.events.extend(
+            MissionEvent(e.tick + offset, e.kind, e.robot,
+                         {**e.data, "goal": goal_ids[e.data["goal"]]} if "goal" in e.data else e.data)
+            for e in part.events)
+        trace.reached_goals.update(goal_ids[g] for g in part.reached_goals)
+        if part.completed:  # execute_mission returns only a completed mission
+            trace.completed = True
+            return trace, DeploymentPlan(plan.mode, robots), replans
+        goal_ids = _unreached(goal_ids, part.reached_goals)
+        log.info("replan %d: %d goals remain", replans, len(goal_ids))
+        sc, cur = replan(sc, part.reached_goals, part.positions[-1])
+        for segs, more in zip(robots, cur.robots):
+            segs.extend(more)
 
 
 def compute_metrics(trace: MissionTrace, plan: DeploymentPlan) -> Metrics:

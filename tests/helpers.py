@@ -9,13 +9,15 @@ synthesis, a scalar raycast sampler, the one-pair movement cost, the
 coverage field built one step-count group at a time from whole rows, the
 multipath draw seeded from a list of ints, the path loss over the scalar
 sampler, the mission execution as one loop over parallel per-robot lists,
-and the SVG render with one loop over every cell per layer.
+the replan loop that keeps every attempt's trace and merges them at the
+end, and the SVG render with one loop over every cell per layer.
 These deliberately share no code with the package internals, except that
 the relay oracle calls the public radio model (rss and coverage fields),
 the movement-cost oracle calls count_traversals once per pair, the
 coverage-field oracle calls the raycast kernel on batches too small to be
 cut into pieces, the execution oracle calls the tick tree (which has an
-oracle of its own), and the render oracle reads the coverage through a
+oracle of its own), the replan oracle plans, executes and replans with the
+package, and the render oracle reads the coverage through a
 CoverageBook."""
 
 import heapq
@@ -39,10 +41,15 @@ from relaynet.eikonal import (
 from relaynet.gridmap import FREE, GLASS, WALL, GridMap, count_traversals, segment_runs
 from relaynet.mission import (
     DeadlockError,
+    DeploymentPlan,
     GoalConnectivityStallError,
     MissionEvent,
     MissionTrace,
+    ReplanBudgetError,
     _tick_tree,
+    execute_mission,
+    plan_deployment,
+    replan,
 )
 from relaynet.radio import (
     MIN_SEPARATION,
@@ -850,6 +857,65 @@ def execute_mission_reference(plan, scenario, noise_seed: int | None = None,
                 }
                 raise DeadlockError(f"no progress at tick {tick}", waiting, trace)
         tick += 1
+
+
+def _merge_traces_reference(traces: list[MissionTrace], goal_maps: list[list[int]]) -> MissionTrace:
+    """Concatenate partial traces, translating per-attempt goal indices back
+    to the original goal list via goal_maps."""
+    positions, parents, connected, active = [], [], [], []
+    events = []
+    reached: set[int] = set()
+    offset = 0
+    for i, tr in enumerate(traces):
+        gmap = goal_maps[i]
+        skip = 1 if i > 0 else 0  # boundary tick duplicates the previous state
+        positions.extend(tr.positions[skip:])
+        parents.extend(tr.parents[skip:])
+        connected.extend(tr.connected[skip:])
+        active.extend(tr.active[skip:])
+        for e in tr.events:
+            data = dict(e.data)
+            if "goal" in data:
+                data["goal"] = gmap[data["goal"]]
+            events.append(MissionEvent(e.tick + offset, e.kind, e.robot, data))
+        reached |= {gmap[g] for g in tr.reached_goals}
+        offset = len(positions) - 1
+    return MissionTrace(positions=positions, parents=parents, connected=connected,
+                        active=active, events=events, reached_goals=reached,
+                        completed=traces[-1].completed)
+
+
+def run_with_replan_reference(scenario, mode: str, noise_seed: int | None,
+                              budget: int = 5) -> tuple[MissionTrace, DeploymentPlan, int]:
+    """The replan loop as run_with_replan must return and raise it: every
+    attempt's trace kept in a list with the goal indices of its scenario,
+    and the traces merged once the last attempt ends."""
+    plan = plan_deployment(scenario, mode)
+    merged_plan = [list(segs) for segs in plan.robots]
+    traces: list[MissionTrace] = []
+    goal_maps: list[list[int]] = [list(range(len(scenario.goals)))]
+    sc = scenario
+    cur_plan = plan
+    replans = 0
+    while True:
+        try:
+            tr = execute_mission(cur_plan, sc, noise_seed=noise_seed)
+            traces.append(tr)
+            break
+        except GoalConnectivityStallError as stall:
+            replans += 1
+            if replans > budget:
+                raise ReplanBudgetError(
+                    f"replan budget of {budget} exhausted under noise seed {noise_seed}"
+                ) from stall
+            tr = stall.trace
+            traces.append(tr)
+            remaining_ids = [g for i, g in enumerate(goal_maps[-1]) if i not in tr.reached_goals]
+            goal_maps.append(remaining_ids)
+            sc, cur_plan = replan(sc, tr.reached_goals, tr.positions[-1])
+            for r in range(len(merged_plan)):
+                merged_plan[r].extend(cur_plan.robots[r])
+    return _merge_traces_reference(traces, goal_maps), DeploymentPlan(plan.mode, merged_plan), replans
 
 
 def render_svg_reference(scenario, plan=None) -> str:

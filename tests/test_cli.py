@@ -13,6 +13,7 @@ from pathlib import Path as FsPath
 import pytest
 
 import relaynet.cli as cli
+import relaynet.mission as mission
 import relaynet.radio as radio
 from relaynet.cli import (
     EXIT_INFEASIBLE,
@@ -104,6 +105,8 @@ class TestScenarioSchema:
         ("p_tx", {"radio": {"p_tx": "x"}}),
         ("l0", {"radio": {"l0": True}}),
         ("gamma", {"radio": {"gamma": math.nan}}),
+        ("seed", {"seed": True}),
+        ("bs", {"bs": [True, 6.0]}),
     ])
     def test_malformed_field_is_a_schema_error(self, tmp_path, key, extra):
         path = write_fig2_files(tmp_path, **extra)
@@ -499,7 +502,10 @@ class TestOverrides:
         def never(*args, **kwargs):
             raise AssertionError("plan_deployment called")
 
+        # run plans through mission.run_with_replan, which looks the planner
+        # up in mission
         monkeypatch.setattr(cli, "plan_deployment", never)
+        monkeypatch.setattr(mission, "plan_deployment", never)
         path = write_fig2_files(tmp_path)
         assert main(["run", str(path), "--noise-seed", "-1",
                      "--out", str(tmp_path / "o")]) == EXIT_SCHEMA

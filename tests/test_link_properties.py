@@ -445,6 +445,40 @@ def test_piece_path_with_obstacles_on_piece_boundaries(data):
     assert calls
 
 
+@PROPS
+@given(st.data())
+def test_batch_is_sampled_in_one_call_or_in_pieces(data):
+    # the cast rows of a batch go to one padded call when rows x (longest
+    # n + 1) fits the sample block, else to the piece path: blocks just
+    # over and just under that bound, and blocks that hold the rows' step
+    # sum but not their padded size (which a loop over sorted blocks used
+    # to split), with the block patched small; rows across a full-height
+    # obstacle column are always cast, rows on one free cell never are
+    grid = data.draw(small_maps().filter(lambda g: g.width >= 3))
+    res, col = grid.resolution, grid.width // 2
+    materials = grid.materials.copy()
+    materials[:, col] = data.draw(st.sampled_from([1, 2]))
+    materials[0, 0] = 0
+    grid = GridMap(width=grid.width, height=grid.height, resolution=res, materials=materials)
+    left = st.tuples(st.floats(0.0, col * res, exclude_max=True), st.floats(0.0, grid.world_height))
+    right = st.tuples(st.floats((col + 1) * res, grid.world_width), st.floats(0.0, grid.world_height))
+    cast = data.draw(st.lists(st.tuples(left, right, st.integers(1, 40)), min_size=1, max_size=8))
+    clear = data.draw(st.lists(st.tuples(st.just((0.1, 0.1)), st.just((0.1, 0.1)),
+                                         st.integers(1, 200)), max_size=3))
+    rows = data.draw(st.permutations(cast + clear))
+    padded = len(cast) * (max(n for _, _, n in cast) + 1)
+    total = sum(n + 1 for _, _, n in cast)
+    block = data.draw(st.sampled_from([padded, padded + 1, padded - 1, max(0, padded - 2)])
+                      | st.integers(total, max(total, padded - 1)))
+    ax, ay, bx, by = (np.array([[row[end][k]] for row in rows]) for end in (0, 1) for k in (0, 1))
+    steps = np.array([[n] for _, _, n in rows])
+    with pieces(block, data.draw(st.integers(1, 6))) as calls:
+        batch = segment_runs(grid, ax, ay, bx, by, steps)
+    assert [tuple(runs) for runs in batch.T.tolist()] == [scalar_runs(grid, a, b, n)
+                                                          for a, b, n in rows]
+    assert bool(calls) == (padded > block)
+
+
 def fan_map(dense: bool) -> GridMap:
     """A 96 x 96 map whose fan of rays from any free cell holds more samples
     than one sample block: a quarter wall or glass, where more rows are

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import logging
 import math
 
 import numpy as np
@@ -10,18 +12,22 @@ from relaynet.mission import (
     MODES,
     DeadlockError,
     DeploymentPlan,
+    GoalConnectivityStallError,
     InfeasibleScenarioError,
     MissionTrace,
     PlanSegment,
+    ReplanBudgetError,
     Scenario,
     compute_metrics,
     execute_mission,
     normalize_mode,
     plan_deployment,
     replan,
+    run_with_replan,
 )
 from relaynet.radio import RadioParams
 
+import helpers
 from conftest import corridor_scenario, fig2_scenario, make_map, open_map
 
 
@@ -301,6 +307,51 @@ class TestReplan:
         seen = {s.goal_index for segs in plan.robots for s in segs
                 if s.purpose == "primary-goal"}
         assert seen == set(range(4))  # the four remaining goals, reindexed
+
+
+class TestRunWithReplan:
+    """run_with_replan, which appends each attempt to one trace, against
+    helpers.run_with_replan_reference, which merged a list of traces at the
+    end. fig2 under noise stalls once at the default hold limit of 25
+    ticks; at a hold limit of 0, noise seed 3 stalls twice and noise seed 0
+    more than five times."""
+
+    @staticmethod
+    def hold(monkeypatch, limit: int) -> None:
+        run = functools.partial(execute_mission, hold_limit=limit)
+        monkeypatch.setattr(mission, "execute_mission", run)
+        monkeypatch.setattr(helpers, "execute_mission", run)
+
+    @pytest.mark.parametrize("mode", ["fmm", "ca-fmm"])
+    @pytest.mark.parametrize("noise_seed, hold_limit, replans", [(0, 25, 1), (5, 25, 1), (3, 0, 2)])
+    def test_equals_the_merging_reference(self, monkeypatch, caplog, mode, noise_seed,
+                                          hold_limit, replans):
+        self.hold(monkeypatch, hold_limit)
+        with caplog.at_level(logging.INFO, logger="relaynet"):
+            trace, plan, count = run_with_replan(fig2_scenario(), mode, noise_seed)
+        ref_trace, ref_plan, ref_count = helpers.run_with_replan_reference(
+            fig2_scenario(), mode, noise_seed)
+        assert count == ref_count == replans
+        assert trace.to_json() == ref_trace.to_json()
+        assert trace == ref_trace  # also the active flags, which the JSON leaves out
+        assert plan.to_json() == ref_plan.to_json()
+        logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("replan ")]
+        assert [m.split(":")[0] for m in logged] == [f"replan {k}" for k in range(1, replans + 1)]
+
+    @pytest.mark.parametrize("mode, noise_seed, hold_limit, budget", [
+        ("fmm", 0, 25, 0), ("ca-fmm", 0, 25, 0), ("fmm", 0, 0, 5), ("fmm", 3, 0, 1)])
+    def test_budget_exhaustion_equals_the_reference(self, monkeypatch, mode, noise_seed,
+                                                    hold_limit, budget):
+        self.hold(monkeypatch, hold_limit)
+        with pytest.raises(ReplanBudgetError) as ours:
+            run_with_replan(fig2_scenario(), mode, noise_seed, budget=budget)
+        with pytest.raises(ReplanBudgetError) as ref:
+            helpers.run_with_replan_reference(fig2_scenario(), mode, noise_seed, budget=budget)
+        assert str(ours.value) == str(ref.value)
+        stall, ref_stall = ours.value.__cause__, ref.value.__cause__
+        assert isinstance(stall, GoalConnectivityStallError)
+        assert str(stall) == str(ref_stall)
+        assert stall.trace == ref_stall.trace
 
 
 class TestNoiseHold:
