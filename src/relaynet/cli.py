@@ -79,17 +79,16 @@ def _integer(value, what: str, minimum: int) -> int:
 
 def _radio(block, seed: int = 0) -> RadioParams:
     """RadioParams from the radio object of a scenario or sweep file: known
-    keys, finite numbers, within the ranges RadioParams enforces."""
+    keys, finite numbers (as floats), within the ranges RadioParams enforces."""
     if not isinstance(block, dict):
         raise SchemaError(f"radio must be an object with keys from {sorted(_RADIO_KEYS)}, "
                           f"got {block!r}")
     unknown = set(block) - _RADIO_KEYS
     if unknown:
         raise SchemaError(f"unknown radio keys {sorted(unknown)}")
-    for key, value in block.items():
-        _number(value, f"radio {key}")
+    values = {key: _number(value, f"radio {key}") for key, value in block.items()}
     try:
-        return RadioParams(seed=seed, **block)
+        return RadioParams(seed=seed, **values)
     except RadioConfigError as e:
         raise SchemaError(f"bad radio parameters: {e}") from e
 
@@ -156,7 +155,6 @@ def load_experiment(path: str | FsPath) -> dict:
     map_size = data.get("map_size", [32, 32])
     goal_counts = data.get("goal_counts", [6])
     modes = data.get("modes", list(mission.MODES))
-    radio = data.get("radio", {})
     try:
         if not isinstance(map_size, list) or len(map_size) != 2:
             raise SchemaError(f"map_size must be a [width, height] pair, got {map_size!r}")
@@ -164,7 +162,7 @@ def load_experiment(path: str | FsPath) -> dict:
             raise SchemaError(f"goal_counts must be a nonempty list, got {goal_counts!r}")
         if not isinstance(modes, list) or not all(isinstance(m, str) for m in modes):
             raise SchemaError(f"modes must be a list of mode names, got {modes!r}")
-        _radio(radio)
+        radio = _radio(data.get("radio", {}))
         return {
             # generate_map draws wall lines from [3, size - 3)
             "map_size": [_integer(v, "map_size entry", 7) for v in map_size],
@@ -442,9 +440,8 @@ def cmd_sweep(experiment_path: str, out_dir: str) -> int:
             for attempt in range(20):
                 seed = base + attempt
                 try:
-                    radio = RadioParams(seed=seed, **spec["radio"])
-                    cand = random_scenario(seed, width, height, gc,
-                                           spec["obstacle_density"], radio)
+                    cand = random_scenario(seed, width, height, gc, spec["obstacle_density"],
+                                           spec["radio"].with_(seed=seed))
                     probe = plan_deployment(cand, "DPA-FMM")  # feasible and plannable
                     sc = cand
                     break

@@ -37,42 +37,6 @@ class VelocityField:
         self.F.flags.writeable = False
 
 
-class DistanceField:
-    """Cost-to-go D from a source cell; +inf marks unreachable cells.
-
-    The field wraps one live march: at() and the path interpolation march
-    only until the cells they read are accepted. That gives the values of a
-    finished march, because accepted values are final and the acceptance
-    order does not depend on where the march stops. Reading D finishes it.
-    """
-
-    def __init__(self, velocity: VelocityField, source: CellIndex, march: _March):
-        self.grid = velocity.grid
-        self.velocity = velocity
-        self.source = source
-        self._march = march
-
-    @cached_property
-    def D(self) -> np.ndarray:
-        """The finished (height, width) field, read-only."""
-        self._march.run()
-        H, W = self.grid.height, self.grid.width
-        D = np.array(self._march.accepted).reshape(H + 2, W + 2)[1:-1, 1:-1].copy()
-        D.flags.writeable = False
-        return D
-
-    @property
-    def accepted(self) -> int:
-        """Cells accepted so far; every finite cell once D has been read."""
-        A = self._march.accepted
-        return len(A) - A.count(math.inf)
-
-    def at(self, c: CellIndex) -> float:
-        if not self.grid.cell_in_bounds(c):
-            raise OutOfBoundsError(f"cell {c} outside {self.grid.width}x{self.grid.height} grid")
-        return self._march.value(self._march.index(c))
-
-
 @dataclass
 class Path:
     """Polyline from start to goal in world coordinates."""
@@ -119,36 +83,44 @@ def comm_velocity(cov: RssField, other_robots: Sequence[CellIndex],
     return VelocityField(grid=grid, F=Fc)
 
 
-class _March:
-    """One resumable fast march from a source cell.
+class DistanceField:
+    """Cost-to-go D from a source cell; +inf marks unreachable cells.
 
-    The state lives in flat lists over F padded by one blocked cell on each
-    side, at index (r + 1) * (W + 2) + c + 1. The mapping is monotone in
+    The field is a live fast march: at() and the path interpolation march
+    only until the cells they read are accepted. That gives the values of a
+    finished march, because accepted values are final and the acceptance
+    order does not depend on where the march stops. Reading D finishes it.
+
+    The march state lives in flat lists over F padded by one blocked cell on
+    each side, at index (r + 1) * (W + 2) + c + 1. The mapping is monotone in
     (row, col), so heap ties on (d, index) break as they would on r * W + c,
-    and the blocked border stands in for bounds checks. accepted holds +inf
-    until a cell is accepted; trial holds the tentative values.
+    and the blocked border stands in for bounds checks. _final holds +inf
+    until a cell is accepted; _trial holds the tentative values.
     """
 
     def __init__(self, velocity: VelocityField, source: CellIndex):
         grid = velocity.grid
+        self.grid = grid
+        self.velocity = velocity
+        self.source = source
         W = grid.width
         h = grid.resolution
         sc, sr = source
         Wp = W + 2
-        self.stride = Wp
+        self._stride = Wp
         Fp = np.pad(velocity.F, 1)
         # h / f per cell, +inf where f is not > 0: an update through such a
         # cell is never finite, so the march skips it outright
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.hf = np.where(Fp > 0.0, h / Fp, math.inf).ravel().tolist()
+            self._hf = np.where(Fp > 0.0, h / Fp, math.inf).ravel().tolist()
         INF = math.inf
         D = [INF] * Fp.size
-        self.trial = D
-        self.accepted = [INF] * Fp.size
+        self._trial = D
+        self._final = [INF] * Fp.size
         src = (sr + 1) * Wp + sc + 1
         D[src] = 0.0
         heap: list[tuple[float, int]] = [(0.0, src)]
-        self.heap = heap
+        self._heap = heap
         sqrt = math.sqrt
 
         # exact-distance seeding of a small ball around the source kills the
@@ -190,19 +162,35 @@ class _March:
                     D[nidx] = seed
                     heappush(heap, (seed, nidx))
 
-    def index(self, c: CellIndex) -> int:
-        return (c[1] + 1) * self.stride + c[0] + 1
+    @cached_property
+    def D(self) -> np.ndarray:
+        """The finished (height, width) field, read-only."""
+        self._run()
+        H, W = self.grid.height, self.grid.width
+        D = np.array(self._final).reshape(H + 2, W + 2)[1:-1, 1:-1].copy()
+        D.flags.writeable = False
+        return D
 
-    def value(self, i: int) -> float:
+    @property
+    def accepted(self) -> int:
+        """Cells accepted so far; every finite cell once D has been read."""
+        return len(self._final) - self._final.count(math.inf)
+
+    def at(self, c: CellIndex) -> float:
+        if not self.grid.cell_in_bounds(c):
+            raise OutOfBoundsError(f"cell {c} outside {self.grid.width}x{self.grid.height} grid")
+        return self._value((c[1] + 1) * self._stride + c[0] + 1)
+
+    def _value(self, i: int) -> float:
         """The final value of padded cell i, marching until it is accepted.
 
         A cell whose h / f is +inf is never updated, only seeded, so unless
         it holds a trial value it stays +inf without marching."""
-        if self.accepted[i] == math.inf and (self.hf[i] < math.inf or self.trial[i] < math.inf):
-            self.run(i)
-        return self.accepted[i]
+        if self._final[i] == math.inf and (self._hf[i] < math.inf or self._trial[i] < math.inf):
+            self._run(i)
+        return self._final[i]
 
-    def run(self, stop: int = -1) -> None:
+    def _run(self, stop: int = -1) -> None:
         """March until padded cell stop is accepted or the heap is empty;
         the default stops at no cell and so finishes the march.
 
@@ -211,8 +199,8 @@ class _March:
         cell is pushed only with a value below its trial value, so an entry
         above the trial value is stale and an accepted cell has none left.
         """
-        heap, D, A, HF = self.heap, self.trial, self.accepted, self.hf
-        Wp = self.stride
+        heap, D, A, HF = self._heap, self._trial, self._final, self._hf
+        Wp = self._stride
         INF = math.inf
         sqrt = math.sqrt
         pop, push = heappop, heappush
@@ -264,7 +252,7 @@ def solve_eikonal(velocity: VelocityField, source: CellIndex) -> DistanceField:
         raise UnreachableError(f"source cell {source} outside grid")
     if velocity.F[sr, sc] <= 0.0:
         raise UnreachableError(f"source cell {source} has zero velocity")
-    return DistanceField(velocity, (sc, sr), _March(velocity, source))
+    return DistanceField(velocity, (sc, sr))
 
 
 _RING = [
@@ -286,8 +274,7 @@ def _make_interp(dfield: DistanceField):
     weigh 0 and are never read (likewise on the last row); the padded
     border keeps their index valid.
     """
-    march = dfield._march
-    A, value = march.accepted, march.value
+    A, value = dfield._final, dfield._value
     Wp = dfield.grid.width + 2
     gx_max = dfield.grid.width - 1.0
     gy_max = dfield.grid.height - 1.0
@@ -470,7 +457,7 @@ def extract_path(dfield: DistanceField, start: CellIndex) -> Path:
     ww, wh = grid.world_width, grid.world_height
     # the march's h / f per padded cell is +inf exactly where F <= 0: no
     # traversable F is so small that h / F overflows
-    hf, Wp = dfield._march.hf, W + 2
+    hf, Wp = dfield._hf, W + 2
     W1, H1 = W - 1, H - 1
     INF = math.inf
     hypot = math.hypot

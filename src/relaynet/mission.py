@@ -294,35 +294,6 @@ class _Planner:
             cur = self.txs[cur].parent
         return chain
 
-    def relay_rewire(self, old_ti: int, post: WorldPoint):
-        """Feasibility of moving the robot at old_ti to post.
-
-        The post needs a settled transmitter covering it, and every active
-        transmitter whose uplink parent is old_ti must re-home to a settled
-        transmitter or to the new post itself. Returns (post parent index,
-        {child: new parent or "new"}) or None when the move would strand
-        someone.
-        """
-        gamma = self.book.params.gamma
-        children = [i for i, t in enumerate(self.txs)
-                    if t.active and t.parent == old_ti and i != old_ti]
-        settled = self.tx_candidates(exclude=set(children) | {old_ti})
-        parent_ti = self.strongest(post, settled)
-        if parent_ti is None:
-            return None
-        rehome: dict[int, int | str] = {}
-        for child in children:
-            cpos = self.txs[child].pos
-            target: int | str | None = self.strongest(cpos, settled)
-            best_rss = -math.inf if target is None else self.book.rss(self.txs[target].pos, cpos)
-            from_post = self.book.rss(post, cpos)
-            if from_post >= gamma and from_post > best_rss:
-                target = "new"
-            if target is None:
-                return None
-            rehome[child] = target
-        return parent_ti, rehome
-
     def hold(self, robot: int, conditions: list[tuple[int, CellIndex]]) -> None:
         """Append a wait-until on the distinct (robot, cell) arrivals, if any."""
         conds = sorted(set(conditions))
@@ -364,6 +335,38 @@ class _Planner:
         for t in self.uplink_chain(entry_ti):
             self.dependents.setdefault(t, []).append(arrival)
         return self.park(cur, robot, entry_ti)
+
+    def relocate(self, robot: int, post: WorldPoint) -> bool:
+        """Move robot's transmitter to post as a relay; False, with nothing
+        changed, when the move would strand the post or an uplink child.
+
+        The settled transmitters are the active ones besides robot's own and
+        its children. The post hangs under the strongest settled one. Each
+        child re-homes to the strongest of the settled ones and the new post,
+        which comes last and so wins only when strictly stronger. The robot
+        waits for its dependents, moves and parks at post.
+        """
+        old_ti = next(i for i, t in enumerate(self.txs) if t.active and t.robot == robot)
+        children = [i for i, t in enumerate(self.txs)
+                    if t.active and t.parent == old_ti and i != old_ti]
+        settled = self.tx_candidates(exclude=set(children) | {old_ti})
+        parent_ti = self.strongest(post, settled)
+        if parent_ti is None:
+            return False
+        # len(self.txs) is the index park gives the new post
+        homes = [self.strongest(self.txs[c].pos, settled + [(len(self.txs), post)])
+                 for c in children]
+        if None in homes:
+            return False
+        # the leg still has the old post's coverage
+        self.hold(robot, self.dependents.get(old_ti, []))
+        self.move(robot, self.robot_pos[robot], post, self.source_positions(),
+                  self.parked_cells(exclude_robot=robot))
+        self.txs[old_ti].active = False
+        self.park(post, robot, parent_ti)
+        for child, home in zip(children, homes):
+            self.txs[child].parent = home
+        return True
 
     def relay_plan(self, goal_ids: list[int], free_robots: list[int]) -> RelayPlan:
         """Relay posts that connect the given goals over the base station and
@@ -464,29 +467,15 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
                 # so commit pairs in sweeps and drop any that lose coverage
                 pending = list(asn.pairs)
                 while pending:
-                    committed_any = False
-                    for ai, ei in list(pending):
-                        robot, post = free[ai], rp.positions[eligible[ei]]
-                        old_ti = next(i for i, t in enumerate(pl.txs)
-                                      if t.active and t.robot == robot)
-                        rewire = pl.relay_rewire(old_ti, post)
-                        if rewire is None:
-                            continue
-                        parent_ti, rehome = rewire
-                        # the leg still has the old post's coverage
-                        pl.hold(robot, pl.dependents.get(old_ti, []))
-                        pl.move(robot, pl.robot_pos[robot], post, pl.source_positions(),
-                                pl.parked_cells(exclude_robot=robot))
-                        pl.txs[old_ti].active = False
-                        new_ti = pl.park(post, robot, parent_ti)
-                        for child, target in rehome.items():
-                            pl.txs[child].parent = new_ti if target == "new" else target
-                        relay_done[robot] = True
-                        pending.remove((ai, ei))
-                        committed_any = True
-                        progressed = True
-                    if not committed_any:
+                    # in order, so each move sees the moves before it
+                    moved = [(ai, ei) for ai, ei in pending
+                             if pl.relocate(free[ai], rp.positions[eligible[ei]])]
+                    if not moved:
                         break  # the rest re-enter synthesis on a later wave
+                    for ai, _ in moved:
+                        relay_done[free[ai]] = True
+                    pending = [pair for pair in pending if pair not in moved]
+                    progressed = True
         if not progressed:
             raise InfeasibleScenarioError(
                 f"DP planning stalled with goals {sorted(unplanned)} unplanned"

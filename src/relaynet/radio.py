@@ -225,11 +225,17 @@ def coverage_distance(params: RadioParams) -> float:
 
     Solves p_tx - (l0 + 10 n_los log10 d) - margin_k*sqrt(sigma2_los) >= gamma
     for d in closed form. Below the 1 m model reference there is no usable
-    range, which is reported as an infeasible radio configuration.
+    range, which is reported as an infeasible radio configuration; a range
+    too large for a float is a configuration error.
     """
     margin = params.margin_k * math.sqrt(params.sigma2_los)
     exponent = (params.p_tx - params.l0 - margin - params.gamma) / (10.0 * params.n_los)
-    d = 10.0 ** exponent
+    try:
+        d = 10.0 ** exponent
+    except OverflowError:
+        raise RadioConfigError(
+            f"coverage range overflows: p_tx {params.p_tx} dBm against gamma {params.gamma} dBm"
+        ) from None
     if d < 1.0:
         raise InfeasibleRadioError(
             f"no coverage range: p_tx {params.p_tx} dBm cannot reach gamma {params.gamma} dBm at 1 m"
@@ -282,9 +288,6 @@ class CoverageBook:
             self._losses[(a, b)] = _link_loss(self.params, a, b, walls, glass)
         p_tx = self.params.p_tx
         return [p_tx - self._losses[k] for k in keys]
-
-    def rss(self, a: WorldPoint, b: WorldPoint) -> float:
-        return self.rss_pairs([(tuple(a), tuple(b))])[0]
 
     def links(self, points: list[WorldPoint]) -> list[tuple[int, int]]:
         """Index pairs (i, j), i < j in lexicographic order, whose rss clears gamma."""

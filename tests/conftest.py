@@ -35,9 +35,8 @@ def acceptance_order(velocity, source) -> tuple[eikonal.DistanceField, list]:
     with mock.patch.object(eikonal, "heappop", heappop):
         dfield = eikonal.solve_eikonal(velocity, source)
         dfield.D  # finishes the march
-    march = dfield._march
-    Wp = march.stride
-    return dfield, [(i % Wp - 1, i // Wp - 1, d) for d, i in pops if d == march.accepted[i]]
+    Wp = dfield._stride
+    return dfield, [(i % Wp - 1, i // Wp - 1, d) for d, i in pops if d == dfield._final[i]]
 
 
 @pytest.fixture

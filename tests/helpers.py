@@ -10,15 +10,17 @@ coverage field built one step-count group at a time from whole rows, the
 multipath draw seeded from a list of ints, the path loss over the scalar
 sampler, the mission execution as one loop over parallel per-robot lists,
 the replan loop that keeps every attempt's trace and merges them at the
-end, and the SVG render with one loop over every cell per layer.
+end, the SVG render with one loop over every cell per layer, and the DP
+relay move as a rewire rule with a "new" sentinel plus a separate commit.
 These deliberately share no code with the package internals, except that
 the relay oracle calls the public radio model (rss and coverage fields),
 the movement-cost oracle calls count_traversals once per pair, the
 coverage-field oracle calls the raycast kernel on batches too small to be
 cut into pieces, the execution oracle calls the tick tree (which has an
 oracle of its own), the replan oracle plans, executes and replans with the
-package, and the render oracle reads the coverage through a
-CoverageBook."""
+package, the render oracle reads the coverage through a CoverageBook, and
+the relay-move oracle runs on a package _Planner, whose strongest, hold,
+move and park it calls."""
 
 import heapq
 import itertools
@@ -279,8 +281,7 @@ def _make_interp_reference(dfield):
     """Bilinear interpolation of D on cell centers; +inf corners are dropped
     with weight renormalization so values next to obstacles stay usable.
     Only corners of weight > 0 are read, so the march goes no further."""
-    march = dfield._march
-    values, value = march.accepted, march.value
+    values, value = dfield._final, dfield._value
     W, H = dfield.grid.width, dfield.grid.height
     Wp = W + 2
     res = dfield.grid.resolution
@@ -341,7 +342,7 @@ def extract_path_reference(dfield, start: tuple[int, int]) -> Path:
     W, H = grid.width, grid.height
     max_steps = 8 * (W + H)
     ww, wh = grid.world_width, grid.world_height
-    hf, Wp = dfield._march.hf, W + 2
+    hf, Wp = dfield._hf, W + 2
     INF = math.inf
 
     def passable(q) -> bool:
@@ -857,6 +858,64 @@ def execute_mission_reference(plan, scenario, noise_seed: int | None = None,
                 }
                 raise DeadlockError(f"no progress at tick {tick}", waiting, trace)
         tick += 1
+
+
+def relay_rewire_reference(pl, old_ti: int, post):
+    """Feasibility of moving the robot at old_ti to post.
+
+    The post needs a settled transmitter covering it, and every active
+    transmitter whose uplink parent is old_ti must re-home to a settled
+    transmitter or to the new post itself. Returns (post parent index,
+    {child: new parent or "new"}) or None when the move would strand
+    someone.
+    """
+    gamma = pl.book.params.gamma
+    children = [i for i, t in enumerate(pl.txs)
+                if t.active and t.parent == old_ti and i != old_ti]
+    settled = pl.tx_candidates(exclude=set(children) | {old_ti})
+    parent_ti = pl.strongest(post, settled)
+    if parent_ti is None:
+        return None
+    rehome: dict[int, int | str] = {}
+    for child in children:
+        cpos = pl.txs[child].pos
+        target: int | str | None = pl.strongest(cpos, settled)
+        best_rss = -math.inf if target is None else _book_rss(pl.book, pl.txs[target].pos, cpos)
+        from_post = _book_rss(pl.book, post, cpos)
+        if from_post >= gamma and from_post > best_rss:
+            target = "new"
+        if target is None:
+            return None
+        rehome[child] = target
+    return parent_ti, rehome
+
+
+def _book_rss(book: CoverageBook, a, b) -> float:
+    """The one-pair rss lookup relay_rewire_reference was written against."""
+    return book.rss_pairs([(tuple(a), tuple(b))])[0]
+
+
+def relocate_reference(pl, robot: int, post, rehomes: list | None = None) -> bool:
+    """_Planner.relocate as relay_rewire_reference plus the commit that DP
+    planning made inline, one pair at a time; each committed move's
+    {child: new parent or "new"} is appended to rehomes."""
+    old_ti = next(i for i, t in enumerate(pl.txs)
+                  if t.active and t.robot == robot)
+    rewire = relay_rewire_reference(pl, old_ti, post)
+    if rewire is None:
+        return False
+    parent_ti, rehome = rewire
+    # the leg still has the old post's coverage
+    pl.hold(robot, pl.dependents.get(old_ti, []))
+    pl.move(robot, pl.robot_pos[robot], post, pl.source_positions(),
+            pl.parked_cells(exclude_robot=robot))
+    pl.txs[old_ti].active = False
+    new_ti = pl.park(post, robot, parent_ti)
+    for child, target in rehome.items():
+        pl.txs[child].parent = new_ti if target == "new" else target
+    if rehomes is not None:
+        rehomes.append(rehome)
+    return True
 
 
 def _merge_traces_reference(traces: list[MissionTrace], goal_maps: list[list[int]]) -> MissionTrace:

@@ -165,6 +165,24 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == EXIT_INFEASIBLE
         assert "infeasible: no coverage range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["a_wall", "a_glass"])
+    def test_huge_int_attenuation_loads_as_a_float(self, tmp_path, key):
+        # a JSON int reaches RadioParams as the float it equals, so 10**30 dB
+        # is an attenuation no link crosses, not an overflow in numpy
+        path = write_fig2_files(tmp_path, radio={"p_tx": -14.65, key: 10**30})
+        radio = load_scenario(path).radio
+        assert radio == RadioParams(p_tx=-14.65, **{key: 1e30})
+        assert isinstance(getattr(radio, key), float)
+        for command, mode in (("plan", "fmm"), ("plan", "dp"), ("run", "dpa")):
+            assert main([command, str(path), "--mode", mode,
+                         "--out", str(tmp_path / command / mode)]) == EXIT_OK
+
+    @pytest.mark.parametrize("radio", [{"p_tx": 1e30}, {"p_tx": 10**30}, {"gamma": -1e30}])
+    def test_overflowing_coverage_range_exit_2(self, tmp_path, capsys, radio):
+        path = write_fig2_files(tmp_path, radio=radio)
+        assert main(["run", str(path), "--mode", "dpa", "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+        assert "coverage range overflows" in capsys.readouterr().err
+
     def test_dpa_without_progress_names_clusters_and_robots(self, tmp_path, capsys):
         # fig2 at visit_cap 0: every goal and post is its own cluster, so the
         # last wave has 4 clusters for 1 robot, assigned one entering through
@@ -400,6 +418,18 @@ class TestSweep:
         with pytest.raises(SchemaError, match=key):
             load_experiment(tmp_path / "exp.json")
         assert main(["sweep", str(tmp_path / "exp.json"), "--out", str(tmp_path / "sw")]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("radio, code", [({"a_wall": 10**30}, EXIT_OK),
+                                             ({"p_tx": 10**30}, EXIT_SCHEMA)])
+    def test_huge_radio_values(self, tmp_path, radio, code):
+        # the sweep takes the validated floats from load_experiment
+        (tmp_path / "exp.json").write_text(json.dumps({
+            "map_size": [24, 24], "goal_counts": [3], "trials": 1, "seed_base": 2,
+            "modes": ["dpa"], "radio": radio,
+        }))
+        assert load_experiment(tmp_path / "exp.json")["radio"] == RadioParams(
+            **{key: float(value) for key, value in radio.items()})
+        assert main(["sweep", str(tmp_path / "exp.json"), "--out", str(tmp_path / "sw")]) == code
 
     def test_dpa_uses_fewer_robots_on_average(self, tmp_path):
         (tmp_path / "exp.json").write_text(json.dumps({

@@ -258,7 +258,7 @@ def test_movement_costs_equal_scalar_formula(data):
 def test_batched_losses_equal_path_loss(data):
     # every deterministic rss goes through rss_pairs, which prices its memo
     # misses in one batch: on any pair list (reversed, repeated and already
-    # memoised pairs), one pair through rss and all pairs through links, the
+    # memoised pairs), one pair per call and all pairs through links, the
     # loss is bit-equal to path_loss, so >= gamma decides the same way
     grid = data.draw(small_maps())
     params = RadioParams(p_tx=data.draw(st.floats(-40.0, 10.0)))
@@ -266,7 +266,7 @@ def test_batched_losses_equal_path_loss(data):
     pts = [tuple(p) for p in data.draw(st.lists(points(grid), min_size=1, max_size=7))]
     pair_lists = st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), max_size=8)
     for a, b in data.draw(pair_lists):
-        assert book.rss(a, b) == rss(grid, a, b, params)  # memo hits for the batches
+        assert book.rss_pairs([(a, b)]) == [rss(grid, a, b, params)]  # memo hits for the batches
     pairs = data.draw(pair_lists)
     pairs += [(b, a) for a, b in reversed(pairs)]
     links = [(i, j) for i, j in itertools.combinations(range(len(pts)), 2)
@@ -524,7 +524,8 @@ def test_memoised_rss_bit_equal(data):
     for _ in range(2):  # the second pass is served from the memo
         for a in pts:
             for b in pts:
-                assert book.rss(a, b) == params.p_tx - path_loss_reference(grid, a, b, params)
+                expected = params.p_tx - path_loss_reference(grid, a, b, params)
+                assert book.rss_pairs([(a, b)]) == [expected]
         # a noisy tick prices its links outside the memo, which keeps
         # exactly the deterministic loss of each pair
         _tick_tree(book, pts[0], pts[1:], noise, tick)

@@ -297,6 +297,11 @@ class TestCoverageDistance:
         with pytest.raises(InfeasibleRadioError):
             coverage_distance(RadioParams(p_tx=-50.0, l0=40.0, gamma=-70.0))
 
+    @pytest.mark.parametrize("params", [RadioParams(p_tx=1e30), RadioParams(gamma=-1e30)])
+    def test_overflowing_range_is_a_config_error(self, params):
+        with pytest.raises(RadioConfigError, match="coverage range overflows"):
+            coverage_distance(params)
+
 
 class TestStochasticStats:
     def test_mean_and_variance_smoke(self):
