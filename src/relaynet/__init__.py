@@ -4,13 +4,11 @@ from .clustering import Cluster, VisitSequence, cluster_goals, visit_order
 from .connectivity import (
     Assignment,
     ConnGraph,
-    ConnTree,
     FeasibilityReport,
     RelayPlan,
     build_conn_graph,
     check_feasibility,
     hungarian_assign,
-    min_hop_tree,
     movement_cost,
     movement_costs,
     plan_relays,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eikonal import base_velocity, solve_eikonal
-from .gridmap import CellIndex, GridMap, WorldPoint, count_traversals_batch
+from .gridmap import GridMap, WorldPoint, count_traversals_batch
 from .radio import CoverageBook, RadioParams, coverage_distance
 
 
@@ -28,21 +28,6 @@ class ConnGraph:
 
     positions: tuple[WorldPoint, ...]
     edges: frozenset[tuple[int, int]]  # (i, j) with i < j
-
-
-@dataclass(frozen=True)
-class ConnTree:
-    """Min-hop BFS tree rooted at node 0; unreachable nodes carry depth None."""
-
-    parent: tuple[int | None, ...]
-    depth: tuple[int | None, ...]
-
-    def unreachable(self, i: int) -> bool:
-        return self.depth[i] is None
-
-    def max_depth(self) -> int:
-        finite = [d for d in self.depth if d is not None]
-        return max(finite) if finite else 0
 
 
 @dataclass(frozen=True)
@@ -105,12 +90,6 @@ def bfs_tree(n: int, edges) -> tuple[list[int | None], list[int | None]]:
                     nxt.append(v)
         level = nxt
     return parent, depth
-
-
-def min_hop_tree(graph: ConnGraph) -> ConnTree:
-    """Min-hop tree of the graph rooted at node 0 (see bfs_tree)."""
-    parent, depth = bfs_tree(len(graph.positions), graph.edges)
-    return ConnTree(parent=tuple(parent), depth=tuple(depth))
 
 
 def movement_costs(grid: GridMap, froms: list[WorldPoint], tos: list[WorldPoint]) -> list[list[float]]:
@@ -254,37 +233,18 @@ def plan_relays(book: CoverageBook, goals: list[WorldPoint], free_robots: list[W
     """
     grid, gamma = book.grid, book.params.gamma
     transmitters = list(transmitters) if transmitters else []
-    n_tx = len(transmitters)
-    goal_node = lambda gi: 1 + n_tx + gi
-
+    goal_slice = slice(1 + len(transmitters), 1 + len(transmitters) + len(goals))
     base_positions = [tuple(bs)] + [tuple(t) for t in transmitters] + [tuple(g) for g in goals]
     committed: list[WorldPoint] = []
     newly_covered: list[list[int]] = []
 
-    def node_list() -> list[WorldPoint]:
-        return base_positions + committed
-
-    def goal_depths(depth: list[int | None]) -> list[int | None]:
-        return [depth[goal_node(gi)] for gi in range(len(goals))]
-
-    def candidate_cells() -> list[CellIndex]:
-        cov = book.combined([bs] + transmitters + committed)
-        mask = cov.mask & (grid.materials == 0)
-        cells = []
-        taken = {grid.to_cell(p) for p in node_list()}
-        for r in range(0, grid.height, stride):
-            for c in range(0, grid.width, stride):
-                if mask[r, c] and (c, r) not in taken:
-                    cells.append((c, r))
-        return cells
-
     guard = 4 * len(goals) + 16
     while True:
-        positions = node_list()
+        positions = base_positions + committed
         n = len(positions)
         edges = book.links(positions)
         depth = bfs_tree(n, edges)[1]
-        depths = goal_depths(depth)
+        depths = depth[goal_slice]
         unreachable = [gi for gi, d in enumerate(depths) if d is None]
         if len(committed) > guard:
             raise InfeasibleRelayError("relay synthesis exceeded its commit budget", unreachable)
@@ -293,8 +253,13 @@ def plan_relays(book: CoverageBook, goals: list[WorldPoint], free_robots: list[W
         # depth >= 3; any other candidate scores (0, 0)
         far = [positions[i] for i, d in enumerate(depth) if d is None or d >= 3]
 
-        cands = candidate_cells()
-        cand_pos = [grid.to_world(cell) for cell in cands] if far else []
+        # the covered free cells of the stride lattice, in row-major order
+        mask = book.combined([bs] + transmitters + committed).mask & (grid.materials == 0)
+        rows, cols = np.nonzero(mask[::stride, ::stride])
+        taken = {grid.to_cell(p) for p in positions}
+        cells = zip((cols * stride).tolist(), (rows * stride).tolist())
+        cands = [grid.to_world(cell) for cell in cells if cell not in taken]
+        cand_pos = cands if far else []
         to_far = book.rss_pairs([(c, p) for c in cand_pos for p in far])
         linking = [c for k, c in enumerate(cand_pos)
                    if max(to_far[k * len(far):(k + 1) * len(far)]) >= gamma]
@@ -302,7 +267,7 @@ def plan_relays(book: CoverageBook, goals: list[WorldPoint], free_robots: list[W
         scoring = []  # (connected, reduced, position, goals it connects)
         for k, cpos in enumerate(linking):
             cedges = [(i, n) for i in range(n) if to_all[k * n + i] >= gamma]
-            new_depths = goal_depths(bfs_tree(n + 1, edges + cedges)[1])
+            new_depths = bfs_tree(n + 1, edges + cedges)[1][goal_slice]
             covered_goals = [gi for gi in unreachable if new_depths[gi] is not None]
             reduced = sum(
                 1 for gi in range(len(goals))
@@ -330,23 +295,12 @@ def plan_relays(book: CoverageBook, goals: list[WorldPoint], free_robots: list[W
 
         # bridge step: no single candidate connects anything yet, so walk the
         # coverage toward the nearest unreachable goal
-        def gap_from(points: list[WorldPoint]) -> float:
-            return min(
-                math.hypot(g[0] - p[0], g[1] - p[1])
-                for p in points
-                for g in (goals[gi] for gi in unreachable)
-            )
+        def gap(p: WorldPoint) -> float:
+            return min(math.hypot(goals[gi][0] - p[0], goals[gi][1] - p[1]) for gi in unreachable)
 
-        current_gap = gap_from([bs] + transmitters + committed)
-        bridge = None
-        bridge_gap = math.inf
-        for cell in cands:
-            cpos = grid.to_world(cell)
-            g = gap_from([cpos])
-            if g < bridge_gap:
-                bridge_gap = g
-                bridge = cpos
-        if bridge is None or bridge_gap > current_gap - grid.resolution:
+        current_gap = min(map(gap, [bs] + transmitters + committed))
+        bridge = min(cands, key=gap, default=None)
+        if bridge is None or gap(bridge) > current_gap - grid.resolution:
             raise InfeasibleRelayError(
                 f"goals {unreachable} cannot be covered by relays", unreachable
             )

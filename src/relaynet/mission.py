@@ -18,11 +18,10 @@ from .connectivity import (
     bfs_tree,
     check_feasibility,
     hungarian_assign,
-    movement_cost,
     movement_costs,
     plan_relays,
 )
-from .eikonal import Path, ca_fmm_path
+from .eikonal import Path, PathExtractionError, UnreachableError, ca_fmm_path
 from .gridmap import CellIndex, GridMap, WorldPoint
 from .radio import CoverageBook, RadioParams, rss
 
@@ -368,6 +367,13 @@ class _Planner:
             self.txs[child].parent = home
         return True
 
+    def assign(self, robots: list[int], targets: list[WorldPoint]) -> list[tuple[int, int]]:
+        """(robot, target index) pairs of the minimal-cost match of the robots,
+        from their current positions, to the targets on movement costs; in
+        the robots' order."""
+        asn = hungarian_assign(movement_costs(self.grid, [self.robot_pos[r] for r in robots], targets))
+        return [(robots[i], t) for i, t in asn.pairs]
+
     def relay_plan(self, goal_ids: list[int], free_robots: list[int]) -> RelayPlan:
         """Relay posts that connect the given goals over the base station and
         the parked transmitters, scored against the free robots' positions."""
@@ -397,8 +403,7 @@ def _plan_simple(sc: Scenario, mode: str) -> DeploymentPlan:
     """
     pl = _Planner(sc)
     goals = pl.goals
-    asn = hungarian_assign(movement_costs(sc.map, sc.robot_starts, goals))
-    robot_of_goal = {g: r for r, g in asn.pairs}
+    robot_of_goal = {g: r for r, g in pl.assign(list(range(pl.N)), goals)}
 
     if mode == "CA-FMM":
         depth = bfs_tree(len(goals) + 1, pl.book.links([sc.bs] + goals))[1]
@@ -425,7 +430,6 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
     place, then turns finished robots into relays where coverage is missing.
     """
     pl = _Planner(sc)
-    grid = sc.map
     N, goals = pl.N, pl.goals
     unplanned = set(range(len(goals)))
     assigned_goal: list[int | None] = [None] * N
@@ -439,10 +443,8 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
         if frontier:
             avail = [r for r in range(N) if assigned_goal[r] is None]
             if avail:
-                asn = hungarian_assign(movement_costs(
-                    grid, [pl.robot_pos[r] for r in avail], [goals[g] for g in frontier]))
-                for ai, fi in asn.pairs:
-                    robot, g = avail[ai], frontier[fi]
+                for robot, fi in pl.assign(avail, [goals[g] for g in frontier]):
+                    g = frontier[fi]
                     # frontier goals have a coverer, and no transmitter goes
                     # inactive in this loop
                     pl.visit(robot, pl.strongest(goals[g]), [(goals[g], g)], pl.source_positions())
@@ -461,19 +463,17 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
             # only posts whose coverage is already materialized may be manned now
             eligible = [i for i, post in enumerate(rp.positions) if pl.strongest(post) is not None]
             if free and eligible:
-                asn = hungarian_assign(movement_costs(
-                    grid, [pl.robot_pos[r] for r in free], [rp.positions[i] for i in eligible]))
                 # a post must stay covered once its robot leaves its old spot,
                 # so commit pairs in sweeps and drop any that lose coverage
-                pending = list(asn.pairs)
+                pending = pl.assign(free, [rp.positions[i] for i in eligible])
                 while pending:
                     # in order, so each move sees the moves before it
-                    moved = [(ai, ei) for ai, ei in pending
-                             if pl.relocate(free[ai], rp.positions[eligible[ei]])]
+                    moved = [(robot, ei) for robot, ei in pending
+                             if pl.relocate(robot, rp.positions[eligible[ei]])]
                     if not moved:
                         break  # the rest re-enter synthesis on a later wave
-                    for ai, _ in moved:
-                        relay_done[free[ai]] = True
+                    for robot, _ in moved:
+                        relay_done[robot] = True
                     pending = [pair for pair in pending if pair not in moved]
                     progressed = True
         if not progressed:
@@ -499,8 +499,8 @@ def _split_to_cap(grid: GridMap, entry: WorldPoint, posts: list[WorldPoint],
         if dests and not over:
             return clusters, dest_goal, ids
         # ids ascend with the index, so a cost tie goes to the lowest goal id
-        far = max(over[0] if over else range(len(wpts)),
-                  key=lambda i: (round(movement_cost(grid, entry, wpts[i]), 9), -i))
+        cost = movement_costs(grid, [entry], wpts)[0]
+        far = max(over[0] if over else range(len(wpts)), key=lambda i: (round(cost[i], 9), -i))
         dests.append(wpts.pop(far))
         dest_goal.append(ids.pop(far))
 
@@ -562,9 +562,9 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
                 f"DPA planning ran out of robots with goals {sorted(unplanned)} unplanned"
             )
 
-        costs = movement_costs(grid, [pl.robot_pos[r] for r in available],
-                               [seq.points[1] for _, seq, _, _ in specs])
-        assigned = {ci: available[ai] for ai, ci in hungarian_assign(costs).pairs}
+        # each cluster is priced by the move to its first stop
+        assigned = {ci: robot for robot, ci in pl.assign(
+            available, [seq.points[1] for _, seq, _, _ in specs])}
         manned = sorted(specs[ci][3] for ci in assigned if specs[ci][3] is not None)
 
         progressed = False
@@ -596,8 +596,6 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
 def plan_deployment(scenario: Scenario, mode: str,
                     fixed_relays: tuple[tuple[int, WorldPoint], ...] = ()) -> DeploymentPlan:
     """Plan the whole team under the requested pipeline."""
-    from .eikonal import PathExtractionError, UnreachableError
-
     mode = normalize_mode(mode)
     scenario.validate(initial=False)
     if not scenario.goals:

@@ -58,6 +58,10 @@ class RadioParams:
             raise RadioConfigError("path-loss exponents must be > 0")
         if self.seed < 0:
             raise RadioConfigError("seed must be >= 0")
+        if not math.isfinite(self.p_tx - self.l0 - self.gamma):
+            raise RadioConfigError(
+                f"radio span overflows: p_tx {self.p_tx} dBm, l0 {self.l0} dB, gamma {self.gamma} dBm"
+            )
 
     def with_(self, **kw) -> "RadioParams":
         return replace(self, **kw)
@@ -233,9 +237,11 @@ def coverage_distance(params: RadioParams) -> float:
     try:
         d = 10.0 ** exponent
     except OverflowError:
+        d = math.inf
+    if d == math.inf:
         raise RadioConfigError(
             f"coverage range overflows: p_tx {params.p_tx} dBm against gamma {params.gamma} dBm"
-        ) from None
+        )
     if d < 1.0:
         raise InfeasibleRadioError(
             f"no coverage range: p_tx {params.p_tx} dBm cannot reach gamma {params.gamma} dBm at 1 m"

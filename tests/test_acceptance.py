@@ -17,9 +17,9 @@ from relaynet.cli import random_scenario
 from relaynet.clustering import Cluster, cluster_goals, visit_order
 from relaynet.connectivity import (
     ConnGraph,
+    bfs_tree,
     check_feasibility,
     hungarian_assign,
-    min_hop_tree,
     movement_cost,
 )
 from relaynet.eikonal import base_velocity, ca_fmm_path, coverage_fraction, solve_eikonal
@@ -194,11 +194,15 @@ def test_criterion_5_min_hop_tree_oracle():
                         edges.add((i, j))
             graph = ConnGraph(positions=tuple((float(i), 0.0) for i in range(n)),
                               edges=frozenset(edges))
-            tree = min_hop_tree(graph)
+            parent, depth = bfs_tree(len(graph.positions), graph.edges)
             oracle = bfs_hops(n, edges)
-            assert list(tree.depth) == oracle
+            assert depth == oracle
             for i in range(n):
-                assert tree.unreachable(i) == (oracle[i] is None)
+                assert (depth[i] is None) == (oracle[i] is None)
+                # the parent is the lowest-index node one level up linked to i
+                ups = [j for j in range(n) if (min(i, j), max(i, j)) in edges
+                       and oracle[i] is not None and oracle[j] == oracle[i] - 1]
+                assert parent[i] == min(ups, default=None)
 
 
 def test_criterion_6_visit_order_oracle():

@@ -183,6 +183,13 @@ class TestExitCodes:
         assert main(["run", str(path), "--mode", "dpa", "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
         assert "coverage range overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["fmm", "ca", "dp", "dpa"])
+    def test_overflowing_radio_span_exit_2(self, tmp_path, capsys, mode):
+        # each finite, but p_tx - gamma is not: rejected before any planning
+        path = write_fig2_files(tmp_path, radio={"p_tx": 1e308, "gamma": -1e308})
+        assert main(["plan", str(path), "--mode", mode, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+        assert "radio span overflows" in capsys.readouterr().err
+
     def test_dpa_without_progress_names_clusters_and_robots(self, tmp_path, capsys):
         # fig2 at visit_cap 0: every goal and post is its own cluster, so the
         # last wave has 4 clusters for 1 robot, assigned one entering through

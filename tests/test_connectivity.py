@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from relaynet.connectivity import (
     InfeasibleRelayError,
+    bfs_tree,
     build_conn_graph,
     check_feasibility,
     hungarian_assign,
-    min_hop_tree,
     movement_cost,
     movement_costs,
     plan_relays,
@@ -24,6 +24,16 @@ from helpers import bfs_hops, brute_force_assignment, plan_relays_unpruned
 
 def params_with_range(d_cov: float) -> RadioParams:
     return RadioParams(p_tx=-70.0 + 40.0 + 10 * 1.7 * math.log10(d_cov))
+
+
+def hop_tree(book: CoverageBook, nodes: list) -> tuple[list, list]:
+    """(parent, depth) of the min-hop tree over the nodes' links."""
+    g = build_conn_graph(book, nodes)
+    return bfs_tree(len(g.positions), g.edges)
+
+
+def max_depth(depth: list) -> int:
+    return max((d for d in depth if d is not None), default=0)
 
 
 class TestConnGraph:
@@ -56,34 +66,34 @@ class TestMinHopTree:
         m = open_map(40, 5)
         params = params_with_range(3.0)
         nodes = [(1.25, 1.25), (3.75, 1.25), (6.25, 1.25), (8.75, 1.25)]
-        tree = min_hop_tree(build_conn_graph(CoverageBook(m, params), nodes))
-        assert tree.depth == (0, 1, 2, 3)
-        assert tree.parent == (None, 0, 1, 2)
+        parent, depth = hop_tree(CoverageBook(m, params), nodes)
+        assert depth == [0, 1, 2, 3]
+        assert parent == [None, 0, 1, 2]
 
     def test_star(self):
         m = open_map(20, 20)
         params = params_with_range(5.0)
         nodes = [(5.25, 5.25), (6.25, 5.25), (5.25, 7.25), (3.25, 5.25)]
-        tree = min_hop_tree(build_conn_graph(CoverageBook(m, params), nodes))
-        assert tree.depth == (0, 1, 1, 1)
+        depth = hop_tree(CoverageBook(m, params), nodes)[1]
+        assert depth == [0, 1, 1, 1]
 
     def test_unreachable_flagged(self):
         m = open_map(60, 5)
         params = params_with_range(2.0)
         nodes = [(1.25, 1.25), (2.25, 1.25), (25.25, 1.25)]
-        tree = min_hop_tree(build_conn_graph(CoverageBook(m, params), nodes))
-        assert tree.depth[2] is None
-        assert tree.unreachable(2)
-        assert not tree.unreachable(1)
+        parent, depth = hop_tree(CoverageBook(m, params), nodes)
+        assert depth[2] is None
+        assert parent[2] is None
+        assert depth[1] is not None
 
     def test_parent_tie_break_lower_index(self):
         # nodes 1 and 2 both at depth 1 and both see node 3
         m = open_map(20, 20)
         params = params_with_range(3.0)
         nodes = [(4.25, 4.25), (6.75, 4.25), (4.25, 6.75), (6.75, 6.75)]
-        tree = min_hop_tree(build_conn_graph(CoverageBook(m, params), nodes))
-        assert tree.depth[3] == 2
-        assert tree.parent[3] == 1
+        parent, depth = hop_tree(CoverageBook(m, params), nodes)
+        assert depth[3] == 2
+        assert parent[3] == 1
 
     def test_random_graphs_match_bfs_oracle(self):
         rng = np.random.default_rng(17)
@@ -98,9 +108,9 @@ class TestMinHopTree:
                         edges.add((i, j))
             graph = ConnGraph(positions=tuple((float(i), 0.0) for i in range(n)),
                               edges=frozenset(edges))
-            tree = min_hop_tree(graph)
+            depth = bfs_tree(len(graph.positions), graph.edges)[1]
             oracle = bfs_hops(n, edges)
-            assert list(tree.depth) == oracle
+            assert depth == oracle
 
 
 class TestMovementCost:
@@ -222,20 +232,19 @@ class TestPlanRelays:
         sc = fig2_scenario()
         m, params = sc.map, sc.radio
         bs, goals = sc.bs, sc.goals
-        tree = min_hop_tree(build_conn_graph(CoverageBook(m, params), [bs] + goals))
-        assert tree.unreachable(5) and tree.unreachable(6)
-        max_depth_before = tree.max_depth()
+        depth = hop_tree(CoverageBook(m, params), [bs] + goals)[1]
+        assert depth[5] is None and depth[6] is None
+        max_depth_before = max_depth(depth)
         # robots parked at every reachable goal provide the working coverage
         parked = [goals[i] for i in range(4)]
-        tree2 = min_hop_tree(build_conn_graph(CoverageBook(m, params), [bs] + parked + goals))
+        depth2 = hop_tree(CoverageBook(m, params), [bs] + parked + goals)[1]
         plan = plan_relays(CoverageBook(m, params), goals, parked, bs=bs, transmitters=parked)
         assert len(plan.positions) >= 1
-        after = min_hop_tree(build_conn_graph(CoverageBook(m, params),
-                                              [bs] + parked + plan.positions + goals))
+        after = hop_tree(CoverageBook(m, params), [bs] + parked + plan.positions + goals)[1]
         goal_off = 1 + len(parked) + len(plan.positions)
         for gi in range(len(goals)):
-            assert after.depth[goal_off + gi] is not None
-        assert after.max_depth() <= max(max_depth_before, tree2.max_depth()) + 1
+            assert after[goal_off + gi] is not None
+        assert max_depth(after) <= max(max_depth_before, max_depth(depth2)) + 1
 
     def test_assignment_prefers_uncrossed_pairing(self):
         m = open_map(30, 10)
@@ -300,7 +309,7 @@ class TestPlanRelays:
 @given(seed=st.integers(0, 2**32 - 1), w=st.integers(4, 16), h=st.integers(1, 5),
        density=st.sampled_from([0.0, 0.1, 0.25]), d_cov=st.floats(1.2, 3.5),
        n_goals=st.integers(1, 5), n_tx=st.integers(0, 2), n_free=st.integers(0, 3),
-       stride=st.sampled_from([1, 2]))
+       stride=st.sampled_from([1, 2, 3]))
 def test_pruned_relay_synthesis_equals_unpruned_oracle(seed, w, h, density, d_cov, n_goals,
                                                        n_tx, n_free, stride):
     # short radio ranges on narrow walled maps give goal chains of every

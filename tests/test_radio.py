@@ -297,10 +297,17 @@ class TestCoverageDistance:
         with pytest.raises(InfeasibleRadioError):
             coverage_distance(RadioParams(p_tx=-50.0, l0=40.0, gamma=-70.0))
 
-    @pytest.mark.parametrize("params", [RadioParams(p_tx=1e30), RadioParams(gamma=-1e30)])
+    # n_los 5e-324 makes the exponent inf, and 10.0 ** inf is inf, not an OverflowError
+    @pytest.mark.parametrize("params", [RadioParams(p_tx=1e30), RadioParams(gamma=-1e30),
+                                        RadioParams(n_los=5e-324)])
     def test_overflowing_range_is_a_config_error(self, params):
         with pytest.raises(RadioConfigError, match="coverage range overflows"):
             coverage_distance(params)
+
+    def test_overflowing_radio_span_is_a_config_error(self):
+        # p_tx - l0 - gamma is inf, so every rss would be inf - inf = NaN
+        with pytest.raises(RadioConfigError, match="radio span overflows"):
+            RadioParams(p_tx=1e308, gamma=-1e308)
 
 
 class TestStochasticStats:
