@@ -16,7 +16,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import mission
-from .gridmap import FREE, GLASS, WALL, GridMap, MapParseError, WorldPoint, parse_map
+from .gridmap import FREE, GLASS, WALL, CellIndex, GridMap, MapParseError, WorldPoint, parse_map
 from .mission import (
     DeadlockError,
     DeploymentPlan,
@@ -49,6 +49,7 @@ _RADIO_KEYS = {f.name for f in dataclasses.fields(RadioParams)} - {"seed"}
 _SCENARIO_KEYS = {"map", "bs", "robot_starts", "goals", "radio", "w_c", "speed", "seed", "knobs"}
 _KNOB_MINIMA = {"relay_stride": 1, "visit_cap": 0}
 _EXPERIMENT_KEYS = {"map_size", "obstacle_density", "goal_counts", "trials", "modes", "seed_base", "radio"}
+_MAX_MAP_SIDE = 1024
 
 
 def _point(value, what: str) -> WorldPoint:
@@ -63,17 +64,22 @@ def _points(value, what: str) -> list[WorldPoint]:
     return [_point(p, f"{what} entry") for p in value]
 
 
-def _number(value, what: str, minimum: float = -math.inf, inclusive: bool = True) -> float:
-    if (isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
-            or value < minimum or (value == minimum and not inclusive)):
+def _number(value, what: str, minimum: float = -math.inf, inclusive: bool = True,
+            maximum: float = math.inf) -> float:
+    # abs(value) <= max is false for NaN, for inf and for ints no float can hold
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max
+            or value < minimum or (value == minimum and not inclusive) or value > maximum):
         bound = "" if minimum == -math.inf else f" {'>=' if inclusive else '>'} {minimum}"
+        bound += "" if maximum == math.inf else f" and <= {maximum}"
         raise SchemaError(f"{what} must be a finite number{bound}, got {value!r}")
     return float(value)
 
 
-def _integer(value, what: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise SchemaError(f"{what} must be an integer >= {minimum}, got {value!r}")
+def _integer(value, what: str, minimum: int, maximum: float = math.inf) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not minimum <= value <= maximum:
+        bound = "" if maximum == math.inf else f" and <= {maximum}"
+        raise SchemaError(f"{what} must be an integer >= {minimum}{bound}, got {value!r}")
     return value
 
 
@@ -164,10 +170,11 @@ def load_experiment(path: str | FsPath) -> dict:
             raise SchemaError(f"modes must be a list of mode names, got {modes!r}")
         radio = _radio(data.get("radio", {}))
         return {
-            # generate_map draws wall lines from [3, size - 3)
-            "map_size": [_integer(v, "map_size entry", 7) for v in map_size],
+            # generate_map draws wall lines from [3, size - 3); the caps keep
+            # a sweep's maps and wall-line counts bounded
+            "map_size": [_integer(v, "map_size entry", 7, _MAX_MAP_SIDE) for v in map_size],
             "obstacle_density": _number(data.get("obstacle_density", 0.5), "obstacle_density",
-                                        0.0, inclusive=True),
+                                        0.0, inclusive=True, maximum=1.0),
             "goal_counts": [_integer(g, "goal_counts entry", 1) for g in goal_counts],
             "trials": _integer(data.get("trials", 1), "trials", 1),
             "modes": [normalize_mode(m) for m in modes],
@@ -193,34 +200,54 @@ def generate_map(width: int, height: int, density: float, rng: np.random.Generat
     n_lines = max(1, int(round(density * (width + height) / 12)))
     for k in range(n_lines):
         vertical = bool(rng.integers(0, 2)) if k > 0 else True
+        # a line runs from 1 to the far side - 2, less the two door cells;
+        # only WALL is written, so crossings stay walls
         if vertical:
             col = int(rng.integers(3, width - 3))
             door = int(rng.integers(1, height - 3))
-            for row in range(1, height - 1):
-                if door <= row < door + 2:
-                    continue
-                mats[row, col] = WALL
+            mats[1:door, col] = WALL
+            mats[door + 2:height - 1, col] = WALL
         else:
             row = int(rng.integers(3, height - 3))
             door = int(rng.integers(1, width - 3))
-            for col in range(1, width - 1):
-                if door <= col < door + 2:
-                    continue
-                mats[row, col] = WALL
+            mats[row, 1:door] = WALL
+            mats[row, door + 2:width - 1] = WALL
     return GridMap(width=width, height=height, resolution=resolution, materials=mats)
 
 
-def _reachable_cells(grid: GridMap, start: tuple[int, int]) -> list[tuple[int, int]]:
-    seen = {start}
-    queue = [start]
-    while queue:
-        c, r = queue.pop()
-        for nc, nr in ((c + 1, r), (c - 1, r), (c, r + 1), (c, r - 1)):
-            if (0 <= nc < grid.width and 0 <= nr < grid.height
-                    and grid.materials[nr, nc] == FREE and (nc, nr) not in seen):
-                seen.add((nc, nr))
-                queue.append((nc, nr))
-    return sorted(seen)
+def _reachable(grid: GridMap, start: CellIndex) -> np.ndarray:
+    """Mask of the FREE cells 4-connected to start: a fill over the flat
+    index list of the materials padded by one blocked cell."""
+    Wp = grid.width + 2
+    free = np.pad(grid.materials == FREE, 1)
+    todo = free.ravel().tolist()  # cleared as the fill reaches each cell
+    stack = [(start[1] + 1) * Wp + start[0] + 1]
+    todo[stack[0]] = False
+    while stack:
+        i = stack.pop()
+        for j in (i + 1, i - 1, i + Wp, i - Wp):
+            if todo[j]:
+                todo[j] = False
+                stack.append(j)
+    return (free & ~np.array(todo).reshape(free.shape))[1:-1, 1:-1]
+
+
+def _nearest(grid: GridMap, cols: np.ndarray, rows: np.ndarray, point: WorldPoint,
+             k: int) -> list[CellIndex]:
+    """The k cells of (cols, rows) first in the order of (math.hypot from the
+    cell centre to point, cell). np.hypot may differ from math.hypot in the
+    last ulp, so numpy keeps every cell within a wide margin of the k-th
+    distance and the exact key orders only those."""
+    res = grid.resolution
+    d = np.hypot((cols + 0.5) * res - point[0], (rows + 0.5) * res - point[1])
+    kth = np.partition(d, k - 1)[k - 1]
+    near = np.nonzero(d <= kth + 1e-9 * (1.0 + kth))[0]
+
+    def key(c):
+        x, y = grid.to_world(c)
+        return (math.hypot(x - point[0], y - point[1]), c)
+
+    return sorted(zip(cols[near].tolist(), rows[near].tolist()), key=key)[:k]
 
 
 def random_scenario(seed: int, width: int = 32, height: int = 32, n_goals: int = 6,
@@ -232,30 +259,26 @@ def random_scenario(seed: int, width: int = 32, height: int = 32, n_goals: int =
     grid = generate_map(width, height, density, rng, resolution)
     params = radio if radio is not None else RadioParams(seed=seed)
 
-    all_free = [(c, r) for r in range(height) for c in range(width) if grid.materials[r, c] == FREE]
-    if len(all_free) < 2 * n_goals + 1:
+    rows, cols = np.nonzero(grid.materials == FREE)
+    if len(rows) < 2 * n_goals + 1:
         raise InfeasibleScenarioError("generated map has too few free cells")
-    corner = (2.0 * resolution, 2.0 * resolution)
-    bs_cell = min(all_free, key=lambda c: (math.hypot(grid.to_world(c)[0] - corner[0],
-                                                      grid.to_world(c)[1] - corner[1]), c))
+    bs_cell = _nearest(grid, cols, rows, (2.0 * resolution, 2.0 * resolution), 1)[0]
     bs = grid.to_world(bs_cell)
-    free = _reachable_cells(grid, bs_cell)
-    if len(free) < 2 * n_goals + 1:
+    # the reachable cells in (col, row) order
+    cols, rows = np.nonzero(_reachable(grid, bs_cell).T)
+    if len(cols) < 2 * n_goals + 1:
         raise InfeasibleScenarioError("base station room is too small")
-
-    by_dist = sorted(free, key=lambda c: (math.hypot(grid.to_world(c)[0] - bs[0],
-                                                     grid.to_world(c)[1] - bs[1]), c))
-    starts = [grid.to_world(c) for c in by_dist[1:n_goals + 1]]
+    starts = [grid.to_world(c) for c in _nearest(grid, cols, rows, bs, n_goals + 1)[1:]]
 
     min_sep = 2.0 * resolution
     min_bs_dist = 4.0 * resolution
     goals: list[WorldPoint] = []
-    candidates = list(free)
+    cols, rows = cols.tolist(), rows.tolist()
     for _ in range(4000):
         if len(goals) == n_goals:
             break
-        cell = candidates[int(rng.integers(0, len(candidates)))]
-        p = grid.to_world(cell)
+        i = int(rng.integers(0, len(cols)))
+        p = grid.to_world((cols[i], rows[i]))
         if math.hypot(p[0] - bs[0], p[1] - bs[1]) < min_bs_dist:
             continue
         if any(abs(p[0] - s[0]) < 1e-9 and abs(p[1] - s[1]) < 1e-9 for s in starts):

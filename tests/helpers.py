@@ -11,7 +11,9 @@ multipath draw seeded from a list of ints, the path loss over the scalar
 sampler, the mission execution as one loop over parallel per-robot lists,
 the replan loop that keeps every attempt's trace and merges them at the
 end, the SVG render with one loop over every cell per layer, and the DP
-relay move as a rewire rule with a "new" sentinel plus a separate commit.
+relay move as a rewire rule with a "new" sentinel plus a separate commit,
+and the random scenario generator with its per-cell wall loops, full
+distance sorts and tuple-set flood fill.
 These deliberately share no code with the package internals, except that
 the relay oracle calls the public radio model (rss and coverage fields),
 the movement-cost oracle calls count_traversals once per pair, the
@@ -20,7 +22,8 @@ cut into pieces, the execution oracle calls the tick tree (which has an
 oracle of its own), the replan oracle plans, executes and replans with the
 package, the render oracle reads the coverage through a CoverageBook, and
 the relay-move oracle runs on a package _Planner, whose strongest, hold,
-move and park it calls."""
+move and park it calls, and the generator oracle builds the package's
+GridMap and Scenario."""
 
 import heapq
 import itertools
@@ -40,14 +43,16 @@ from relaynet.eikonal import (
     VelocityField,
     _polyline_length,
 )
-from relaynet.gridmap import FREE, GLASS, WALL, GridMap, count_traversals, segment_runs
+from relaynet.gridmap import FREE, GLASS, WALL, GridMap, WorldPoint, count_traversals, segment_runs
 from relaynet.mission import (
     DeadlockError,
     DeploymentPlan,
     GoalConnectivityStallError,
+    InfeasibleScenarioError,
     MissionEvent,
     MissionTrace,
     ReplanBudgetError,
+    Scenario,
     _tick_tree,
     execute_mission,
     plan_deployment,
@@ -1043,3 +1048,88 @@ def render_svg_reference(scenario, plan=None) -> str:
     out.append(f'<rect x="{bx - 4:.2f}" y="{by - 4:.2f}" width="8" height="8" fill="#2ca02c"/>')
     out.append("</svg>\n")
     return "\n".join(out)
+
+
+def generate_map_reference(width: int, height: int, density: float, rng: np.random.Generator,
+                           resolution: float = 0.5) -> GridMap:
+    """Axis-aligned rooms: border walls plus interior wall lines with door gaps."""
+    mats = np.zeros((height, width), dtype=np.uint8)
+    mats[0, :] = WALL
+    mats[-1, :] = WALL
+    mats[:, 0] = WALL
+    mats[:, -1] = WALL
+    n_lines = max(1, int(round(density * (width + height) / 12)))
+    for k in range(n_lines):
+        vertical = bool(rng.integers(0, 2)) if k > 0 else True
+        if vertical:
+            col = int(rng.integers(3, width - 3))
+            door = int(rng.integers(1, height - 3))
+            for row in range(1, height - 1):
+                if door <= row < door + 2:
+                    continue
+                mats[row, col] = WALL
+        else:
+            row = int(rng.integers(3, height - 3))
+            door = int(rng.integers(1, width - 3))
+            for col in range(1, width - 1):
+                if door <= col < door + 2:
+                    continue
+                mats[row, col] = WALL
+    return GridMap(width=width, height=height, resolution=resolution, materials=mats)
+
+
+def _reachable_cells_reference(grid: GridMap, start: tuple[int, int]) -> list[tuple[int, int]]:
+    seen = {start}
+    queue = [start]
+    while queue:
+        c, r = queue.pop()
+        for nc, nr in ((c + 1, r), (c - 1, r), (c, r + 1), (c, r - 1)):
+            if (0 <= nc < grid.width and 0 <= nr < grid.height
+                    and grid.materials[nr, nc] == FREE and (nc, nr) not in seen):
+                seen.add((nc, nr))
+                queue.append((nc, nr))
+    return sorted(seen)
+
+
+def random_scenario_reference(seed: int, width: int = 32, height: int = 32, n_goals: int = 6,
+                              density: float = 0.5, radio: RadioParams | None = None,
+                              resolution: float = 0.5) -> Scenario:
+    """Seeded random indoor scenario: BS in a corner region, robots beside it,
+    goals rejection-sampled on free cells with minimum pairwise separation."""
+    rng = np.random.default_rng(seed)
+    grid = generate_map_reference(width, height, density, rng, resolution)
+    params = radio if radio is not None else RadioParams(seed=seed)
+
+    all_free = [(c, r) for r in range(height) for c in range(width) if grid.materials[r, c] == FREE]
+    if len(all_free) < 2 * n_goals + 1:
+        raise InfeasibleScenarioError("generated map has too few free cells")
+    corner = (2.0 * resolution, 2.0 * resolution)
+    bs_cell = min(all_free, key=lambda c: (math.hypot(grid.to_world(c)[0] - corner[0],
+                                                      grid.to_world(c)[1] - corner[1]), c))
+    bs = grid.to_world(bs_cell)
+    free = _reachable_cells_reference(grid, bs_cell)
+    if len(free) < 2 * n_goals + 1:
+        raise InfeasibleScenarioError("base station room is too small")
+
+    by_dist = sorted(free, key=lambda c: (math.hypot(grid.to_world(c)[0] - bs[0],
+                                                     grid.to_world(c)[1] - bs[1]), c))
+    starts = [grid.to_world(c) for c in by_dist[1:n_goals + 1]]
+
+    min_sep = 2.0 * resolution
+    min_bs_dist = 4.0 * resolution
+    goals: list[WorldPoint] = []
+    candidates = list(free)
+    for _ in range(4000):
+        if len(goals) == n_goals:
+            break
+        cell = candidates[int(rng.integers(0, len(candidates)))]
+        p = grid.to_world(cell)
+        if math.hypot(p[0] - bs[0], p[1] - bs[1]) < min_bs_dist:
+            continue
+        if any(abs(p[0] - s[0]) < 1e-9 and abs(p[1] - s[1]) < 1e-9 for s in starts):
+            continue
+        if all(math.hypot(p[0] - g[0], p[1] - g[1]) >= min_sep for g in goals):
+            goals.append(p)
+    if len(goals) < n_goals:
+        raise InfeasibleScenarioError("could not sample enough separated goals")
+    return Scenario(map=grid, bs=bs, robot_starts=starts, goals=goals, radio=params)
