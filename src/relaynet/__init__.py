@@ -24,13 +24,7 @@ from .eikonal import (
     extract_path,
     solve_eikonal,
 )
-from .gridmap import (
-    GridMap,
-    TraversalCount,
-    count_traversals,
-    line_of_sight,
-    parse_map,
-)
+from .gridmap import GridMap, count_traversals, parse_map
 from .mission import (
     DeploymentPlan,
     Metrics,

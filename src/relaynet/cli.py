@@ -431,22 +431,23 @@ def _do_compare(sc: Scenario, out_dir: str) -> int:
     return EXIT_OK
 
 
-def compare_scenario(sc: Scenario, planned: dict[str, DeploymentPlan] | None = None
-                     ) -> tuple[dict[str, Metrics | None], dict[str, DeploymentPlan]]:
-    """Plan and execute every mode on sc. A mode with a plan in planned,
-    which must be that mode's plan of sc, reuses it rather than planning."""
-    results: dict[str, Metrics | None] = {}
-    plans: dict[str, DeploymentPlan] = {}
-    for m in mission.MODES:
-        try:
-            plan = (planned or {}).get(m) or plan_deployment(sc, m)
-            trace = execute_mission(plan, sc)
-            results[m] = compute_metrics(trace, plan)
-            plans[m] = plan
-        except (InfeasibleScenarioError, InfeasibleRadioError, DeadlockError) as e:
-            log.warning("mode %s failed: %s", m, e)
-            results[m] = None
-    return results, plans
+def _run_mode(sc: Scenario, mode: str, plan: DeploymentPlan | None = None
+              ) -> tuple[Metrics, DeploymentPlan] | None:
+    """Metrics and plan of sc in mode, planned unless plan (that mode's plan
+    of sc) is given; None, with a warning, when the mode fails."""
+    try:
+        plan = plan or plan_deployment(sc, mode)
+        return compute_metrics(execute_mission(plan, sc), plan), plan
+    except (InfeasibleScenarioError, InfeasibleRadioError, DeadlockError) as e:
+        log.warning("mode %s failed: %s", mode, e)
+        return None
+
+
+def compare_scenario(sc: Scenario) -> tuple[dict[str, Metrics | None], dict[str, DeploymentPlan]]:
+    """Plan and execute every mode on sc."""
+    done = {m: _run_mode(sc, m) for m in mission.MODES}
+    return ({m: d[0] if d else None for m, d in done.items()},
+            {m: d[1] for m, d in done.items() if d})
 
 
 def cmd_sweep(experiment_path: str, out_dir: str) -> int:
@@ -474,15 +475,14 @@ def cmd_sweep(experiment_path: str, out_dir: str) -> int:
                 log.warning("skipping goal_count=%d trial=%d: no feasible scenario in 20 tries",
                             gc, trial)
                 continue
-            results, _ = compare_scenario(sc, {probe.mode: probe})
             for m in spec["modes"]:
-                r = results.get(m)
-                if r is None:
+                done = _run_mode(sc, m, probe if m == probe.mode else None)
+                if done is None:
                     trial_rows.append(f"{gc},{trial},{seed},{m}," + ",".join(["NA"] * len(Metrics.COLUMNS)))
                     continue
                 trial_rows.append(f"{gc},{trial},{seed},{m},"
-                                  + ",".join(_fmt(v) for v in r.row()))
-                agg.setdefault((gc, m), []).append(r)
+                                  + ",".join(_fmt(v) for v in done[0].row()))
+                agg.setdefault((gc, m), []).append(done[0])
     (out / "trials.csv").write_text("\n".join(trial_rows) + "\n")
 
     agg_rows = ["goal_count,mode,trials," + ",".join(Metrics.COLUMNS)]

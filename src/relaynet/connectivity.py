@@ -35,9 +35,6 @@ class Assignment:
     pairs: tuple[tuple[int, int], ...]  # (row, col), minimal total cost
     total_cost: float
 
-    def mapping(self) -> dict[int, int]:
-        return dict(self.pairs)
-
 
 @dataclass
 class RelayPlan:

@@ -68,8 +68,8 @@ def comm_velocity(cov: RssField, other_robots: Sequence[CellIndex],
     by other robots are blocked outright.
     """
     grid = cov.grid
-    if w_c < 0:
-        raise ValueError("w_c must be >= 0")
+    if not 0.0 <= w_c < math.inf:
+        raise ValueError(f"w_c must be finite and >= 0, got {w_c!r}")
     if cov.rss_ref <= cov.gamma:
         raise RadioConfigError(
             f"degenerate coverage normalization: rss_ref {cov.rss_ref} <= gamma {cov.gamma}"
@@ -137,30 +137,25 @@ class DistanceField:
                         and Fp.item(nr + 1, nc + 1) > 0.0 and (nc, nr) not in ball):
                     ball.add((nc, nr))
                     frontier.append((nc, nr))
-        for dr in range(-2, 3):
-            for dc in range(-2, 3):
-                if dr == 0 and dc == 0:
-                    continue
-                nc, nr = sc + dc, sr + dr
-                if (nc, nr) not in ball:
-                    continue
+        # each seed is pushed once under its own index, so the heap pops the
+        # seeds in (value, index) order whatever order they are pushed in
+        for nc, nr in ball - {(sc, sr)}:
+            dc, dr = nc - sc, nr - sr
+            dist = h * sqrt(dc * dc + dr * dr)
+            k = max(2, math.ceil(dist / (h * 0.5)))
+            seed = 0.0
+            for i in range(k):
+                t = (i + 0.5) / k
+                mc_ = sc + 0.5 + t * dc
+                mr_ = sr + 0.5 + t * dr
+                fmid = Fp.item(int(mr_) + 1, int(mc_) + 1)
+                if fmid <= 0.0:
+                    break
+                seed += (dist / k) / fmid
+            else:
                 nidx = (nr + 1) * Wp + nc + 1
-                dist = h * sqrt(dc * dc + dr * dr)
-                k = max(2, math.ceil(dist / (h * 0.5)))
-                seed = 0.0
-                clear = True
-                for i in range(k):
-                    t = (i + 0.5) / k
-                    mc_ = sc + 0.5 + t * dc
-                    mr_ = sr + 0.5 + t * dr
-                    fmid = Fp.item(int(mr_) + 1, int(mc_) + 1)
-                    if fmid <= 0.0:
-                        clear = False
-                        break
-                    seed += (dist / k) / fmid
-                if clear and seed < D[nidx]:
-                    D[nidx] = seed
-                    heappush(heap, (seed, nidx))
+                D[nidx] = seed
+                heappush(heap, (seed, nidx))
 
     @cached_property
     def D(self) -> np.ndarray:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,11 +27,6 @@ class MapParseError(ValueError):
 
 class OutOfBoundsError(ValueError):
     pass
-
-
-class TraversalCount(NamedTuple):
-    walls: int
-    glass: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +73,7 @@ class GridMap:
         return table
 
     @cached_property
-    def traversals(self) -> dict[tuple[WorldPoint, WorldPoint], TraversalCount]:
+    def traversals(self) -> dict[tuple[WorldPoint, WorldPoint], tuple[int, int]]:
         """count_traversals' memo, keyed by the canonical endpoint pair
         (a <= b) of float tuples. It lives as long as the map, which the
         CLI reads once per command."""
@@ -336,8 +330,8 @@ def segment_runs(grid: GridMap, ax, ay, bx, by, n) -> np.ndarray:
     return runs.reshape(shape)
 
 
-def count_traversals(grid: GridMap, a: WorldPoint, b: WorldPoint) -> TraversalCount:
-    """Wall and glass crossings of the straight segment a-b.
+def count_traversals(grid: GridMap, a: WorldPoint, b: WorldPoint) -> tuple[int, int]:
+    """Wall and glass crossings (walls, glass) of the straight segment a-b.
 
     A physical wall usually spans several cells, so each maximal run of
     Wall cells along the segment counts as one wall (same for glass). The
@@ -351,9 +345,8 @@ def count_traversals(grid: GridMap, a: WorldPoint, b: WorldPoint) -> TraversalCo
         a, b = b, a
     counts = grid.traversals.get((a, b))
     if counts is None:
-        walls, glass = segment_runs(grid, a[0], a[1], b[0], b[1],
-                                    segment_steps(grid, a, b)).tolist()
-        counts = grid.traversals[a, b] = TraversalCount(walls, glass)
+        counts = grid.traversals[a, b] = tuple(segment_runs(grid, a[0], a[1], b[0], b[1],
+                                                            segment_steps(grid, a, b)).tolist())
     return counts
 
 
@@ -379,7 +372,3 @@ def count_traversals_batch(grid: GridMap,
                       for a, b in segments])
     return list(zip(*segment_runs(grid, ax, ay, bx, by, steps).tolist()))
 
-
-def line_of_sight(grid: GridMap, a: WorldPoint, b: WorldPoint) -> bool:
-    """True iff the segment a-b crosses no wall and no glass."""
-    return count_traversals(grid, a, b) == (0, 0)

@@ -257,10 +257,8 @@ class _Planner:
         self.robot_pos: list[WorldPoint] = [tuple(p) for p in sc.robot_starts]
         self.txs: list[_Tx] = [_Tx(tuple(sc.bs), sc.map.to_cell(sc.bs), None, None)]
         self.dependents: dict[int, list[tuple[int, CellIndex]]] = {}
-        self.fixed_robots: set[int] = set()
         for robot, pos in fixed_relays:
             self.park(pos, robot, self.strongest(tuple(pos), gated=False))
-            self.fixed_robots.add(robot)
 
     def active_txs(self) -> list[int]:
         return [i for i, t in enumerate(self.txs) if t.active]
@@ -511,7 +509,8 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
     pl = _Planner(sc, fixed_relays)
     grid, goals = sc.map, pl.goals
     unplanned = set(range(len(goals)))
-    available = [r for r in range(pl.N) if r not in pl.fixed_robots]
+    fixed = {robot for robot, _ in fixed_relays}
+    available = [r for r in range(pl.N) if r not in fixed]
 
     for _wave in range(2 * pl.N + 4):
         if not unplanned:
@@ -636,7 +635,7 @@ def replan(scenario_updated: Scenario, reached_goals: set[int], robot_positions:
 
 
 def _point_along(points: list[WorldPoint], lengths: list[float], s: float) -> WorldPoint:
-    """The point s along the polyline points, whose segment lengths are lengths."""
+    """The point s along the polyline points (two or more), whose segment lengths are lengths."""
     remaining, last = s, len(lengths) - 1
     for i, seg in enumerate(lengths):
         if seg >= remaining or i == last:
@@ -646,7 +645,6 @@ def _point_along(points: list[WorldPoint], lengths: list[float], s: float) -> Wo
             f = min(remaining / seg, 1.0)
             return (ax + f * (bx - ax), ay + f * (by - ay))
         remaining -= seg
-    return points[-1]
 
 
 def _tick_tree(book: CoverageBook, bs: WorldPoint, positions: list[WorldPoint],

@@ -73,7 +73,6 @@ class RssField:
 
     grid: GridMap
     rss: np.ndarray            # shape (height, width), dBm; NO_SIGNAL on obstacles
-    sources: tuple[WorldPoint, ...]
     gamma: float
     rss_ref: float             # strongest plausible signal, p_tx - l0
 
@@ -83,9 +82,6 @@ class RssField:
     @property
     def mask(self) -> np.ndarray:
         return self.rss >= self.gamma
-
-    def covered(self, cell: CellIndex) -> bool:
-        return bool(self.rss[cell[1], cell[0]] >= self.gamma)
 
 
 def _seed_words(values) -> np.ndarray:
@@ -191,15 +187,13 @@ def coverage_field(grid: GridMap, tx: WorldPoint, params: RadioParams) -> RssFie
     loss = params.l0 + 10.0 * n * np.log10(d) + walls * params.a_wall + glass * params.a_glass
     values = params.p_tx - loss
     values[grid.materials != FREE] = NO_SIGNAL
-    return RssField(grid=grid, rss=values, sources=(tuple(tx),), gamma=params.gamma,
-                    rss_ref=params.p_tx - params.l0)
+    return RssField(grid=grid, rss=values, gamma=params.gamma, rss_ref=params.p_tx - params.l0)
 
 
 def empty_field(grid: GridMap, params: RadioParams) -> RssField:
     """Field with no transmitters: no cell is covered."""
     values = np.full((grid.height, grid.width), NO_SIGNAL)
-    return RssField(grid=grid, rss=values, sources=(), gamma=params.gamma,
-                    rss_ref=params.p_tx - params.l0)
+    return RssField(grid=grid, rss=values, gamma=params.gamma, rss_ref=params.p_tx - params.l0)
 
 
 def combine_coverage(fields: list[RssField]) -> RssField:
@@ -215,13 +209,7 @@ def combine_coverage(fields: list[RssField]) -> RssField:
     values = first.rss.copy()
     for f in fields[1:]:
         np.maximum(values, f.rss, out=values)
-    sources: list[WorldPoint] = []
-    for f in fields:
-        for s in f.sources:
-            if s not in sources:
-                sources.append(s)
-    return RssField(grid=first.grid, rss=values, sources=tuple(sources),
-                    gamma=first.gamma, rss_ref=first.rss_ref)
+    return RssField(grid=first.grid, rss=values, gamma=first.gamma, rss_ref=first.rss_ref)
 
 
 def coverage_distance(params: RadioParams) -> float:
@@ -250,8 +238,8 @@ def coverage_distance(params: RadioParams) -> float:
 
 
 class CoverageBook:
-    """Radio memo over one grid: single-source coverage fields keyed by
-    source cell, whose rss arrays every book on the grid with equal
+    """Radio memo over one grid: the rss arrays of single-source coverage
+    fields keyed by source cell, which every book on the grid with equal
     parameters shares (grid.coverage_fields), and this book's deterministic
     link losses keyed by the canonical point pair (a loss is exactly
     reciprocal, so one entry serves both directions). The map holds only
@@ -262,21 +250,16 @@ class CoverageBook:
         self.grid = grid
         self.params = params
         self._rss: dict[CellIndex, np.ndarray] = grid.coverage_fields.setdefault(params, {})
-        self._fields: dict[CellIndex, RssField] = {}
         self._losses: dict[tuple[WorldPoint, WorldPoint], float] = {}
 
     def field_at(self, src: WorldPoint) -> RssField:
         cell = self.grid.to_cell(src)
-        field = self._fields.get(cell)
-        if field is None:
+        rss = self._rss.get(cell)
+        if rss is None:
             tx = self.grid.to_world(cell)
-            rss = self._rss.get(cell)
-            if rss is None:
-                rss = self._rss[cell] = coverage_field(self.grid, tx, self.params).rss
-            field = self._fields[cell] = RssField(grid=self.grid, rss=rss, sources=(tx,),
-                                                  gamma=self.params.gamma,
-                                                  rss_ref=self.params.p_tx - self.params.l0)
-        return field
+            rss = self._rss[cell] = coverage_field(self.grid, tx, self.params).rss
+        return RssField(grid=self.grid, rss=rss, gamma=self.params.gamma,
+                        rss_ref=self.params.p_tx - self.params.l0)
 
     def combined(self, sources: list[WorldPoint]) -> RssField:
         if not sources:

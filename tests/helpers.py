@@ -13,7 +13,8 @@ the replan loop that keeps every attempt's trace and merges them at the
 end, the SVG render with one loop over every cell per layer, and the DP
 relay move as a rewire rule with a "new" sentinel plus a separate commit,
 and the random scenario generator with its per-cell wall loops, full
-distance sorts and tuple-set flood fill.
+distance sorts and tuple-set flood fill; plus a check that a planner's
+transmitters form an uplink tree.
 These deliberately share no code with the package internals, except that
 the relay oracle calls the public radio model (rss and coverage fields),
 the movement-cost oracle calls count_traversals once per pair, the
@@ -696,8 +697,7 @@ def coverage_field_reference(grid: GridMap, tx, params: RadioParams) -> RssField
     loss = params.l0 + 10.0 * n * np.log10(d) + walls * params.a_wall + glass * params.a_glass
     values = params.p_tx - loss
     values[grid.materials != FREE] = NO_SIGNAL
-    return RssField(grid=grid, rss=values, sources=(tuple(tx),), gamma=params.gamma,
-                    rss_ref=params.p_tx - params.l0)
+    return RssField(grid=grid, rss=values, gamma=params.gamma, rss_ref=params.p_tx - params.l0)
 
 
 def _point_along_reference(points, s: float):
@@ -921,6 +921,22 @@ def relocate_reference(pl, robot: int, post, rehomes: list | None = None) -> boo
     if rehomes is not None:
         rehomes.append(rehome)
     return True
+
+
+def uplink_tree_problems(txs) -> list[int]:
+    """The active transmitters of a planner's txs (_Tx records) whose parent
+    chain revisits a transmitter, reaches an inactive one or ends before it
+    reaches the base station at index 0."""
+    problems = []
+    for i, tx in enumerate(txs):
+        seen, cur = set(), i
+        while tx.active and cur != 0:
+            if cur is None or cur in seen or not txs[cur].active:
+                problems.append(i)
+                break
+            seen.add(cur)
+            cur = txs[cur].parent
+    return problems
 
 
 def _merge_traces_reference(traces: list[MissionTrace], goal_maps: list[list[int]]) -> MissionTrace:

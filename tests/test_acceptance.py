@@ -179,7 +179,7 @@ def test_criterion_4_hungarian_brute_force():
             asn = hungarian_assign(costs)
             perm, best = brute_force_assignment(costs)
             assert asn.total_cost == pytest.approx(best, abs=1e-9)
-            assert [asn.mapping()[i] for i in range(n)] == perm
+            assert [dict(asn.pairs)[i] for i in range(n)] == perm
 
 
 def test_criterion_5_min_hop_tree_oracle():

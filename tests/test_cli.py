@@ -107,12 +107,25 @@ class TestScenarioSchema:
         ("gamma", {"radio": {"gamma": math.nan}}),
         ("seed", {"seed": True}),
         ("bs", {"bs": [True, 6.0]}),
+        ("unknown knob keys", {"knobs": {"surprise": 1}}),
+        ("goals must occupy distinct cells", {"goals": [[9.0, 4.5], [9.2, 4.7], [16.0, 5.5],
+                                                        [17.0, 10.0], [15.5, 1.0], [18.5, 1.0]]}),
     ])
     def test_malformed_field_is_a_schema_error(self, tmp_path, key, extra):
         path = write_fig2_files(tmp_path, **extra)
         with pytest.raises(SchemaError, match=key):
             load_scenario(path)
         assert main(["run", str(path), "--mode", "dpa", "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("name, text, match", [
+        ("fig2.json", "{", "invalid JSON"),
+        ("fig2.map", "width 1\nheight 1\n.\n#\n", "unexpected content after raster"),
+    ])
+    def test_unreadable_file_exit_2(self, tmp_path, capsys, name, text, match):
+        path = write_fig2_files(tmp_path)
+        (tmp_path / name).write_text(text)
+        assert main(["plan", str(path), "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+        assert match in capsys.readouterr().err
 
     def test_missing_key_rejected(self, tmp_path):
         (tmp_path / "bad.json").write_text(json.dumps({"map": "x.map"}))
@@ -399,6 +412,43 @@ class TestSweep:
             "trials.csv": "70d27eccb2e9e76bf924379df505b083c5705a9f612ebc9768e1b6f01941bf74",
             "aggregate.csv": "fdea8004042a0649061ce1f95b708acf192ae575cdb725c6136f87929f4c3a36",
         }
+
+    def test_dpa_only_sweep_plans_and_executes_only_dpa(self, tmp_path, monkeypatch):
+        # the CI sweep's experiment, with all modes and with DPA-FMM alone
+        exp = {"map_size": [32, 32], "goal_counts": [4, 6, 8], "trials": 4, "seed_base": 0,
+               "radio": {"p_tx": -16.0}}
+        (tmp_path / "all.json").write_text(json.dumps(exp))
+        (tmp_path / "dpa.json").write_text(json.dumps(dict(exp, modes=["dpa"])))
+        assert main(["sweep", str(tmp_path / "all.json"), "--out", str(tmp_path / "all")]) == EXIT_OK
+        planned, executed = [], []
+
+        def plan(sc, mode, *args, **kwargs):
+            planned.append(mission.normalize_mode(mode))
+            return plan_deployment(sc, mode, *args, **kwargs)
+
+        def execute(plan, sc, *args, **kwargs):
+            executed.append(plan.mode)
+            return mission.execute_mission(plan, sc, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "plan_deployment", plan)
+        monkeypatch.setattr(cli, "execute_mission", execute)
+        assert main(["sweep", str(tmp_path / "dpa.json"), "--out", str(tmp_path / "dpa")]) == EXIT_OK
+        for name in ("trials.csv", "aggregate.csv"):
+            header, *rows = (tmp_path / "all" / name).read_text().splitlines()
+            dpa_rows = [row for row in rows if ",DPA-FMM," in row]
+            assert (tmp_path / "dpa" / name).read_text() == "\n".join([header] + dpa_rows) + "\n"
+        kept = len((tmp_path / "dpa" / "trials.csv").read_text().splitlines()) - 1
+        assert kept == 12 and set(planned) == {"DPA-FMM"}
+        assert executed == ["DPA-FMM"] * kept
+
+    def test_trial_without_a_feasible_draw_is_skipped(self, tmp_path):
+        # 20 goals never fit on a 7x7 map, so every one of the 20 draws fails
+        (tmp_path / "exp.json").write_text(json.dumps({"map_size": [7, 7], "goal_counts": [20]}))
+        assert main(["sweep", str(tmp_path / "exp.json"), "--out", str(tmp_path / "sw")]) == EXIT_OK
+        assert (tmp_path / "sw" / "trials.csv").read_text() == (
+            "goal_count,trial,seed,mode,d_max,d_tot,T,C_mean,C_min,O_mean,R\n")
+        assert (tmp_path / "sw" / "aggregate.csv").read_text() == (
+            "goal_count,mode,trials,d_max,d_tot,T,C_mean,C_min,O_mean,R\n")
 
     def test_unknown_experiment_key_exit_2(self, tmp_path):
         (tmp_path / "exp.json").write_text(json.dumps({"surprise": 1}))

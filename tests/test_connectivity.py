@@ -155,18 +155,18 @@ class TestMovementCost:
 class TestHungarian:
     def test_cheap_diagonal(self):
         asn = hungarian_assign([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        assert asn.mapping() == {0: 0, 1: 1, 2: 2}
+        assert dict(asn.pairs) == {0: 0, 1: 1, 2: 2}
         assert asn.total_cost == 0
 
     def test_two_by_two(self):
         asn = hungarian_assign([[1, 2], [2, 1]])
-        assert asn.mapping() == {0: 0, 1: 1}
+        assert dict(asn.pairs) == {0: 0, 1: 1}
         assert asn.total_cost == 2
 
     def test_tie_break_lexicographic(self):
         # all assignments cost 2; the identity is lexicographically smallest
         asn = hungarian_assign([[1, 1], [1, 1]])
-        assert asn.mapping() == {0: 0, 1: 1}
+        assert dict(asn.pairs) == {0: 0, 1: 1}
 
     def test_random_vs_brute_force(self):
         rng = np.random.default_rng(13)
@@ -176,16 +176,16 @@ class TestHungarian:
             asn = hungarian_assign(costs)
             perm, best = brute_force_assignment(costs)
             assert asn.total_cost == pytest.approx(best)
-            assert [asn.mapping()[i] for i in range(n)] == perm
+            assert [dict(asn.pairs)[i] for i in range(n)] == perm
 
     def test_rectangular_more_tasks(self):
         asn = hungarian_assign([[5, 1, 9]])
-        assert asn.mapping() == {0: 1}
+        assert dict(asn.pairs) == {0: 1}
         assert asn.total_cost == 1
 
     def test_rectangular_more_robots(self):
         asn = hungarian_assign([[5.0], [1.0], [9.0]])
-        assert asn.mapping() == {1: 0}
+        assert dict(asn.pairs) == {1: 0}
         assert asn.total_cost == 1
 
     def test_empty_rejected(self):

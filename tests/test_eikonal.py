@@ -66,17 +66,22 @@ class TestCommVelocity:
         cov = coverage_field(m, m.to_world((4, 4)), params)
         rss = cov.rss.copy()
         rss[0, 0] = params.gamma  # exactly at threshold
-        cov2 = type(cov)(grid=cov.grid, rss=rss, sources=cov.sources,
-                         gamma=cov.gamma, rss_ref=cov.rss_ref)
+        cov2 = type(cov)(grid=cov.grid, rss=rss, gamma=cov.gamma, rss_ref=cov.rss_ref)
         v = comm_velocity(cov2, [], w_c=1.0)
         assert v.F[0, 0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("w_c", [-0.5, math.inf, math.nan])
+    def test_negative_or_non_finite_weight_rejected(self, w_c):
+        # an infinite weight would give NaN speeds outside the coverage
+        m = open_map(4, 4)
+        with pytest.raises(ValueError, match="w_c must be finite and >= 0"):
+            comm_velocity(empty_field(m, RadioParams()), [], w_c=w_c)
 
     def test_degenerate_normalization_rejected(self):
         m = open_map(4, 4)
         params = RadioParams(p_tx=-40.0, l0=40.0, gamma=-70.0)
         cov = empty_field(m, params)
-        bad = type(cov)(grid=cov.grid, rss=cov.rss, sources=(),
-                        gamma=cov.gamma, rss_ref=cov.gamma - 1.0)
+        bad = type(cov)(grid=cov.grid, rss=cov.rss, gamma=cov.gamma, rss_ref=cov.gamma - 1.0)
         with pytest.raises(RadioConfigError):
             comm_velocity(bad, [], 1.0)
 
@@ -111,6 +116,10 @@ class TestSolveEikonal:
         m = make_map([".#."])
         with pytest.raises(UnreachableError):
             solve_eikonal(base_velocity(m), (1, 0))
+
+    def test_source_off_the_grid_rejected(self):
+        with pytest.raises(UnreachableError, match="outside grid"):
+            solve_eikonal(base_velocity(open_map(4, 2)), (4, 0))
 
     def test_cells_off_the_grid_raise(self):
         m = open_map(4, 2)
@@ -250,6 +259,11 @@ class TestExtractPath:
         true = math.hypot(10.0, 10.0)
         assert p.length <= true * 1.02
 
+    def test_off_grid_start_rejected(self):
+        d = solve_eikonal(base_velocity(open_map(4, 2)), (0, 0))
+        with pytest.raises(UnreachableError, match="outside grid"):
+            extract_path(d, (0, 2))
+
     def test_unreachable_start(self):
         m = make_map(["....#....."] * 5)
         d = solve_eikonal(base_velocity(m), (0, 2))
@@ -336,6 +350,16 @@ class TestCaFmmPath:
         m = make_map(["...#.", "...#.", "...#."])
         with pytest.raises(UnreachableError):
             ca_fmm_path(CoverageBook(m, RadioParams()), (0, 1), (4, 1), [])
+
+    @pytest.mark.parametrize("start, goal, match", [
+        ((0, 1), (5, 1), "outside grid"),
+        ((0, 1), (2, 1), "goal cell .* is blocked"),
+        ((2, 1), (0, 1), "start cell .* is blocked"),
+    ])
+    def test_off_grid_or_blocked_ends_rejected(self, start, goal, match):
+        m = make_map([".....", "..#..", "....."])
+        with pytest.raises(UnreachableError, match=match):
+            ca_fmm_path(CoverageBook(m, RadioParams()), start, goal, [])
 
     def test_blocked_cells_excluded(self):
         m = make_map(["....." , ".....", "....."])

@@ -14,7 +14,6 @@ from relaynet.gridmap import (
     MapParseError,
     OutOfBoundsError,
     count_traversals,
-    line_of_sight,
     parse_map,
     segment_runs,
     segment_steps,
@@ -65,6 +64,25 @@ class TestParseMap:
             rows = ["".join(row) for row in chars]
             m = make_map(rows, resolution=float(rng.choice([0.25, 0.5, 1.0])))
             assert parse_map(m.serialize()) == m
+
+    @pytest.mark.parametrize("text, match", [
+        ("width 1\nheight 1\n.\n#", "line 4: unexpected content after raster"),
+        ("width 0\nheight 1\n", "width and height must be >= 1"),
+        ("width 1\nheight 0\n", "width and height must be >= 1"),
+    ])
+    def test_empty_size_or_trailing_content_rejected(self, text, match):
+        with pytest.raises(MapParseError, match=match):
+            parse_map(text)
+
+    @pytest.mark.parametrize("width, height, shape, match", [
+        (0, 1, (1, 0), "at least 1x1"),
+        (1, 0, (0, 1), "at least 1x1"),
+        (3, 2, (3, 2), "does not match"),
+    ])
+    def test_grid_map_rejects_an_empty_or_mismatched_raster(self, width, height, shape, match):
+        with pytest.raises(MapParseError, match=match):
+            GridMap(width=width, height=height, resolution=0.5,
+                    materials=np.zeros(shape, dtype=np.uint8))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "0", "-0.5"])
     def test_non_finite_or_nonpositive_resolution_rejected(self, value):
@@ -141,6 +159,8 @@ class TestGeometry:
         with pytest.raises(OutOfBoundsError):
             m.material((4, 0))
         with pytest.raises(OutOfBoundsError):
+            m.to_world((0, 4))
+        with pytest.raises(OutOfBoundsError):
             count_traversals(m, (0.5, 0.5), (99.0, 0.5))
 
 
@@ -165,7 +185,7 @@ class TestCountTraversals:
             "..........",
         ])
         a, b = (0.25, 0.75), (4.75, 0.75)
-        assert count_traversals(m, a, b).walls == 2
+        assert count_traversals(m, a, b)[0] == 2
 
     def test_glass_counted_separately(self):
         m = make_map([
@@ -197,7 +217,7 @@ class TestCountTraversals:
         for _ in range(100):
             a = (float(rng.uniform(0.1, 1.4)), float(rng.uniform(0.1, 2.4)))
             b = (float(rng.uniform(4.6, 5.9)), float(rng.uniform(0.1, 2.4)))
-            assert count_traversals(with_wall, a, b).walls >= count_traversals(base, a, b).walls
+            assert count_traversals(with_wall, a, b)[0] >= count_traversals(base, a, b)[0]
 
 
 class TestObstacleTable:
@@ -226,6 +246,7 @@ class TestObstacleTable:
         assert "obstacle_table" not in vars(b)
         assert a == b and b == a
         assert a != make_map(["...", "%.."])
+        assert a.__eq__(object()) is NotImplemented and a != object()
 
 
 class TestSegmentPruning:
@@ -293,15 +314,15 @@ class TestSegmentPruning:
 class TestLineOfSight:
     def test_adjacent_free_cells(self, traversal_map):
         m = traversal_map
-        assert line_of_sight(m, m.to_world((0, 0)), m.to_world((1, 0)))
+        assert count_traversals(m, m.to_world((0, 0)), m.to_world((1, 0))) == (0, 0)
 
     def test_any_wall_blocks(self, traversal_map):
-        assert not line_of_sight(traversal_map, (2.25, 0.75), (2.25, 4.25))
+        assert count_traversals(traversal_map, (2.25, 0.75), (2.25, 4.25)) != (0, 0)
 
     def test_wall_shadow_pair_on_fixture(self, traversal_map):
         # both endpoints in free columns, the band lies between them
-        assert not line_of_sight(traversal_map, (0.25, 1.25), (0.25, 3.75))
+        assert count_traversals(traversal_map, (0.25, 1.25), (0.25, 3.75)) != (0, 0)
 
     def test_glass_blocks_los(self):
         m = make_map(["...", ".%.", "..."])
-        assert not line_of_sight(m, m.to_world((0, 1)), m.to_world((2, 1)))
+        assert count_traversals(m, m.to_world((0, 1)), m.to_world((2, 1))) != (0, 0)

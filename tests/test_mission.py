@@ -94,6 +94,18 @@ class TestDegenerateScenario:
         assert len(events) == 1
         assert events[0].tick == 0
 
+    @pytest.mark.parametrize("robots", [0, 2])
+    def test_plan_for_another_robot_count_rejected(self, robots):
+        grid = open_map(10, 5)
+        sc = Scenario(map=grid, bs=grid.to_world((2, 2)), robot_starts=[grid.to_world((4, 2))],
+                      goals=[grid.to_world((6, 2))], radio=RadioParams())
+        with pytest.raises(ValueError, match=f"plan covers {robots} robots, scenario has 1"):
+            execute_mission(DeploymentPlan("FMM", [[] for _ in range(robots)]), sc)
+
+    def test_metrics_of_an_empty_trace_rejected(self):
+        with pytest.raises(ValueError, match="empty trace"):
+            compute_metrics(MissionTrace([], [], [], [], [], set(), False), DeploymentPlan("FMM", []))
+
 
 class TestWaitSemantics:
     def test_wait_release_tick_equals_relay_arrival(self):

@@ -16,6 +16,7 @@ from relaynet.mission import (
     InfeasibleScenarioError,
     _Planner,
     _split_to_cap,
+    _Tx,
     execute_mission,
     plan_deployment,
 )
@@ -84,17 +85,35 @@ def test_wave_plan_visits_every_goal_once_and_completes_connected(seed, mode_cap
     assert plan_deployment(sc, mode).to_json() == plan.to_json()
 
 
+@pytest.mark.parametrize("parents, inactive, expected", [
+    ([None, 0, 1, 1, 0], set(), []),        # a tree
+    ([None, 0, 3, 2, 0], set(), [2, 3]),    # 2 and 3 uplink to each other
+    ([None, 0, 1, 0], {1}, [2]),            # 2 hangs under the inactive 1
+])
+def test_uplink_tree_problems(parents, inactive, expected):
+    txs = [_Tx((i + 0.5, 0.5), (i, 0), None if i == 0 else i - 1, p, i not in inactive)
+           for i, p in enumerate(parents)]
+    assert helpers.uplink_tree_problems(txs) == expected
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="known DP-FMM defect: goals reached with connected False (seed 87: "
-                          "goal 4 at tick 83; 293: goal 4 at tick 109; 2256: goal 3 at tick 78 "
-                          "and goal 2 at tick 81); on 87 and 293 a relay move leaves a cycle in "
-                          "the uplink tree")
+                   reason="known DP-FMM defect: a committed relay move leaves a cycle in the "
+                          "uplink tree (seed 87: transmitters 3 and 5; 293: 4 and 5; 2256: 3, 5 "
+                          "and 4), and goals are reached with connected False (87: goal 4 at "
+                          "tick 83; 293: goal 4 at tick 109; 2256: goal 3 at tick 78 and goal 2 "
+                          "at tick 81)")
 @pytest.mark.parametrize("seed", [87, 293, 2256])
 def test_dp_plan_at_defect_seed_reaches_every_goal_connected(seed):
     sc = random_scenario(seed, 24, 24, N_GOALS, 0.5, RadioParams(p_tx=-16.0, seed=seed))
     assert check_feasibility(sc.map, sc.bs, sc.goals, N_GOALS, sc.radio).feasible
     sc = replace(sc, visit_cap=9)
-    trace = execute_mission(plan_deployment(sc, "dp"), sc)
+    log = []
+    with mock.patch.object(_Planner, "relocate", _logging(_Planner.relocate, log)):
+        plan = plan_deployment(sc, "dp")
+    # after each committed relay move, every active transmitter reaches the base
+    problems = [(k, helpers.uplink_tree_problems(txs)) for k, (moved, txs) in enumerate(log) if moved]
+    assert [(k, bad) for k, bad in problems if bad] == []
+    trace = execute_mission(plan, sc)
     assert trace.completed
     assert trace.reached_goals == set(range(N_GOALS))
     events = [e for e in trace.events if e.kind == "goal-reached"]

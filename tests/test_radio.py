@@ -131,7 +131,7 @@ class TestCoverageField:
         m = open_map(6, 6)
         params = RadioParams()
         field = coverage_field(m, m.to_world((2, 2)), params)
-        assert field.covered((2, 2))
+        assert field.mask[2, 2]
 
     def test_extra_wall_run_costs_one_attenuation(self):
         # receivers at equal distance and equal NLoS regime; the extra wall
@@ -161,7 +161,7 @@ class TestCoverageField:
         params = RadioParams()
         field = coverage_field(m, m.to_world((1, 1)), params)
         assert field.mask.sum() == 1
-        assert field.covered((1, 1))
+        assert field.mask[1, 1]
 
     def test_tx_on_obstacle_rejected(self):
         m = make_map(["#.", ".."])
@@ -237,7 +237,6 @@ class TestCombine:
         f = coverage_field(m, m.to_world((2, 2)), params)
         g = combine_coverage([f, f])
         assert np.array_equal(g.rss, f.rss)
-        assert g.sources == f.sources
 
     def test_disjoint_disks_union(self):
         # short-range transmitters at opposite corners of a long hall
@@ -256,6 +255,18 @@ class TestCombine:
         f2 = coverage_field(open_map(6, 5), (1.25, 1.25), params)
         with pytest.raises(ValueError, match="different grids"):
             combine_coverage([f1, f2])
+
+    @pytest.mark.parametrize("other, match", [
+        (RadioParams(gamma=-60.0), "different radio parameters"),
+        (RadioParams(p_tx=0.0), "different radio parameters"),
+        (None, "at least one field"),
+    ])
+    def test_other_radio_or_no_fields_rejected(self, other, match):
+        m = open_map(5, 5)
+        fields = [] if other is None else [coverage_field(m, (1.25, 1.25), RadioParams()),
+                                           coverage_field(m, (2.25, 1.25), other)]
+        with pytest.raises(ValueError, match=match):
+            combine_coverage(fields)
 
     def test_empty_field_has_no_coverage(self):
         m = open_map(4, 4)
@@ -343,13 +354,15 @@ class TestValidation:
             RadioParams(sigma2_los=-0.5)
         with pytest.raises(RadioConfigError):
             RadioParams(n_los=0.0)
+        with pytest.raises(RadioConfigError, match="seed"):
+            RadioParams(seed=-1)
 
     def test_coverage_book_caches_by_cell(self):
         m = open_map(10, 10)
         book = CoverageBook(m, RadioParams())
         f1 = book.field_at((1.3, 1.4))
         f2 = book.field_at((1.2, 1.2))  # same cell
-        assert f1 is f2
+        assert f1.rss is f2.rss
 
     def test_books_on_one_map_share_its_fields(self, monkeypatch):
         built = []
@@ -368,11 +381,9 @@ class TestValidation:
             # each book wraps the map's one rss array in an RssField of its own
             other = b.field_at((m.to_world(c)[0] + 0.1, m.to_world(c)[1] - 0.1))
             assert other is not field and other.rss is field.rss
-            assert (other.sources, other.gamma, other.rss_ref) == (field.sources, field.gamma,
-                                                                   field.rss_ref)
+            assert (other.gamma, other.rss_ref) == (field.gamma, field.rss_ref)
             assert np.array_equal(field.rss, ref.rss)
-            assert (field.sources, field.gamma, field.rss_ref) == (ref.sources, ref.gamma,
-                                                                   ref.rss_ref)
+            assert (field.gamma, field.rss_ref) == (ref.gamma, ref.rss_ref)
         assert [(g is m, c) for g, c, _ in built] == [(True, c) for c in cells]
         # other parameters, or an equal but distinct map, build their own
         louder = params.with_(p_tx=-10.0)
