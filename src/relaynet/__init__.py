@@ -38,8 +38,6 @@ from .mission import (
 from .radio import (
     CoverageBook,
     RadioParams,
-    RssField,
-    combine_coverage,
     coverage_distance,
     coverage_field,
     path_loss,

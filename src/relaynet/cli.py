@@ -321,7 +321,7 @@ def render_svg(scenario: Scenario, plan: DeploymentPlan | None = None) -> str:
                     posts.append(post)
                     sources.append(post)
     book = CoverageBook(grid, scenario.radio)
-    cover = book.combined(sources).mask & (grid.materials == FREE)
+    cover = (book.combined(sources) >= scenario.radio.gamma) & (grid.materials == FREE)
     for r, c in zip(*(v.tolist() for v in np.nonzero(cover))):
         out.append(f'<rect x="{c * _CELL_PX}" y="{r * _CELL_PX}" '
                    f'width="{_CELL_PX}" height="{_CELL_PX}" fill="#d6eaff"/>')

@@ -251,7 +251,7 @@ def plan_relays(book: CoverageBook, goals: list[WorldPoint], free_robots: list[W
         far = [positions[i] for i, d in enumerate(depth) if d is None or d >= 3]
 
         # the covered free cells of the stride lattice, in row-major order
-        mask = book.combined([bs] + transmitters + committed).mask & (grid.materials == 0)
+        mask = (book.combined([bs] + transmitters + committed) >= gamma) & (grid.materials == 0)
         rows, cols = np.nonzero(mask[::stride, ::stride])
         taken = {grid.to_cell(p) for p in positions}
         cells = zip((cols * stride).tolist(), (rows * stride).tolist())

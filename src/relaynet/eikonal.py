@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .gridmap import FREE, CellIndex, GridMap, OutOfBoundsError, WorldPoint
-from .radio import CoverageBook, RadioConfigError, RssField
+from .radio import CoverageBook, RadioConfigError, RadioParams
 
 
 class UnreachableError(ValueError):
@@ -59,23 +59,24 @@ def base_velocity(grid: GridMap) -> VelocityField:
     return VelocityField(grid=grid, F=F)
 
 
-def comm_velocity(cov: RssField, other_robots: Sequence[CellIndex],
-                  w_c: float = 1.0) -> VelocityField:
-    """Velocity on the coverage field's grid, boosted inside the coverage area.
+def comm_velocity(grid: GridMap, rss: np.ndarray, params: RadioParams,
+                  other_robots: Sequence[CellIndex], w_c: float = 1.0) -> VelocityField:
+    """Velocity on grid, boosted inside the coverage area of the rss array.
 
-    The boost is w_c * clamp((rss - gamma) / (rss_ref - gamma), 0, 1): zero
-    outside coverage, w_c at the strongest plausible signal. Cells occupied
-    by other robots are blocked outright.
+    The boost is w_c * clamp((rss - gamma) / (rss_ref - gamma), 0, 1), where
+    rss_ref = p_tx - l0 is the strongest plausible signal: zero outside
+    coverage, w_c at rss_ref. Cells occupied by other robots are blocked
+    outright.
     """
-    grid = cov.grid
     if not 0.0 <= w_c < math.inf:
         raise ValueError(f"w_c must be finite and >= 0, got {w_c!r}")
-    if cov.rss_ref <= cov.gamma:
+    gamma, rss_ref = params.gamma, params.p_tx - params.l0
+    if rss_ref <= gamma:
         raise RadioConfigError(
-            f"degenerate coverage normalization: rss_ref {cov.rss_ref} <= gamma {cov.gamma}"
+            f"degenerate coverage normalization: rss_ref {rss_ref} <= gamma {gamma}"
         )
     F = (grid.materials == FREE).astype(np.float64)
-    boost = w_c * np.clip((cov.rss - cov.gamma) / (cov.rss_ref - cov.gamma), 0.0, 1.0)
+    boost = w_c * np.clip((rss - gamma) / (rss_ref - gamma), 0.0, 1.0)
     Fc = F + np.where(F > 0, boost, 0.0)
     for c in other_robots:
         if grid.cell_in_bounds(c):
@@ -543,14 +544,14 @@ def ca_fmm_path(book: CoverageBook, start: CellIndex, goal: CellIndex,
     grid = book.grid
     if not grid.cell_in_bounds(start) or not grid.cell_in_bounds(goal):
         raise UnreachableError(f"start {start} or goal {goal} outside grid")
-    cov = book.combined(list(relay_sources))
+    rss = book.combined(relay_sources)
     blocked_eff = [c for c in blocked if tuple(c) not in (tuple(start), tuple(goal))]
-    vel = comm_velocity(cov, blocked_eff, w_c)
+    vel = comm_velocity(grid, rss, book.params, blocked_eff, w_c)
     if vel.F[goal[1], goal[0]] <= 0.0:
         raise UnreachableError(f"goal cell {goal} is blocked")
     if vel.F[start[1], start[0]] <= 0.0:
         raise UnreachableError(f"start cell {start} is blocked")
-    mask = cov.mask
+    mask = rss >= book.params.gamma
     if start == goal:
         center = grid.to_world(start)
         return Path(points=[center], length=0.0,

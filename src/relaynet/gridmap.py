@@ -81,10 +81,10 @@ class GridMap:
 
     @cached_property
     def coverage_fields(self) -> dict:
-        """The rss arrays of the coverage fields built on this map, keyed
-        by radio parameters and then by source cell, so every CoverageBook
-        on the map with equal parameters builds each field once. It lives as
-        long as the map, and holds nothing that refers back to it."""
+        """The read-only rss arrays of the coverage fields built on this
+        map, keyed by radio parameters and then by source cell, so every
+        CoverageBook on the map with equal parameters builds each field
+        once. It lives as long as the map."""
         return {}
 
     # -- geometry ------------------------------------------------------

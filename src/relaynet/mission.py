@@ -52,7 +52,7 @@ class InfeasibleScenarioError(RuntimeError):
 class DeadlockError(RuntimeError):
     """No robot moved or fired in a tick; waiting maps each robot held at a
     wait gate to its conditions, and trace is the mission up to and
-    including the deadlock tick, as until_tick=trace.ticks would return it."""
+    including the deadlock tick."""
 
     def __init__(self, message: str, waiting: dict, trace: MissionTrace):
         super().__init__(f"{message}: {waiting}")
@@ -62,8 +62,8 @@ class DeadlockError(RuntimeError):
 
 class GoalConnectivityStallError(RuntimeError):
     """A robot held disconnected at its goal too long; trace is the mission
-    up to and including the stall tick, as until_tick=trace.ticks would
-    return it, so its last positions and reached goals are the stalled state."""
+    up to and including the stall tick, so its last positions and reached
+    goals are the stalled state."""
 
     def __init__(self, message: str, trace: MissionTrace):
         super().__init__(message)
@@ -681,8 +681,7 @@ class _Robot:
 
 
 def execute_mission(plan: DeploymentPlan, scenario: Scenario,
-                    noise_seed: int | None = None, until_tick: int | None = None,
-                    hold_limit: int = 25) -> MissionTrace:
+                    noise_seed: int | None = None, hold_limit: int = 25) -> MissionTrace:
     """Synchronous tick simulation of a deployment plan.
 
     Robots advance at most robot_speed along their current path each tick;
@@ -808,7 +807,7 @@ def execute_mission(plan: DeploymentPlan, scenario: Scenario,
         fired = post_phase(tick, connected)
         busy = [r for r in busy if robots[r].queue or robots[r].goal is not None]
         trace.completed = not busy
-        if trace.completed or (until_tick is not None and tick >= until_tick):
+        if trace.completed:
             return trace
         if noise is not None:
             check_stall(connected)

@@ -67,23 +67,6 @@ class RadioParams:
         return replace(self, **kw)
 
 
-@dataclass(frozen=True, eq=False)
-class RssField:
-    """Per-cell received signal strength (dBm) from one or more transmitters."""
-
-    grid: GridMap
-    rss: np.ndarray            # shape (height, width), dBm; NO_SIGNAL on obstacles
-    gamma: float
-    rss_ref: float             # strongest plausible signal, p_tx - l0
-
-    def __post_init__(self):
-        self.rss.flags.writeable = False
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.rss >= self.gamma
-
-
 def _seed_words(values) -> np.ndarray:
     """The entropy SeedSequence reads from a list of ints, as one uint32
     array: each int split into little-endian 32-bit words, [0] for 0. An
@@ -168,8 +151,10 @@ def _traversal_field(grid: GridMap, tx: WorldPoint) -> tuple[np.ndarray, np.ndar
     return walls, glass
 
 
-def coverage_field(grid: GridMap, tx: WorldPoint, params: RadioParams) -> RssField:
-    """Deterministic rss at every cell center for a single transmitter."""
+def coverage_field(grid: GridMap, tx: WorldPoint, params: RadioParams) -> np.ndarray:
+    """Deterministic rss (dBm) at every cell center for a single
+    transmitter, as a read-only (height, width) array; NO_SIGNAL on
+    obstacle cells. A cell is covered where rss >= params.gamma."""
     grid.require_in_bounds(tx)
     txc = grid.to_cell(tx)
     if not grid.is_free_cell(txc):
@@ -187,29 +172,8 @@ def coverage_field(grid: GridMap, tx: WorldPoint, params: RadioParams) -> RssFie
     loss = params.l0 + 10.0 * n * np.log10(d) + walls * params.a_wall + glass * params.a_glass
     values = params.p_tx - loss
     values[grid.materials != FREE] = NO_SIGNAL
-    return RssField(grid=grid, rss=values, gamma=params.gamma, rss_ref=params.p_tx - params.l0)
-
-
-def empty_field(grid: GridMap, params: RadioParams) -> RssField:
-    """Field with no transmitters: no cell is covered."""
-    values = np.full((grid.height, grid.width), NO_SIGNAL)
-    return RssField(grid=grid, rss=values, gamma=params.gamma, rss_ref=params.p_tx - params.l0)
-
-
-def combine_coverage(fields: list[RssField]) -> RssField:
-    """Cellwise maximum over single-source fields sharing one grid."""
-    if not fields:
-        raise ValueError("combine_coverage needs at least one field")
-    first = fields[0]
-    for f in fields[1:]:
-        if f.grid is not first.grid and f.grid != first.grid:
-            raise ValueError("fields built on different grids")
-        if f.gamma != first.gamma or f.rss_ref != first.rss_ref:
-            raise ValueError("fields built with different radio parameters")
-    values = first.rss.copy()
-    for f in fields[1:]:
-        np.maximum(values, f.rss, out=values)
-    return RssField(grid=first.grid, rss=values, gamma=first.gamma, rss_ref=first.rss_ref)
+    values.flags.writeable = False
+    return values
 
 
 def coverage_distance(params: RadioParams) -> float:
@@ -238,12 +202,11 @@ def coverage_distance(params: RadioParams) -> float:
 
 
 class CoverageBook:
-    """Radio memo over one grid: the rss arrays of single-source coverage
-    fields keyed by source cell, which every book on the grid with equal
-    parameters shares (grid.coverage_fields), and this book's deterministic
-    link losses keyed by the canonical point pair (a loss is exactly
-    reciprocal, so one entry serves both directions). The map holds only
-    the arrays, not the RssFields, which refer back to it.
+    """Radio memo over one grid: the read-only rss arrays of single-source
+    coverage fields keyed by source cell, which every book on the grid with
+    equal parameters shares (grid.coverage_fields), and this book's
+    deterministic link losses keyed by the canonical point pair (a loss is
+    exactly reciprocal, so one entry serves both directions).
     """
 
     def __init__(self, grid: GridMap, params: RadioParams):
@@ -252,19 +215,21 @@ class CoverageBook:
         self._rss: dict[CellIndex, np.ndarray] = grid.coverage_fields.setdefault(params, {})
         self._losses: dict[tuple[WorldPoint, WorldPoint], float] = {}
 
-    def field_at(self, src: WorldPoint) -> RssField:
+    def field_at(self, src: WorldPoint) -> np.ndarray:
         cell = self.grid.to_cell(src)
         rss = self._rss.get(cell)
         if rss is None:
             tx = self.grid.to_world(cell)
-            rss = self._rss[cell] = coverage_field(self.grid, tx, self.params).rss
-        return RssField(grid=self.grid, rss=rss, gamma=self.params.gamma,
-                        rss_ref=self.params.p_tx - self.params.l0)
+            rss = self._rss[cell] = coverage_field(self.grid, tx, self.params)
+        return rss
 
-    def combined(self, sources: list[WorldPoint]) -> RssField:
-        if not sources:
-            return empty_field(self.grid, self.params)
-        return combine_coverage([self.field_at(s) for s in sources])
+    def combined(self, sources: list[WorldPoint]) -> np.ndarray:
+        """Cellwise maximum rss over the sources' fields, as a fresh array;
+        all NO_SIGNAL with no sources."""
+        values = np.full((self.grid.height, self.grid.width), NO_SIGNAL)
+        for s in sources:
+            np.maximum(values, self.field_at(s), out=values)
+        return values
 
     def rss_pairs(self, pairs: list[tuple[WorldPoint, WorldPoint]]) -> list[float]:
         """Deterministic rss of each pair of (x, y) tuples, memoised. The

@@ -65,8 +65,6 @@ from relaynet.radio import (
     CoverageBook,
     RadioConfigError,
     RadioParams,
-    RssField,
-    combine_coverage,
     coverage_field,
     rss,
 )
@@ -437,8 +435,9 @@ def plan_relays_unpruned(grid: GridMap, params: RadioParams, goals: list, free_r
         if len(committed) > 4 * len(goals) + 16:
             raise InfeasibleRelayError("commit budget", unreachable)
         txs = [tuple(bs)] + [tuple(t) for t in transmitters] + committed
-        mask = combine_coverage([coverage_field(grid, grid.to_world(grid.to_cell(t)), params)
-                                 for t in txs]).mask & (grid.materials == 0)
+        rss_max = np.maximum.reduce([coverage_field(grid, grid.to_world(grid.to_cell(t)), params)
+                                     for t in txs])
+        mask = (rss_max >= params.gamma) & (grid.materials == 0)
         taken = {grid.to_cell(p) for p in nodes}
         cands = [grid.to_world((c, r)) for r in range(0, grid.height, stride)
                  for c in range(0, grid.width, stride) if mask[r, c] and (c, r) not in taken]
@@ -676,7 +675,7 @@ def _traversal_field_reference(grid: GridMap, tx) -> tuple[np.ndarray, np.ndarra
     return walls, glass
 
 
-def coverage_field_reference(grid: GridMap, tx, params: RadioParams) -> RssField:
+def coverage_field_reference(grid: GridMap, tx, params: RadioParams) -> np.ndarray:
     """Deterministic rss at every cell center for a single transmitter, as
     coverage_field must build it bit for bit; raycast whole rows, in calls
     of one step count each."""
@@ -697,7 +696,7 @@ def coverage_field_reference(grid: GridMap, tx, params: RadioParams) -> RssField
     loss = params.l0 + 10.0 * n * np.log10(d) + walls * params.a_wall + glass * params.a_glass
     values = params.p_tx - loss
     values[grid.materials != FREE] = NO_SIGNAL
-    return RssField(grid=grid, rss=values, gamma=params.gamma, rss_ref=params.p_tx - params.l0)
+    return values
 
 
 def _point_along_reference(points, s: float):
@@ -1021,7 +1020,7 @@ def render_svg_reference(scenario, plan=None) -> str:
                     posts.append(post)
                     sources.append(post)
     book = CoverageBook(grid, scenario.radio)
-    mask = book.combined(sources).mask
+    mask = book.combined(sources) >= scenario.radio.gamma
     for r in range(grid.height):
         for c in range(grid.width):
             if mask[r, c] and grid.materials[r, c] == FREE:

@@ -32,7 +32,7 @@ from relaynet.mission import (
     plan_deployment,
     replan,
 )
-from relaynet.radio import CoverageBook, RadioParams, combine_coverage, coverage_field, path_loss
+from relaynet.radio import CoverageBook, RadioParams, coverage_field, path_loss
 
 from conftest import corridor_scenario, fig2_map, make_map, open_map
 from helpers import best_tour, bfs_hops, brute_force_assignment, dijkstra8
@@ -254,7 +254,8 @@ def test_criterion_7_coverage_bias():
                       for k in range(3)]
             fmm = ca_fmm_path(CoverageBook(m, params), start, goal, [])
             ca = ca_fmm_path(CoverageBook(m, params), start, goal, relays, w_c=1.0)
-            mask = combine_coverage([coverage_field(m, s, params) for s in relays]).mask
+            rss_max = np.maximum.reduce([coverage_field(m, s, params) for s in relays])
+            mask = rss_max >= params.gamma
             fmm_fracs.append(coverage_fraction(m, fmm.points, mask))
             ca_fracs.append(coverage_fraction(m, ca.points, mask))
             assert ca.length >= fmm.length - m.resolution / 2, "coverage bias shortened a path"
@@ -369,9 +370,11 @@ def test_criterion_11_reactive_replan():
         plan = plan_deployment(sc, "DPA-FMM")
         r_before = plan.robots_used
         cut = 6
-        partial = execute_mission(plan, sc, until_tick=cut)
-        positions = partial.positions[-1]
-        reached = set(partial.reached_goals)
+        # the mission as it stands at tick cut of the undisturbed run
+        full = execute_mission(plan, sc)
+        assert full.ticks > cut
+        positions = full.positions[cut]
+        reached = {e.data["goal"] for e in full.events if e.kind == "goal-reached" and e.tick <= cut}
 
         blocked_cols = (11, 12)
         mats = sc.map.materials.copy()

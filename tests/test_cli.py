@@ -290,9 +290,8 @@ class TestRun:
         assert trace["reached_goals"] == [0, 1, 2, 3, 4, 5]
 
     def test_map_is_freed_when_the_command_returns(self, tmp_path, monkeypatch):
-        # the map holds its fields' rss arrays, not the RssFields that refer
-        # back to it, so no reference cycle keeps it (and its memos) alive
-        # until the cyclic collector runs
+        # the map's memos hold nothing that refers back to it, so no
+        # reference cycle keeps it alive until the cyclic collector runs
         path = write_fig2_files(tmp_path, seed=11)
         maps = []
 

@@ -14,7 +14,7 @@ from relaynet.eikonal import (
     solve_eikonal,
 )
 from relaynet.gridmap import GLASS, WALL, OutOfBoundsError
-from relaynet.radio import CoverageBook, RadioConfigError, RadioParams, coverage_field, empty_field
+from relaynet.radio import NO_SIGNAL, CoverageBook, RadioConfigError, RadioParams, coverage_field
 
 from conftest import acceptance_order, make_map, open_map
 from helpers import dijkstra8, fmm_reference
@@ -34,40 +34,41 @@ class TestBaseVelocity:
         assert v.F.sum() == 4.0
 
 
+def no_signal(m):
+    return np.full((m.height, m.width), NO_SIGNAL)
+
+
 class TestCommVelocity:
     def test_uncovered_cell_keeps_unit_speed(self):
         m = open_map(6, 6)
-        params = RadioParams()
-        v = comm_velocity(empty_field(m, params), [], w_c=1.0)
+        v = comm_velocity(m, no_signal(m), RadioParams(), [], w_c=1.0)
         assert np.all(v.F == base_velocity(m).F)
 
     def test_boost_range_and_robot_blocking(self):
         m = open_map(20, 20)
         params = RadioParams()
-        cov = coverage_field(m, m.to_world((10, 10)), params)
-        v = comm_velocity(cov, [(3, 3)], w_c=1.0)
+        rss = coverage_field(m, m.to_world((10, 10)), params)
+        v = comm_velocity(m, rss, params, [(3, 3)], w_c=1.0)
         free = m.materials == 0
         assert np.all(v.F[free] <= 2.0 + 1e-12)
-        covered = cov.mask & free
+        covered = (rss >= params.gamma) & free
         assert np.all(v.F[covered & (v.F > 0)] >= 1.0)
         assert v.F[3, 3] == 0.0
 
     def test_strongest_signal_hits_one_plus_wc(self):
         m = open_map(9, 9)
         params = RadioParams()
-        cov = coverage_field(m, m.to_world((4, 4)), params)
-        v = comm_velocity(cov, [], w_c=1.0)
+        rss = coverage_field(m, m.to_world((4, 4)), params)
+        v = comm_velocity(m, rss, params, [], w_c=1.0)
         # tx's own cell sits at the clamped minimum distance, above rss_ref
         assert v.F[4, 4] == pytest.approx(2.0)
 
     def test_threshold_cell_gets_no_boost(self):
         m = open_map(9, 9)
         params = RadioParams()
-        cov = coverage_field(m, m.to_world((4, 4)), params)
-        rss = cov.rss.copy()
+        rss = coverage_field(m, m.to_world((4, 4)), params).copy()
         rss[0, 0] = params.gamma  # exactly at threshold
-        cov2 = type(cov)(grid=cov.grid, rss=rss, gamma=cov.gamma, rss_ref=cov.rss_ref)
-        v = comm_velocity(cov2, [], w_c=1.0)
+        v = comm_velocity(m, rss, params, [], w_c=1.0)
         assert v.F[0, 0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("w_c", [-0.5, math.inf, math.nan])
@@ -75,15 +76,14 @@ class TestCommVelocity:
         # an infinite weight would give NaN speeds outside the coverage
         m = open_map(4, 4)
         with pytest.raises(ValueError, match="w_c must be finite and >= 0"):
-            comm_velocity(empty_field(m, RadioParams()), [], w_c=w_c)
+            comm_velocity(m, no_signal(m), RadioParams(), [], w_c=w_c)
 
     def test_degenerate_normalization_rejected(self):
+        # rss_ref = p_tx - l0 = -81 dBm lies below gamma
         m = open_map(4, 4)
-        params = RadioParams(p_tx=-40.0, l0=40.0, gamma=-70.0)
-        cov = empty_field(m, params)
-        bad = type(cov)(grid=cov.grid, rss=cov.rss, gamma=cov.gamma, rss_ref=cov.gamma - 1.0)
-        with pytest.raises(RadioConfigError):
-            comm_velocity(bad, [], 1.0)
+        params = RadioParams(p_tx=-41.0, l0=40.0, gamma=-70.0)
+        with pytest.raises(RadioConfigError, match="degenerate coverage normalization"):
+            comm_velocity(m, no_signal(m), params, [], 1.0)
 
 
 class TestSolveEikonal:
@@ -314,9 +314,7 @@ class TestCaFmmPath:
         fmm = ca_fmm_path(CoverageBook(m, params), start, goal, [])
         ca = ca_fmm_path(CoverageBook(m, params), start, goal, relays, w_c=1.0)
         # evaluate both fractions against the same mask
-        from relaynet.radio import combine_coverage
-
-        mask = combine_coverage([coverage_field(m, s, params) for s in relays]).mask
+        mask = np.maximum.reduce([coverage_field(m, s, params) for s in relays]) >= params.gamma
         f_fmm = coverage_fraction(m, fmm.points, mask)
         f_ca = coverage_fraction(m, ca.points, mask)
         assert f_ca >= f_fmm

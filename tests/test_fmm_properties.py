@@ -50,10 +50,11 @@ def velocities(draw, grid: GridMap) -> VelocityField:
     free = [(c, r) for r, c in np.argwhere(grid.materials == FREE).tolist()]
     if not free or draw(st.booleans()):
         return base_velocity(grid)
-    cov = coverage_field(grid, grid.to_world(draw(st.sampled_from(free))), RadioParams())
+    params = RadioParams()
+    rss = coverage_field(grid, grid.to_world(draw(st.sampled_from(free))), params)
     robots = draw(st.lists(st.tuples(st.integers(-1, grid.width), st.integers(-1, grid.height)),
                            max_size=6))
-    return comm_velocity(cov, robots, draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])))
+    return comm_velocity(grid, rss, params, robots, draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])))
 
 
 @st.composite

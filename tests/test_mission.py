@@ -390,7 +390,8 @@ class TestNoiseHold:
         with pytest.raises(GoalConnectivityStallError) as exc:
             execute_mission(plan, fig2, noise_seed=0)
         stall = exc.value
-        rerun = execute_mission(plan, fig2, noise_seed=0, until_tick=stall.trace.ticks)
+        rerun = helpers.execute_mission_reference(plan, fig2, noise_seed=0,
+                                                  until_tick=stall.trace.ticks)
         assert not stall.trace.completed
         assert stall.trace == rerun
         assert stall.trace.to_json() == rerun.to_json()

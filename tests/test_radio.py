@@ -12,10 +12,8 @@ from relaynet.radio import (
     InfeasibleRadioError,
     RadioConfigError,
     RadioParams,
-    combine_coverage,
     coverage_distance,
     coverage_field,
-    empty_field,
     path_loss,
     rss,
 )
@@ -122,16 +120,16 @@ class TestCoverageField:
         for r in range(m.height):
             for c in range(m.width):
                 if m.material((c, r)) != 0:
-                    assert field.rss[r, c] == NO_SIGNAL
+                    assert field[r, c] == NO_SIGNAL
                 else:
                     expect = params.p_tx - path_loss(m, tx, m.to_world((c, r)), params)
-                    assert field.rss[r, c] == pytest.approx(expect, abs=1e-12)
+                    assert field[r, c] == pytest.approx(expect, abs=1e-12)
 
     def test_tx_cell_is_covered(self):
         m = open_map(6, 6)
         params = RadioParams()
         field = coverage_field(m, m.to_world((2, 2)), params)
-        assert field.mask[2, 2]
+        assert field[2, 2] >= params.gamma
 
     def test_extra_wall_run_costs_one_attenuation(self):
         # receivers at equal distance and equal NLoS regime; the extra wall
@@ -153,15 +151,15 @@ class TestCoverageField:
         down = rss(m, tx, m.to_world((5, 8)), params)
         assert up - down == pytest.approx(params.a_wall, abs=1e-12)
         field = coverage_field(m, tx, params)
-        assert field.rss[0, 5] == pytest.approx(up, abs=1e-12)
-        assert field.rss[8, 5] == pytest.approx(down, abs=1e-12)
+        assert field[0, 5] == pytest.approx(up, abs=1e-12)
+        assert field[8, 5] == pytest.approx(down, abs=1e-12)
 
     def test_all_wall_map_covers_only_tx_cell(self):
         m = make_map(["###", "#.#", "###"])
         params = RadioParams()
-        field = coverage_field(m, m.to_world((1, 1)), params)
-        assert field.mask.sum() == 1
-        assert field.mask[1, 1]
+        mask = coverage_field(m, m.to_world((1, 1)), params) >= params.gamma
+        assert mask.sum() == 1
+        assert mask[1, 1]
 
     def test_tx_on_obstacle_rejected(self):
         m = make_map(["#.", ".."])
@@ -194,8 +192,8 @@ class TestCoverageFieldOracle:
 
     @staticmethod
     def check(grid: GridMap, tx, params: RadioParams):
-        got = coverage_field(grid, tx, params).rss
-        expected = coverage_field_reference(grid, tx, params).rss
+        got = coverage_field(grid, tx, params)
+        expected = coverage_field_reference(grid, tx, params)
         assert np.array_equal(got, expected)
         assert got.tobytes() == expected.tobytes()
 
@@ -225,53 +223,33 @@ class TestCoverageFieldOracle:
 
 class TestCombine:
     def test_single_field_identity(self):
-        m = open_map(8, 8)
-        params = RadioParams()
-        f = coverage_field(m, m.to_world((2, 2)), params)
-        g = combine_coverage([f])
-        assert np.array_equal(g.rss, f.rss)
+        book = CoverageBook(open_map(8, 8), RadioParams())
+        p = book.grid.to_world((2, 2))
+        assert book.combined([p]).tobytes() == book.field_at(p).tobytes()
 
     def test_idempotent(self):
-        m = open_map(8, 8)
-        params = RadioParams()
-        f = coverage_field(m, m.to_world((2, 2)), params)
-        g = combine_coverage([f, f])
-        assert np.array_equal(g.rss, f.rss)
+        book = CoverageBook(open_map(8, 8), RadioParams())
+        p = book.grid.to_world((2, 2))
+        assert book.combined([p, p]).tobytes() == book.field_at(p).tobytes()
 
     def test_disjoint_disks_union(self):
         # short-range transmitters at opposite corners of a long hall
         m = open_map(60, 9)
         params = RadioParams(p_tx=-70.0 + 40.0 + 10 * 1.7 * math.log10(3.0))  # d_cov = 3 m
-        f1 = coverage_field(m, m.to_world((4, 4)), params)
-        f2 = coverage_field(m, m.to_world((55, 4)), params)
-        both = combine_coverage([f1, f2])
-        assert both.mask.sum() == f1.mask.sum() + f2.mask.sum()
-        assert np.all(both.rss >= f1.rss)
-        assert np.all(both.rss >= f2.rss)
-
-    def test_mismatched_grids_rejected(self):
-        params = RadioParams()
-        f1 = coverage_field(open_map(5, 5), (1.25, 1.25), params)
-        f2 = coverage_field(open_map(6, 5), (1.25, 1.25), params)
-        with pytest.raises(ValueError, match="different grids"):
-            combine_coverage([f1, f2])
-
-    @pytest.mark.parametrize("other, match", [
-        (RadioParams(gamma=-60.0), "different radio parameters"),
-        (RadioParams(p_tx=0.0), "different radio parameters"),
-        (None, "at least one field"),
-    ])
-    def test_other_radio_or_no_fields_rejected(self, other, match):
-        m = open_map(5, 5)
-        fields = [] if other is None else [coverage_field(m, (1.25, 1.25), RadioParams()),
-                                           coverage_field(m, (2.25, 1.25), other)]
-        with pytest.raises(ValueError, match=match):
-            combine_coverage(fields)
+        book = CoverageBook(m, params)
+        p1, p2 = m.to_world((4, 4)), m.to_world((55, 4))
+        f1, f2 = book.field_at(p1), book.field_at(p2)
+        both = book.combined([p1, p2])
+        gamma = params.gamma
+        assert (both >= gamma).sum() == (f1 >= gamma).sum() + (f2 >= gamma).sum()
+        assert np.all(both >= f1)
+        assert np.all(both >= f2)
 
     def test_empty_field_has_no_coverage(self):
         m = open_map(4, 4)
-        f = empty_field(m, RadioParams())
-        assert not f.mask.any()
+        values = CoverageBook(m, RadioParams()).combined([])
+        assert values.shape == (4, 4)
+        assert np.all(values == NO_SIGNAL)
 
 
 class TestCoverageDistance:
@@ -342,7 +320,7 @@ class TestRssMonotonicity:
         params = RadioParams()
         tx = m.to_world((0, 1))
         field = coverage_field(m, tx, params)
-        row = field.rss[1, 1:]
+        row = field[1, 1:]
         assert np.all(np.diff(row) <= 1e-12)
 
 
@@ -362,7 +340,21 @@ class TestValidation:
         book = CoverageBook(m, RadioParams())
         f1 = book.field_at((1.3, 1.4))
         f2 = book.field_at((1.2, 1.2))  # same cell
-        assert f1.rss is f2.rss
+        assert f1 is f2
+
+    def test_coverage_arrays_are_read_only(self):
+        # the map's memo shares each field with every book on the map
+        m = open_map(6, 6)
+        book = CoverageBook(m, RadioParams())
+        p, q = m.to_world((1, 1)), m.to_world((4, 3))
+        for field in (coverage_field(m, p, RadioParams()), book.field_at(p)):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0, 0] = 0.0
+        before = book.field_at(p).copy()
+        for sources in ([], [p], [p, q]):
+            combined = book.combined(sources)
+            combined[...] = 0.0
+            assert book.field_at(p).tobytes() == before.tobytes()
 
     def test_books_on_one_map_share_its_fields(self, monkeypatch):
         built = []
@@ -378,18 +370,15 @@ class TestValidation:
         for c in cells:
             ref = coverage_field_reference(m, m.to_world(c), params)
             field = a.field_at(m.to_world(c))
-            # each book wraps the map's one rss array in an RssField of its own
+            # both books return the map's one rss array
             other = b.field_at((m.to_world(c)[0] + 0.1, m.to_world(c)[1] - 0.1))
-            assert other is not field and other.rss is field.rss
-            assert (other.gamma, other.rss_ref) == (field.gamma, field.rss_ref)
-            assert np.array_equal(field.rss, ref.rss)
-            assert (field.gamma, field.rss_ref) == (ref.gamma, ref.rss_ref)
+            assert other is field
+            assert np.array_equal(field, ref)
         assert [(g is m, c) for g, c, _ in built] == [(True, c) for c in cells]
         # other parameters, or an equal but distinct map, build their own
         louder = params.with_(p_tx=-10.0)
         other = CoverageBook(m, louder).field_at(m.to_world(cells[0]))
-        assert np.array_equal(other.rss, coverage_field_reference(m, m.to_world(cells[0]),
-                                                                  louder).rss)
+        assert np.array_equal(other, coverage_field_reference(m, m.to_world(cells[0]), louder))
         twin = fig2_map()
         assert twin == m
         CoverageBook(twin, params).field_at(m.to_world(cells[0]))
