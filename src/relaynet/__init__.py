@@ -3,7 +3,6 @@
 from .clustering import Cluster, VisitSequence, cluster_goals, visit_order
 from .connectivity import (
     Assignment,
-    ConnGraph,
     FeasibilityReport,
     RelayPlan,
     build_conn_graph,

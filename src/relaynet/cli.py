@@ -169,7 +169,7 @@ def load_experiment(path: str | FsPath) -> dict:
         if not isinstance(modes, list) or not all(isinstance(m, str) for m in modes):
             raise SchemaError(f"modes must be a list of mode names, got {modes!r}")
         radio = _radio(data.get("radio", {}))
-        return {
+        exp = {
             # generate_map draws wall lines from [3, size - 3); the caps keep
             # a sweep's maps and wall-line counts bounded
             "map_size": [_integer(v, "map_size entry", 7, _MAX_MAP_SIDE) for v in map_size],
@@ -181,6 +181,9 @@ def load_experiment(path: str | FsPath) -> dict:
             "seed_base": _integer(data.get("seed_base", 0), "seed_base", 0),
             "radio": radio,
         }
+        if len(set(exp["modes"])) < len(exp["modes"]):
+            raise SchemaError(f"modes must name each mode once, got {modes!r}")
+        return exp
     except ValueError as e:
         raise SchemaError(f"{path}: {e}") from e
 
@@ -321,7 +324,7 @@ def render_svg(scenario: Scenario, plan: DeploymentPlan | None = None) -> str:
                     posts.append(post)
                     sources.append(post)
     book = CoverageBook(grid, scenario.radio)
-    cover = (book.combined(sources) >= scenario.radio.gamma) & (grid.materials == FREE)
+    cover = book.combined(sources) >= scenario.radio.gamma
     for r, c in zip(*(v.tolist() for v in np.nonzero(cover))):
         out.append(f'<rect x="{c * _CELL_PX}" y="{r * _CELL_PX}" '
                    f'width="{_CELL_PX}" height="{_CELL_PX}" fill="#d6eaff"/>')

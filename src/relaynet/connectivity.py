@@ -23,14 +23,6 @@ class InfeasibleRelayError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ConnGraph:
-    """Mutual-threshold connectivity graph; node 0 is the base station."""
-
-    positions: tuple[WorldPoint, ...]
-    edges: frozenset[tuple[int, int]]  # (i, j) with i < j
-
-
-@dataclass(frozen=True)
 class Assignment:
     pairs: tuple[tuple[int, int], ...]  # (row, col), minimal total cost
     total_cost: float
@@ -52,16 +44,15 @@ class FeasibilityReport:
     reason: str = ""
 
 
-def build_conn_graph(book: CoverageBook, positions: list[WorldPoint]) -> ConnGraph:
-    """Edges join position pairs whose deterministic rss, memoised in the
-    book, clears the book's gamma (the rss is exactly reciprocal, so one
-    direction decides both)."""
+def build_conn_graph(book: CoverageBook, positions: list[WorldPoint]) -> list[tuple[int, int]]:
+    """book.links(positions) after checking that every position lies on a
+    free cell. No pipeline calls it; it stays because bench/tracing.py
+    wraps it by name."""
     grid = book.grid
     for p in positions:
         if not grid.is_free_cell(grid.to_cell(p)):
             raise ValueError(f"node position {p} lies on an obstacle cell")
-    return ConnGraph(positions=tuple(tuple(p) for p in positions),
-                     edges=frozenset(book.links(positions)))
+    return book.links(positions)
 
 
 def bfs_tree(n: int, edges) -> tuple[list[int | None], list[int | None]]:
@@ -251,7 +242,7 @@ def plan_relays(book: CoverageBook, goals: list[WorldPoint], free_robots: list[W
         far = [positions[i] for i, d in enumerate(depth) if d is None or d >= 3]
 
         # the covered free cells of the stride lattice, in row-major order
-        mask = (book.combined([bs] + transmitters + committed) >= gamma) & (grid.materials == 0)
+        mask = book.combined([bs] + transmitters + committed) >= gamma
         rows, cols = np.nonzero(mask[::stride, ::stride])
         taken = {grid.to_cell(p) for p in positions}
         cells = zip((cols * stride).tolist(), (rows * stride).tolist())

@@ -29,18 +29,9 @@ log = logging.getLogger("relaynet")
 
 MODES = ("FMM", "CA-FMM", "DP-FMM", "DPA-FMM")
 
-_MODE_ALIASES = {
-    "fmm": "FMM",
-    "ca": "CA-FMM",
-    "cafmm": "CA-FMM",
-    "ca-fmm": "CA-FMM",
-    "dp": "DP-FMM",
-    "dpfmm": "DP-FMM",
-    "dp-fmm": "DP-FMM",
-    "dpa": "DPA-FMM",
-    "dpafmm": "DPA-FMM",
-    "dpa-fmm": "DPA-FMM",
-}
+# each mode by its name, its name without the dash, or its first word
+_MODE_ALIASES = {key: m for m in MODES
+                 for key in (m.lower(), m.lower().replace("-", ""), m.lower().split("-")[0])}
 
 
 class InfeasibleScenarioError(RuntimeError):

@@ -153,9 +153,9 @@ def _traversal_field(grid: GridMap, tx: WorldPoint) -> tuple[np.ndarray, np.ndar
 
 def coverage_field(grid: GridMap, tx: WorldPoint, params: RadioParams) -> np.ndarray:
     """Deterministic rss (dBm) at every cell center for a single
-    transmitter, as a read-only (height, width) array; NO_SIGNAL on
-    obstacle cells. A cell is covered where rss >= params.gamma."""
-    grid.require_in_bounds(tx)
+    transmitter, as a read-only (height, width) array. A cell is covered
+    where rss >= params.gamma; every obstacle cell reads NO_SIGNAL, which
+    no (finite) gamma reaches, so no obstacle cell is ever covered."""
     txc = grid.to_cell(tx)
     if not grid.is_free_cell(txc):
         raise RadioConfigError(f"transmitter at {tx} sits on an obstacle cell {txc}")

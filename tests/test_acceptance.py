@@ -16,7 +16,6 @@ from relaynet.cli import main as cli_main
 from relaynet.cli import random_scenario
 from relaynet.clustering import Cluster, cluster_goals, visit_order
 from relaynet.connectivity import (
-    ConnGraph,
     bfs_tree,
     check_feasibility,
     hungarian_assign,
@@ -192,9 +191,7 @@ def test_criterion_5_min_hop_tree_oracle():
                 for j in range(i + 1, n):
                     if rng.random() < 0.18:
                         edges.add((i, j))
-            graph = ConnGraph(positions=tuple((float(i), 0.0) for i in range(n)),
-                              edges=frozenset(edges))
-            parent, depth = bfs_tree(len(graph.positions), graph.edges)
+            parent, depth = bfs_tree(n, edges)
             oracle = bfs_hops(n, edges)
             assert depth == oracle
             for i in range(n):

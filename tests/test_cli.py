@@ -468,6 +468,9 @@ class TestSweep:
         ("p_tx", {"radio": {"p_tx": "x"}}),
         ("l0", {"radio": {"l0": "x"}}),
         ("l0", {"radio": {"l0": -1.0}}),
+        # a mode named twice, under any alias, would run each trial twice
+        ("modes", {"modes": ["dp", "DP-FMM"]}),
+        ("modes", {"modes": ["fmm", " CA ", "cafmm"]}),
     ])
     def test_malformed_experiment_field_is_a_schema_error(self, tmp_path, key, doc):
         (tmp_path / "exp.json").write_text(json.dumps(doc))
@@ -610,10 +613,18 @@ class TestOverrides:
 
 
 def test_import_needs_no_scipy():
-    # the package runs on numpy alone: a fresh interpreter that imports it
-    # and its command line loads no scipy module
-    code = ("import sys, relaynet, relaynet.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    # the package runs on numpy alone: a fresh interpreter that imports every
+    # relaynet module loads nothing outside the standard library, numpy and
+    # relaynet itself; modules loaded before the imports (site hooks) are
+    # left out
+    code = ("import importlib, pkgutil, sys\n"
+            "before = set(sys.modules)\n"
+            "import relaynet\n"
+            "names = [m.name for m in pkgutil.walk_packages(relaynet.__path__, 'relaynet.')]\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "print('relaynet.cli' in names, sorted({m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "      - set(sys.stdlib_module_names) - {'numpy', 'relaynet'}))")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "True []"

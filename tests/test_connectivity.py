@@ -28,8 +28,7 @@ def params_with_range(d_cov: float) -> RadioParams:
 
 def hop_tree(book: CoverageBook, nodes: list) -> tuple[list, list]:
     """(parent, depth) of the min-hop tree over the nodes' links."""
-    g = build_conn_graph(book, nodes)
-    return bfs_tree(len(g.positions), g.edges)
+    return bfs_tree(len(nodes), book.links(nodes))
 
 
 def max_depth(depth: list) -> int:
@@ -40,20 +39,20 @@ class TestConnGraph:
     def test_close_pair_connected(self):
         m = open_map(20, 5)
         g = build_conn_graph(CoverageBook(m, RadioParams()), [(1.25, 1.25), (2.25, 1.25)])
-        assert (0, 1) in g.edges
+        assert (0, 1) in g
 
     def test_beyond_coverage_distance_no_edge(self):
         params = params_with_range(4.0)
         assert coverage_distance(params) == pytest.approx(4.0)
         m = open_map(30, 5)
         g = build_conn_graph(CoverageBook(m, params), [(1.25, 1.25), (1.25 + 4.5, 1.25)])
-        assert not g.edges
+        assert not g
         g2 = build_conn_graph(CoverageBook(m, params), [(1.25, 1.25), (1.25 + 3.5, 1.25)])
-        assert (0, 1) in g2.edges
+        assert (0, 1) in g2
 
     def test_single_node(self):
         g = build_conn_graph(CoverageBook(open_map(4, 4), RadioParams()), [(1.25, 1.25)])
-        assert not g.edges
+        assert not g
 
     def test_node_on_obstacle_rejected(self):
         m = make_map(["#.", ".."])
@@ -97,8 +96,6 @@ class TestMinHopTree:
 
     def test_random_graphs_match_bfs_oracle(self):
         rng = np.random.default_rng(17)
-        from relaynet.connectivity import ConnGraph
-
         for _ in range(50):
             n = 8
             edges = set()
@@ -106,9 +103,7 @@ class TestMinHopTree:
                 for j in range(i + 1, n):
                     if rng.random() < 0.25:
                         edges.add((i, j))
-            graph = ConnGraph(positions=tuple((float(i), 0.0) for i in range(n)),
-                              edges=frozenset(edges))
-            depth = bfs_tree(len(graph.positions), graph.edges)[1]
+            depth = bfs_tree(n, edges)[1]
             oracle = bfs_hops(n, edges)
             assert depth == oracle
 

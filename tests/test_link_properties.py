@@ -4,7 +4,8 @@ shared raycast kernel, its padded batches and its piece path (forced on
 small batches, and natural on the fans of two larger maps), the per-map
 raycast memo, the coverage field's run counts, the movement-cost matrix,
 the memoised pairwise rss, the multipath draw's seeding, the batched links
-and coverage, the tick tree, and the single BFS."""
+and coverage, the obstacle rule of coverage, the tick tree, and the single
+BFS."""
 
 import itertools
 import math
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from relaynet import gridmap
 from relaynet.connectivity import bfs_tree, build_conn_graph, movement_cost, movement_costs
 from relaynet.gridmap import (
+    FREE,
     GridMap,
     OutOfBoundsError,
     count_traversals,
@@ -27,7 +29,9 @@ from relaynet.gridmap import (
 )
 from relaynet.mission import _tick_tree
 from relaynet.radio import (
+    NO_SIGNAL,
     CoverageBook,
+    RadioConfigError,
     RadioParams,
     _multipath_draw,
     _traversal_field,
@@ -320,9 +324,9 @@ def test_conn_graph_edges_equal_unmemoised_rss(data):
     if not free:
         return
     pts = data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=7))
-    graph = build_conn_graph(CoverageBook(grid, params), pts)
-    assert graph.edges == {(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
-                           if rss(grid, pts[i], pts[j], params) >= params.gamma}
+    assert build_conn_graph(CoverageBook(grid, params), pts) == [
+        (i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+        if rss(grid, pts[i], pts[j], params) >= params.gamma]
 
 
 @PROPS
@@ -363,6 +367,27 @@ def test_field_counts_equal_count_traversals(data):
             counts = count_traversals(grid, tx, grid.to_world((c, r))) \
                 if grid.is_free_cell((c, r)) else (0, 0)
             assert (walls[r, c], glass[r, c]) == tuple(counts)
+
+
+@PROPS
+@given(st.data())
+def test_combined_coverage_is_no_signal_on_every_obstacle_cell(data):
+    # the one statement of the rule that obstacles are never covered: with
+    # any radio and any sources, none at all included, every non-FREE cell
+    # reads NO_SIGNAL, and RadioParams admits no gamma that NO_SIGNAL reaches
+    grid = data.draw(small_maps() | sparse_maps())
+    params = RadioParams(p_tx=data.draw(st.floats(-60.0, 30.0)), l0=data.draw(st.floats(0.0, 60.0)),
+                         n_los=data.draw(st.floats(0.5, 4.0)), n_nlos=data.draw(st.floats(0.5, 4.0)),
+                         a_wall=data.draw(st.floats(0.0, 30.0)), a_glass=data.draw(st.floats(0.0, 10.0)),
+                         gamma=data.draw(st.floats(-150.0, 0.0)))
+    free = [grid.to_world((c, r)) for r in range(grid.height) for c in range(grid.width)
+            if grid.is_free_cell((c, r))]
+    sources = data.draw(st.lists(st.sampled_from(free), max_size=4)) if free else []
+    combined = CoverageBook(grid, params).combined(sources)
+    assert np.all(combined[grid.materials != FREE] == NO_SIGNAL)
+    assert not np.any((combined >= params.gamma) & (grid.materials != FREE))
+    with pytest.raises(RadioConfigError):
+        params.with_(gamma=data.draw(st.sampled_from([math.inf, -math.inf, math.nan])))
 
 
 @contextmanager

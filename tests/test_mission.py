@@ -53,6 +53,10 @@ class TestModeNormalization:
     @pytest.mark.parametrize("alias,canonical", [
         ("fmm", "FMM"), ("FMM", "FMM"), ("ca", "CA-FMM"), ("CA-FMM", "CA-FMM"),
         ("dp", "DP-FMM"), ("dpa", "DPA-FMM"), ("DPA-fmm", "DPA-FMM"),
+        # every alias in mixed case with surrounding space
+        (" fMm ", "FMM"), ("\tcA", "CA-FMM"), ("CaFmM ", "CA-FMM"), (" cA-FmM\n", "CA-FMM"),
+        ("dP  ", "DP-FMM"), ("  DpFmM", "DP-FMM"), ("\ndP-fMm\t", "DP-FMM"),
+        (" DpA ", "DPA-FMM"), ("dPaFmM\t", "DPA-FMM"), ("  dPa-FmM  ", "DPA-FMM"),
     ])
     def test_aliases(self, alias, canonical):
         assert normalize_mode(alias) == canonical
@@ -60,6 +64,18 @@ class TestModeNormalization:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             normalize_mode("dijkstra")
+
+    def test_exactly_the_ten_aliases(self):
+        # each mode by its name, its name without the dash, or its first word
+        assert mission._MODE_ALIASES == {
+            "fmm": "FMM", "ca": "CA-FMM", "cafmm": "CA-FMM", "ca-fmm": "CA-FMM",
+            "dp": "DP-FMM", "dpfmm": "DP-FMM", "dp-fmm": "DP-FMM",
+            "dpa": "DPA-FMM", "dpafmm": "DPA-FMM", "dpa-fmm": "DPA-FMM"}
+
+    @pytest.mark.parametrize("near_miss", ["c-a", "dpa-", "fmm-ca", "", " ", "dp fmm", "ca_fmm"])
+    def test_near_miss_rejected(self, near_miss):
+        with pytest.raises(ValueError, match="unknown mode"):
+            normalize_mode(near_miss)
 
 
 class TestDegenerateScenario:
