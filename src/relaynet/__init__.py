@@ -2,7 +2,6 @@
 
 from .clustering import Cluster, VisitSequence, cluster_goals, visit_order
 from .connectivity import (
-    Assignment,
     FeasibilityReport,
     RelayPlan,
     build_conn_graph,
@@ -15,7 +14,6 @@ from .connectivity import (
 from .eikonal import (
     DistanceField,
     Path,
-    VelocityField,
     base_velocity,
     ca_fmm_path,
     comm_velocity,

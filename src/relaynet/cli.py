@@ -572,7 +572,6 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
         return EXIT_INFEASIBLE
     except (SchemaError, MapParseError, ValueError) as e:
-        log.error("%s", e)
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
     except (DeadlockError, GoalConnectivityStallError, ReplanBudgetError) as e:

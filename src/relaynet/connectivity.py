@@ -22,12 +22,6 @@ class InfeasibleRelayError(RuntimeError):
         self.goals = goals
 
 
-@dataclass(frozen=True)
-class Assignment:
-    pairs: tuple[tuple[int, int], ...]  # (row, col), minimal total cost
-    total_cost: float
-
-
 @dataclass
 class RelayPlan:
     positions: list[WorldPoint]
@@ -151,9 +145,10 @@ def _min_cost_matching(costs: list[list[float]]) -> list[int]:
     return col_of
 
 
-def hungarian_assign(costs) -> Assignment:
-    """Minimal-cost bijection on min(rows, cols); among equal-cost optima the
-    lexicographically smallest assignment vector wins.
+def hungarian_assign(costs) -> list[tuple[int, int]]:
+    """The (row, col) pairs, in row order, of a minimal-cost bijection on
+    min(rows, cols); among equal-cost optima the lexicographically smallest
+    assignment vector wins.
 
     Rectangular matrices are padded square with a dominating sentinel, so the
     padded entries add a constant offset and never change the real optimum.
@@ -199,9 +194,7 @@ def hungarian_assign(costs) -> Assignment:
         remaining.remove(picked)
         fixed += P[r, picked]
 
-    pairs = tuple((r, c) for r, c in enumerate(chosen) if r < nr and c < nc)
-    total = float(sum(M[r, c] for r, c in pairs))
-    return Assignment(pairs=pairs, total_cost=total)
+    return [(r, c) for r, c in enumerate(chosen) if r < nr and c < nc]
 
 
 def plan_relays(book: CoverageBook, goals: list[WorldPoint], free_robots: list[WorldPoint], *,
@@ -305,7 +298,7 @@ def check_feasibility(grid: GridMap, bs: WorldPoint, goals: list[WorldPoint],
     if not goals:
         raise ValueError("goals must be nonempty")
     d_cov = coverage_distance(params)
-    dfield = solve_eikonal(base_velocity(grid), grid.to_cell(bs))
+    dfield = solve_eikonal(grid, base_velocity(grid), grid.to_cell(bs))
     worst_i = -1
     worst_d = -1.0
     for i, g in enumerate(goals):

@@ -26,17 +26,6 @@ class PathExtractionError(RuntimeError):
         self.last_point = last_point
 
 
-@dataclass(frozen=True, eq=False)
-class VelocityField:
-    """Wavefront speed per cell: 0 on blocked cells, >= 1 on traversable ones."""
-
-    grid: GridMap
-    F: np.ndarray  # shape (height, width), float64
-
-    def __post_init__(self):
-        self.F.flags.writeable = False
-
-
 @dataclass
 class Path:
     """Polyline from start to goal in world coordinates."""
@@ -53,15 +42,18 @@ def _polyline_length(points: Sequence[WorldPoint]) -> float:
     )
 
 
-def base_velocity(grid: GridMap) -> VelocityField:
-    """Unit speed on free cells, zero on walls and glass (robots cannot pass glass)."""
+def base_velocity(grid: GridMap) -> np.ndarray:
+    """Wavefront speed per cell, as a read-only (height, width) float array:
+    1 on free cells, 0 on walls and glass (robots cannot pass glass)."""
     F = (grid.materials == FREE).astype(np.float64)
-    return VelocityField(grid=grid, F=F)
+    F.flags.writeable = False
+    return F
 
 
 def comm_velocity(grid: GridMap, rss: np.ndarray, params: RadioParams,
-                  other_robots: Sequence[CellIndex], w_c: float = 1.0) -> VelocityField:
-    """Velocity on grid, boosted inside the coverage area of the rss array.
+                  other_robots: Sequence[CellIndex], w_c: float = 1.0) -> np.ndarray:
+    """base_velocity(grid), boosted inside the coverage area of the rss
+    array; read-only like it.
 
     The boost is w_c * clamp((rss - gamma) / (rss_ref - gamma), 0, 1), where
     rss_ref = p_tx - l0 is the strongest plausible signal: zero outside
@@ -75,13 +67,14 @@ def comm_velocity(grid: GridMap, rss: np.ndarray, params: RadioParams,
         raise RadioConfigError(
             f"degenerate coverage normalization: rss_ref {rss_ref} <= gamma {gamma}"
         )
-    F = (grid.materials == FREE).astype(np.float64)
+    F = base_velocity(grid)
     boost = w_c * np.clip((rss - gamma) / (rss_ref - gamma), 0.0, 1.0)
     Fc = F + np.where(F > 0, boost, 0.0)
     for c in other_robots:
         if grid.cell_in_bounds(c):
             Fc[c[1], c[0]] = 0.0
-    return VelocityField(grid=grid, F=Fc)
+    Fc.flags.writeable = False
+    return Fc
 
 
 class DistanceField:
@@ -96,20 +89,20 @@ class DistanceField:
     each side, at index (r + 1) * (W + 2) + c + 1. The mapping is monotone in
     (row, col), so heap ties on (d, index) break as they would on r * W + c,
     and the blocked border stands in for bounds checks. _final holds +inf
-    until a cell is accepted; _trial holds the tentative values.
+    until a cell is accepted; _trial holds the tentative values. F stays
+    on the field for extract_path and must not change while it is read.
     """
 
-    def __init__(self, velocity: VelocityField, source: CellIndex):
-        grid = velocity.grid
+    def __init__(self, grid: GridMap, F: np.ndarray, source: CellIndex):
         self.grid = grid
-        self.velocity = velocity
+        self.F = F
         self.source = source
         W = grid.width
         h = grid.resolution
         sc, sr = source
         Wp = W + 2
         self._stride = Wp
-        Fp = np.pad(velocity.F, 1)
+        Fp = np.pad(F, 1)
         # h / f per cell, +inf where f is not > 0: an update through such a
         # cell is never finite, so the march skips it outright
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -236,19 +229,19 @@ class DistanceField:
                 return
 
 
-def solve_eikonal(velocity: VelocityField, source: CellIndex) -> DistanceField:
-    """First-order upwind fast marching over the 4-neighborhood.
+def solve_eikonal(grid: GridMap, F: np.ndarray, source: CellIndex) -> DistanceField:
+    """First-order upwind fast marching over the 4-neighborhood of grid, at
+    the (height, width) speeds F.
 
     Values are finalized in non-decreasing order. The returned field marches
     on demand. Cells with zero velocity keep +inf.
     """
-    grid = velocity.grid
     sc, sr = source
     if not grid.cell_in_bounds(source):
         raise UnreachableError(f"source cell {source} outside grid")
-    if velocity.F[sr, sc] <= 0.0:
+    if F[sr, sc] <= 0.0:
         raise UnreachableError(f"source cell {source} has zero velocity")
-    return DistanceField(velocity, (sc, sr))
+    return DistanceField(grid, F, (sc, sr))
 
 
 _RING = [
@@ -441,7 +434,7 @@ def extract_path(dfield: DistanceField, start: CellIndex) -> Path:
         raise UnreachableError(f"start cell {start} unreachable from source {dfield.source}")
 
     interp = _make_interp(dfield)
-    F = dfield.velocity.F
+    F = dfield.F
     src_center = grid.to_world(dfield.source)
     sx, sy = src_center
     p = grid.to_world(start)
@@ -546,17 +539,17 @@ def ca_fmm_path(book: CoverageBook, start: CellIndex, goal: CellIndex,
         raise UnreachableError(f"start {start} or goal {goal} outside grid")
     rss = book.combined(relay_sources)
     blocked_eff = [c for c in blocked if tuple(c) not in (tuple(start), tuple(goal))]
-    vel = comm_velocity(grid, rss, book.params, blocked_eff, w_c)
-    if vel.F[goal[1], goal[0]] <= 0.0:
+    F = comm_velocity(grid, rss, book.params, blocked_eff, w_c)
+    if F[goal[1], goal[0]] <= 0.0:
         raise UnreachableError(f"goal cell {goal} is blocked")
-    if vel.F[start[1], start[0]] <= 0.0:
+    if F[start[1], start[0]] <= 0.0:
         raise UnreachableError(f"start cell {start} is blocked")
     mask = rss >= book.params.gamma
     if start == goal:
         center = grid.to_world(start)
         return Path(points=[center], length=0.0,
                     coverage_fraction=coverage_fraction(grid, [center], mask))
-    dfield = solve_eikonal(vel, goal)
+    dfield = solve_eikonal(grid, F, goal)
     if not math.isfinite(dfield.at(start)):
         raise UnreachableError(f"goal {goal} unreachable from start {start}")
     path = extract_path(dfield, start)

@@ -127,15 +127,15 @@ class PlanSegment:
     def to_dict(self) -> dict:
         d: dict = {"purpose": self.purpose}
         if self.path is not None:
-            d["path"] = [[x, y] for x, y in self.path.points]
+            d["path"] = self.path.points
             d["length"] = self.path.length
             d["coverage_fraction"] = self.path.coverage_fraction
         if self.goal_index is not None:
             d["goal_index"] = self.goal_index
         if self.post is not None:
-            d["post"] = list(self.post)
+            d["post"] = self.post
         if self.wait_for:
-            d["wait_for"] = [[r, list(c)] for r, c in self.wait_for]
+            d["wait_for"] = self.wait_for
         return d
 
 
@@ -194,7 +194,7 @@ class MissionTrace:
             "ticks": self.ticks,
             "completed": self.completed,
             "reached_goals": sorted(self.reached_goals),
-            "positions": [[[x, y] for x, y in row] for row in self.positions],
+            "positions": self.positions,
             "parents": self.parents,
             "connected": self.connected,
             "events": [e.to_dict() for e in self.events],
@@ -360,8 +360,8 @@ class _Planner:
         """(robot, target index) pairs of the minimal-cost match of the robots,
         from their current positions, to the targets on movement costs; in
         the robots' order."""
-        asn = hungarian_assign(movement_costs(self.grid, [self.robot_pos[r] for r in robots], targets))
-        return [(robots[i], t) for i, t in asn.pairs]
+        pairs = hungarian_assign(movement_costs(self.grid, [self.robot_pos[r] for r in robots], targets))
+        return [(robots[i], t) for i, t in pairs]
 
     def relay_plan(self, goal_ids: list[int], free_robots: list[int]) -> RelayPlan:
         """Relay posts that connect the given goals over the base station and
@@ -424,9 +424,9 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
     assigned_goal: list[int | None] = [None] * N
     relay_done = [False] * N
 
-    for _wave in range(2 * N + 4):
-        if not unplanned:
-            break
+    # a wave that does not raise plans a goal or relocates a robot, and each
+    # robot does each at most once, so the waves end
+    while unplanned:
         progressed = False
         frontier = sorted(g for g in unplanned if pl.strongest(goals[g]) is not None)
         if frontier:
@@ -469,8 +469,6 @@ def _plan_dp(sc: Scenario) -> DeploymentPlan:
             raise InfeasibleScenarioError(
                 f"DP planning stalled with goals {sorted(unplanned)} unplanned"
             )
-    if unplanned:
-        raise InfeasibleScenarioError(f"DP planning ran out of waves; unplanned {sorted(unplanned)}")
     return DeploymentPlan("DP-FMM", pl.segs)
 
 
@@ -503,9 +501,8 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
     fixed = {robot for robot, _ in fixed_relays}
     available = [r for r in range(pl.N) if r not in fixed]
 
-    for _wave in range(2 * pl.N + 4):
-        if not unplanned:
-            break
+    # a wave that does not raise takes a robot out of available, so the waves end
+    while unplanned:
         remaining = sorted(unplanned)
         rp = pl.relay_plan(remaining, available)
 
@@ -578,8 +575,6 @@ def _plan_dpa(sc: Scenario, fixed_relays: tuple[tuple[int, WorldPoint], ...] = (
                 f"{len(specs)} clusters, robots left: {len(available)}; every assigned "
                 f"cluster enters through an unmanned relay post"
             )
-    if unplanned:
-        raise InfeasibleScenarioError(f"DPA planning ran out of waves; unplanned {sorted(unplanned)}")
     return DeploymentPlan("DPA-FMM", pl.segs)
 
 

@@ -20,7 +20,7 @@ def open_map(width: int, height: int, resolution: float = 0.5) -> GridMap:
     return make_map(["." * width] * height, resolution)
 
 
-def acceptance_order(velocity, source) -> tuple[eikonal.DistanceField, list]:
+def acceptance_order(grid, F, source) -> tuple[eikonal.DistanceField, list]:
     """The finished field of solve_eikonal and its cells (c, r, d) in the
     order the march accepts them, read from the march's heap pops.
 
@@ -33,7 +33,7 @@ def acceptance_order(velocity, source) -> tuple[eikonal.DistanceField, list]:
         return pops[-1]
 
     with mock.patch.object(eikonal, "heappop", heappop):
-        dfield = eikonal.solve_eikonal(velocity, source)
+        dfield = eikonal.solve_eikonal(grid, F, source)
         dfield.D  # finishes the march
     Wp = dfield._stride
     return dfield, [(i % Wp - 1, i // Wp - 1, d) for d, i in pops if d == dfield._final[i]]

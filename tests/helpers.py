@@ -41,7 +41,6 @@ from relaynet.eikonal import (
     Path,
     PathExtractionError,
     UnreachableError,
-    VelocityField,
     _polyline_length,
 )
 from relaynet.gridmap import FREE, GLASS, WALL, GridMap, WorldPoint, count_traversals, segment_runs
@@ -70,15 +69,13 @@ from relaynet.radio import (
 )
 
 
-def dijkstra8(velocity: VelocityField, source: tuple[int, int]) -> dict[tuple[int, int], float]:
+def dijkstra8(grid: GridMap, F: np.ndarray, source: tuple[int, int]) -> dict[tuple[int, int], float]:
     """8-neighbor Dijkstra with edge cost step * 2 / (F(u) + F(v)).
 
     Diagonal moves require both adjacent orthogonal cells to be free (strict
     no-corner-cutting), which keeps both reachability and squeeze-through
     costs consistent with a 4-neighborhood front.
     """
-    grid = velocity.grid
-    F = velocity.F
     h = grid.resolution
     W, H = grid.width, grid.height
     sc, sr = source
@@ -111,7 +108,7 @@ def dijkstra8(velocity: VelocityField, source: tuple[int, int]) -> dict[tuple[in
     return dist
 
 
-def brute_force_assignment(costs: list[list[float]]) -> tuple[list[int], float]:
+def brute_force_assignment(costs: list[list[float]]) -> list[int]:
     """Minimal-cost assignment by enumerating every injection of the smaller
     side into the larger; among ties the lexicographically smallest
     assignment vector wins.
@@ -121,7 +118,7 @@ def brute_force_assignment(costs: list[list[float]]) -> tuple[list[int], float]:
     hungarian_assign's lexicographic pass. An assignment vector holds the
     padded column of each padded row (a permutation of range(n)), and its
     cost sums the real pairs (r < nr, c < nc) in row order. Returns the
-    winning vector and its cost."""
+    winning vector."""
     nr, nc = len(costs), len(costs[0])
     best_perm = None
     best_cost = math.inf
@@ -132,7 +129,7 @@ def brute_force_assignment(costs: list[list[float]]) -> tuple[list[int], float]:
             best_perm = perm
         elif abs(total - best_cost) <= 1e-9 and perm < best_perm:
             best_perm = perm
-    return list(best_perm), best_cost
+    return list(best_perm)
 
 
 def bfs_hops(n: int, edges: set[tuple[int, int]], root: int = 0) -> list[int | None]:
@@ -337,7 +334,7 @@ def extract_path_reference(dfield, start: tuple[int, int]) -> Path:
         raise UnreachableError(f"start cell {start} unreachable from source {dfield.source}")
 
     interp = _make_interp_reference(dfield)
-    F = dfield.velocity.F
+    F = dfield.F
     src_center = grid.to_world(dfield.source)
     p = grid.to_world(start)
     points = [p]
@@ -474,7 +471,8 @@ def plan_relays_unpruned(grid: GridMap, params: RadioParams, goals: list, free_r
         newly_covered.append([])
 
 
-def fmm_reference(velocity: VelocityField, source: tuple[int, int], on_accept=None) -> np.ndarray:
+def fmm_reference(grid: GridMap, F: np.ndarray, source: tuple[int, int],
+                  on_accept=None) -> np.ndarray:
     """The eager fast-marching loop that solve_eikonal must match bit for
     bit: a full march over unpadded lists with explicit bounds checks.
 
@@ -484,16 +482,15 @@ def fmm_reference(velocity: VelocityField, source: tuple[int, int], on_accept=No
     cells only, so values are finalized in non-decreasing order (the
     on_accept hook observes that order). Cells with zero velocity keep +inf.
     """
-    grid = velocity.grid
     W, H = grid.width, grid.height
     h = grid.resolution
     sc, sr = source
     if not grid.cell_in_bounds(source):
         raise UnreachableError(f"source cell {source} outside grid")
-    if velocity.F[sr, sc] <= 0.0:
+    if F[sr, sc] <= 0.0:
         raise UnreachableError(f"source cell {source} has zero velocity")
 
-    F = velocity.F.ravel().tolist()
+    F = F.ravel().tolist()
     INF = math.inf
     D = [INF] * (W * H)
     state = bytearray(W * H)  # 0 far, 1 narrow, 2 accepted

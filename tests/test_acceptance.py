@@ -54,7 +54,7 @@ def test_criterion_1_eikonal_accuracy():
     with criterion(1, "eikonal field accuracy and runtime on an empty 101x101 grid"):
         m = open_map(101, 101)
         t0 = time.perf_counter()
-        d = solve_eikonal(base_velocity(m), (50, 50))
+        d = solve_eikonal(m, base_velocity(m), (50, 50))
         elapsed = time.perf_counter() - t0
         cx, cy = m.to_world((50, 50))
         xs = (np.arange(101) + 0.5) * m.resolution
@@ -82,9 +82,9 @@ def test_criterion_2_eikonal_vs_graph_oracle():
             mats[38, 38] = False
             rows = ["".join("#" if x else "." for x in row) for row in mats]
             m = make_map(rows)
-            vel = base_velocity(m)
-            d = solve_eikonal(vel, (1, 1))
-            oracle = dijkstra8(vel, (1, 1))
+            F = base_velocity(m)
+            d = solve_eikonal(m, F, (1, 1))
+            oracle = dijkstra8(m, F, (1, 1))
             target = (38, 38)
             fmm = d.at(target)
             dk = oracle.get(target, math.inf)
@@ -175,10 +175,8 @@ def test_criterion_4_hungarian_brute_force():
         for _ in range(500):
             n = int(rng.integers(1, 8))
             costs = rng.integers(0, 15, size=(n, n)).astype(float).tolist()
-            asn = hungarian_assign(costs)
-            perm, best = brute_force_assignment(costs)
-            assert asn.total_cost == pytest.approx(best, abs=1e-9)
-            assert [dict(asn.pairs)[i] for i in range(n)] == perm
+            perm = brute_force_assignment(costs)
+            assert hungarian_assign(costs) == list(enumerate(perm))
 
 
 def test_criterion_5_min_hop_tree_oracle():

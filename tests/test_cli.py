@@ -117,6 +117,18 @@ class TestScenarioSchema:
             load_scenario(path)
         assert main(["run", str(path), "--mode", "dpa", "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
 
+    def test_schema_error_is_written_once(self, tmp_path):
+        # a fresh interpreter, because in-process runs route log records to
+        # pytest's own handler and so would hide a logged copy of the message
+        path = write_fig2_files(tmp_path, goals=[[9.0, 4.5], [9.2, 4.7], [16.0, 5.5],
+                                                 [17.0, 10.0], [15.5, 1.0], [18.5, 1.0]])
+        out = subprocess.run([sys.executable, "-m", "relaynet.cli", "plan", str(path),
+                              "--out", str(tmp_path / "o")],
+                             env={**os.environ, "PYTHONPATH": str(SRC), "RELAYNET_LOG": "WARNING"},
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == EXIT_SCHEMA
+        assert out.stderr.count("goals must occupy distinct cells") == 1
+
     @pytest.mark.parametrize("name, text, match", [
         ("fig2.json", "{", "invalid JSON"),
         ("fig2.map", "width 1\nheight 1\n.\n#\n", "unexpected content after raster"),

@@ -149,39 +149,40 @@ class TestMovementCost:
 
 class TestHungarian:
     def test_cheap_diagonal(self):
-        asn = hungarian_assign([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        assert dict(asn.pairs) == {0: 0, 1: 1, 2: 2}
-        assert asn.total_cost == 0
+        costs = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        pairs = hungarian_assign(costs)
+        assert pairs == [(0, 0), (1, 1), (2, 2)]
+        assert sum(costs[r][c] for r, c in pairs) == 0
 
     def test_two_by_two(self):
-        asn = hungarian_assign([[1, 2], [2, 1]])
-        assert dict(asn.pairs) == {0: 0, 1: 1}
-        assert asn.total_cost == 2
+        costs = [[1, 2], [2, 1]]
+        pairs = hungarian_assign(costs)
+        assert pairs == [(0, 0), (1, 1)]
+        assert sum(costs[r][c] for r, c in pairs) == 2
 
     def test_tie_break_lexicographic(self):
         # all assignments cost 2; the identity is lexicographically smallest
-        asn = hungarian_assign([[1, 1], [1, 1]])
-        assert dict(asn.pairs) == {0: 0, 1: 1}
+        assert hungarian_assign([[1, 1], [1, 1]]) == [(0, 0), (1, 1)]
 
     def test_random_vs_brute_force(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
             n = int(rng.integers(2, 7))
             costs = rng.integers(0, 12, size=(n, n)).astype(float).tolist()
-            asn = hungarian_assign(costs)
-            perm, best = brute_force_assignment(costs)
-            assert asn.total_cost == pytest.approx(best)
-            assert [dict(asn.pairs)[i] for i in range(n)] == perm
+            perm = brute_force_assignment(costs)
+            assert hungarian_assign(costs) == list(enumerate(perm))
 
     def test_rectangular_more_tasks(self):
-        asn = hungarian_assign([[5, 1, 9]])
-        assert dict(asn.pairs) == {0: 1}
-        assert asn.total_cost == 1
+        costs = [[5, 1, 9]]
+        pairs = hungarian_assign(costs)
+        assert pairs == [(0, 1)]
+        assert sum(costs[r][c] for r, c in pairs) == 1
 
     def test_rectangular_more_robots(self):
-        asn = hungarian_assign([[5.0], [1.0], [9.0]])
-        assert dict(asn.pairs) == {1: 0}
-        assert asn.total_cost == 1
+        costs = [[5.0], [1.0], [9.0]]
+        pairs = hungarian_assign(costs)
+        assert pairs == [(1, 0)]
+        assert sum(costs[r][c] for r, c in pairs) == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -208,10 +209,8 @@ class TestHungarian:
         ints = data.draw(st.lists(st.lists(st.integers(0, top), min_size=nc, max_size=nc),
                                   min_size=nr, max_size=nr))
         costs = [[v * scale for v in row] for row in ints]
-        perm, best = brute_force_assignment(costs)
-        asn = hungarian_assign(costs)
-        assert asn.pairs == tuple((r, c) for r, c in enumerate(perm) if r < nr and c < nc)
-        assert asn.total_cost == best
+        perm = brute_force_assignment(costs)
+        assert hungarian_assign(costs) == [(r, c) for r, c in enumerate(perm) if r < nr and c < nc]
 
 
 class TestPlanRelays:

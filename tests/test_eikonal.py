@@ -23,15 +23,15 @@ from helpers import dijkstra8, fmm_reference
 class TestBaseVelocity:
     def test_all_free(self):
         v = base_velocity(open_map(5, 4))
-        assert v.F.shape == (4, 5)
-        assert np.all(v.F == 1.0)
+        assert v.shape == (4, 5)
+        assert np.all(v == 1.0)
 
     def test_walls_and_glass_blocked(self):
         m = make_map(["..#", ".%."])
         v = base_velocity(m)
-        assert v.F[0, 2] == 0.0
-        assert v.F[1, 1] == 0.0
-        assert v.F.sum() == 4.0
+        assert v[0, 2] == 0.0
+        assert v[1, 1] == 0.0
+        assert v.sum() == 4.0
 
 
 def no_signal(m):
@@ -42,7 +42,7 @@ class TestCommVelocity:
     def test_uncovered_cell_keeps_unit_speed(self):
         m = open_map(6, 6)
         v = comm_velocity(m, no_signal(m), RadioParams(), [], w_c=1.0)
-        assert np.all(v.F == base_velocity(m).F)
+        assert np.all(v == base_velocity(m))
 
     def test_boost_range_and_robot_blocking(self):
         m = open_map(20, 20)
@@ -50,10 +50,10 @@ class TestCommVelocity:
         rss = coverage_field(m, m.to_world((10, 10)), params)
         v = comm_velocity(m, rss, params, [(3, 3)], w_c=1.0)
         free = m.materials == 0
-        assert np.all(v.F[free] <= 2.0 + 1e-12)
+        assert np.all(v[free] <= 2.0 + 1e-12)
         covered = (rss >= params.gamma) & free
-        assert np.all(v.F[covered & (v.F > 0)] >= 1.0)
-        assert v.F[3, 3] == 0.0
+        assert np.all(v[covered & (v > 0)] >= 1.0)
+        assert v[3, 3] == 0.0
 
     def test_strongest_signal_hits_one_plus_wc(self):
         m = open_map(9, 9)
@@ -61,7 +61,7 @@ class TestCommVelocity:
         rss = coverage_field(m, m.to_world((4, 4)), params)
         v = comm_velocity(m, rss, params, [], w_c=1.0)
         # tx's own cell sits at the clamped minimum distance, above rss_ref
-        assert v.F[4, 4] == pytest.approx(2.0)
+        assert v[4, 4] == pytest.approx(2.0)
 
     def test_threshold_cell_gets_no_boost(self):
         m = open_map(9, 9)
@@ -69,7 +69,15 @@ class TestCommVelocity:
         rss = coverage_field(m, m.to_world((4, 4)), params).copy()
         rss[0, 0] = params.gamma  # exactly at threshold
         v = comm_velocity(m, rss, params, [], w_c=1.0)
-        assert v.F[0, 0] == pytest.approx(1.0)
+        assert v[0, 0] == pytest.approx(1.0)
+
+    def test_velocity_arrays_are_read_only(self):
+        m = open_map(4, 4)
+        params = RadioParams()
+        rss = coverage_field(m, m.to_world((1, 1)), params)
+        for F in (base_velocity(m), comm_velocity(m, rss, params, [(2, 2)], w_c=1.0)):
+            with pytest.raises(ValueError, match="read-only"):
+                F[0, 0] = 3.0
 
     @pytest.mark.parametrize("w_c", [-0.5, math.inf, math.nan])
     def test_negative_or_non_finite_weight_rejected(self, w_c):
@@ -89,13 +97,13 @@ class TestCommVelocity:
 class TestSolveEikonal:
     def test_corridor_exact(self):
         m = make_map(["." * 30])
-        d = solve_eikonal(base_velocity(m), (0, 0))
+        d = solve_eikonal(m, base_velocity(m), (0, 0))
         for k in range(30):
             assert d.at((k, 0)) == pytest.approx(k * 0.5, abs=1e-12)
 
     def test_empty_grid_accuracy(self):
         m = open_map(51, 51)
-        d = solve_eikonal(base_velocity(m), (25, 25))
+        d = solve_eikonal(m, base_velocity(m), (25, 25))
         cx, cy = m.to_world((25, 25))
         xs = (np.arange(51) + 0.5) * 0.5
         gx, gy = np.meshgrid(xs, xs)
@@ -108,22 +116,23 @@ class TestSolveEikonal:
 
     def test_wall_bisect_unreachable(self):
         m = make_map(["....#....."] * 7)
-        d = solve_eikonal(base_velocity(m), (0, 3))
+        d = solve_eikonal(m, base_velocity(m), (0, 3))
         assert math.isinf(d.at((9, 3)))
         assert math.isfinite(d.at((3, 0)))
 
     def test_source_on_obstacle_rejected(self):
         m = make_map([".#."])
         with pytest.raises(UnreachableError):
-            solve_eikonal(base_velocity(m), (1, 0))
+            solve_eikonal(m, base_velocity(m), (1, 0))
 
     def test_source_off_the_grid_rejected(self):
         with pytest.raises(UnreachableError, match="outside grid"):
-            solve_eikonal(base_velocity(open_map(4, 2)), (4, 0))
+            m = open_map(4, 2)
+            solve_eikonal(m, base_velocity(m), (4, 0))
 
     def test_cells_off_the_grid_raise(self):
         m = open_map(4, 2)
-        d = solve_eikonal(base_velocity(m), (0, 0))
+        d = solve_eikonal(m, base_velocity(m), (0, 0))
         off = ((-1, 0), (4, 0), (0, -1), (0, 2), (-1, -1))
         for c in off:
             with pytest.raises(OutOfBoundsError):
@@ -135,7 +144,7 @@ class TestSolveEikonal:
 
     def test_query_near_the_source_stops_the_march_early(self):
         m = open_map(60, 4)
-        d = solve_eikonal(base_velocity(m), (0, 1))
+        d = solve_eikonal(m, base_velocity(m), (0, 1))
         assert d.accepted == 0
         assert d.at((1, 1)) == 0.5
         assert d.accepted < 240 // 10
@@ -145,20 +154,20 @@ class TestSolveEikonal:
     def test_monotone_acceptance_order(self):
         m = make_map(["..........", "..##..#...", ".....#....", ".........."])
         expected = []
-        fmm_reference(base_velocity(m), (0, 0), lambda c, r, d: expected.append((c, r, d)))
-        _, order = acceptance_order(base_velocity(m), (0, 0))
+        fmm_reference(m, base_velocity(m), (0, 0), lambda c, r, d: expected.append((c, r, d)))
+        _, order = acceptance_order(m, base_velocity(m), (0, 0))
         assert order == expected
         assert all(b[2] >= a[2] for a, b in zip(order, order[1:]))
 
     def test_upwind_residual_near_one(self):
         m = make_map(["..........", "..##......", ".....#....", "..........",
                       "..........", "....##...."])
-        vel = base_velocity(m)
-        d = solve_eikonal(vel, (1, 1))
+        F = base_velocity(m)
+        d = solve_eikonal(m, F, (1, 1))
         h = m.resolution
         for r in range(m.height):
             for c in range(m.width):
-                if vel.F[r, c] <= 0 or not math.isfinite(d.D[r, c]):
+                if F[r, c] <= 0 or not math.isfinite(d.D[r, c]):
                     continue
                 if abs(c - 1) <= 2 and abs(r - 1) <= 2:
                     continue  # seeded ball around the source
@@ -177,7 +186,7 @@ class TestSolveEikonal:
                 if r < m.height - 1:
                     best = min(best, d.D[r + 1, c])
                 gy = max(d.D[r, c] - best, 0.0) / h
-                residual = math.hypot(gx, gy) * vel.F[r, c]
+                residual = math.hypot(gx, gy) * F[r, c]
                 assert 0.9 <= residual <= 1.1, (c, r, residual)
 
     def test_refinement_converges_to_geodesic(self):
@@ -207,10 +216,10 @@ class TestSolveEikonal:
         errors = []
         for scale in (1, 2):
             m = world(scale)
-            vel = base_velocity(m)
+            F = base_velocity(m)
             src, tgt = (1 * scale, 1 * scale), (18 * scale, 8 * scale)
-            d = solve_eikonal(vel, src)
-            oracle = dijkstra8(vel, src)
+            d = solve_eikonal(m, F, src)
+            oracle = dijkstra8(m, F, src)
             gap = abs(d.at(tgt) - oracle[tgt]) / oracle[tgt]
             assert gap <= 0.10
             true = true_length(m.to_world(src), m.to_world(tgt))
@@ -225,9 +234,9 @@ class TestSolveEikonal:
             mats[19, 19] = False
             rows = ["".join("#" if x else "." for x in row) for row in mats]
             m = make_map(rows)
-            vel = base_velocity(m)
-            d = solve_eikonal(vel, (0, 0))
-            oracle = dijkstra8(vel, (0, 0))
+            F = base_velocity(m)
+            d = solve_eikonal(m, F, (0, 0))
+            oracle = dijkstra8(m, F, (0, 0))
             target = (19, 19)
             fmm = d.at(target)
             dk = oracle.get(target, math.inf)
@@ -239,14 +248,14 @@ class TestSolveEikonal:
 class TestExtractPath:
     def test_identity(self):
         m = open_map(9, 9)
-        d = solve_eikonal(base_velocity(m), (4, 4))
+        d = solve_eikonal(m, base_velocity(m), (4, 4))
         p = extract_path(d, (4, 4))
         assert p.points == [m.to_world((4, 4))]
         assert p.length == 0.0
 
     def test_corridor_straight(self):
         m = make_map(["." * 21])
-        d = solve_eikonal(base_velocity(m), (0, 0))
+        d = solve_eikonal(m, base_velocity(m), (0, 0))
         p = extract_path(d, (20, 0))
         assert abs(p.length - 20 * 0.5) <= 0.25
         assert p.points[-1] == m.to_world((0, 0))
@@ -254,19 +263,20 @@ class TestExtractPath:
 
     def test_open_grid_corner_length(self):
         m = open_map(41, 41)
-        d = solve_eikonal(base_velocity(m), (20, 20))
+        d = solve_eikonal(m, base_velocity(m), (20, 20))
         p = extract_path(d, (40, 40))
         true = math.hypot(10.0, 10.0)
         assert p.length <= true * 1.02
 
     def test_off_grid_start_rejected(self):
-        d = solve_eikonal(base_velocity(open_map(4, 2)), (0, 0))
+        m = open_map(4, 2)
+        d = solve_eikonal(m, base_velocity(m), (0, 0))
         with pytest.raises(UnreachableError, match="outside grid"):
             extract_path(d, (0, 2))
 
     def test_unreachable_start(self):
         m = make_map(["....#....."] * 5)
-        d = solve_eikonal(base_velocity(m), (0, 2))
+        d = solve_eikonal(m, base_velocity(m), (0, 2))
         with pytest.raises(UnreachableError):
             extract_path(d, (9, 2))
 
@@ -279,7 +289,7 @@ class TestExtractPath:
             "..########..",
             "............",
         ])
-        d = solve_eikonal(base_velocity(m), (0, 0))
+        d = solve_eikonal(m, base_velocity(m), (0, 0))
         p = extract_path(d, (11, 5))
         step = m.resolution * math.sqrt(2)
         for a, b in zip(p.points, p.points[1:]):
@@ -303,7 +313,7 @@ class TestCaFmmPath:
     def test_no_relays_equals_plain_fmm(self):
         m = make_map(["..........", "..##......", ".....#....", ".........."])
         params = RadioParams()
-        d = solve_eikonal(base_velocity(m), (9, 3))
+        d = solve_eikonal(m, base_velocity(m), (9, 3))
         plain = extract_path(d, (0, 0))
         ca = ca_fmm_path(CoverageBook(m, params), (0, 0), (9, 3), [])
         assert ca.points == plain.points
@@ -337,8 +347,8 @@ class TestCaFmmPath:
             mats[16, 16] = False
             rows = ["".join("#" if x else "." for x in row) for row in mats]
             m = make_map(rows)
-            vel = base_velocity(m)
-            oracle = dijkstra8(vel, (1, 1))
+            F = base_velocity(m)
+            oracle = dijkstra8(m, F, (1, 1))
             if (16, 16) not in oracle:
                 continue
             p = ca_fmm_path(CoverageBook(m, RadioParams()), (16, 16), (1, 1), [], w_c=0.0)

@@ -15,7 +15,6 @@ from relaynet.connectivity import check_feasibility
 from relaynet.eikonal import (
     PathExtractionError,
     UnreachableError,
-    VelocityField,
     base_velocity,
     ca_fmm_path,
     comm_velocity,
@@ -44,8 +43,8 @@ def grids(draw, max_cells: int = 24):
 
 
 @st.composite
-def velocities(draw, grid: GridMap) -> VelocityField:
-    """The base velocity, or comm_velocity boosted around a transmitter on a
+def velocities(draw, grid: GridMap) -> np.ndarray:
+    """The base velocity F, or comm_velocity boosted around a transmitter on a
     free cell with some cells blocked by robots (some of them off the grid)."""
     free = [(c, r) for r, c in np.argwhere(grid.materials == FREE).tolist()]
     if not free or draw(st.booleans()):
@@ -58,10 +57,9 @@ def velocities(draw, grid: GridMap) -> VelocityField:
 
 
 @st.composite
-def sources(draw, velocity: VelocityField) -> tuple[int, int]:
+def sources(draw, F: np.ndarray) -> tuple[int, int]:
     """A cell with F > 0, often on an edge or a corner of the grid, where the
     seeded ball around the source is clipped."""
-    F = velocity.F
     H, W = F.shape
     free = [(c, r) for r, c in np.argwhere(F > 0.0).tolist()]
     assume(free)
@@ -74,17 +72,17 @@ def sources(draw, velocity: VelocityField) -> tuple[int, int]:
 @st.composite
 def problems(draw):
     grid = draw(grids())
-    velocity = draw(velocities(grid))
-    return velocity, draw(sources(velocity))
+    F = draw(velocities(grid))
+    return grid, F, draw(sources(F))
 
 
 @PROPS
 @given(problems())
 def test_finished_field_and_acceptance_order_equal_reference(problem):
-    velocity, source = problem
+    grid, F, source = problem
     expected = []
-    ref = fmm_reference(velocity, source, lambda c, r, d: expected.append((c, r, d)))
-    dfield, order = acceptance_order(velocity, source)
+    ref = fmm_reference(grid, F, source, lambda c, r, d: expected.append((c, r, d)))
+    dfield, order = acceptance_order(grid, F, source)
     assert order == expected
     assert all(b[2] >= a[2] for a, b in zip(order, order[1:]))
     assert dfield.D.tobytes() == ref.tobytes()
@@ -93,11 +91,11 @@ def test_finished_field_and_acceptance_order_equal_reference(problem):
 @PROPS
 @given(problems(), st.data())
 def test_values_read_on_demand_in_any_order_equal_reference(problem, data):
-    velocity, source = problem
-    ref = fmm_reference(velocity, source)
+    grid, F, source = problem
+    ref = fmm_reference(grid, F, source)
     H, W = ref.shape
     cells = data.draw(st.permutations([(c, r) for r in range(H) for c in range(W)]))
-    dfield = solve_eikonal(velocity, source)
+    dfield = solve_eikonal(grid, F, source)
     for c, r in cells[:data.draw(st.integers(1, len(cells)))]:
         assert dfield.at((c, r)) == ref[r, c]
     assert dfield.accepted <= int(np.isfinite(ref).sum())
@@ -105,8 +103,8 @@ def test_values_read_on_demand_in_any_order_equal_reference(problem, data):
     assert dfield.accepted == int(np.isfinite(ref).sum())
 
 
-def _finished(velocity, source):
-    dfield = solve_eikonal(velocity, source)
+def _finished(grid, F, source):
+    dfield = solve_eikonal(grid, F, source)
     dfield.D  # finishes the march
     return dfield
 
@@ -123,11 +121,11 @@ def _outcome(plan):
 @PROPS
 @given(problems(), st.data())
 def test_extract_path_from_a_lazy_field_equals_a_finished_one(problem, data):
-    velocity, source = problem
-    ref = fmm_reference(velocity, source)
+    grid, F, source = problem
+    ref = fmm_reference(grid, F, source)
     start = data.draw(st.sampled_from([(c, r) for r, c in np.argwhere(np.isfinite(ref)).tolist()]))
-    expected = _outcome(lambda: extract_path(_finished(velocity, source), start))
-    assert _outcome(lambda: extract_path(solve_eikonal(velocity, source), start)) == expected
+    expected = _outcome(lambda: extract_path(_finished(grid, F, source), start))
+    assert _outcome(lambda: extract_path(solve_eikonal(grid, F, source), start)) == expected
 
 
 @PROPS
@@ -158,8 +156,8 @@ def test_feasibility_report_equals_one_from_the_reference(grid, data):
     n_robots = data.draw(st.integers(0, 6))
     params = RadioParams()
 
-    def reference(velocity, source):
-        ref = fmm_reference(velocity, source)
+    def reference(grid, F, source):
+        ref = fmm_reference(grid, F, source)
         return SimpleNamespace(at=lambda c: float(ref[c[1], c[0]]))
 
     with mock.patch.object(connectivity, "solve_eikonal", reference):

@@ -14,7 +14,6 @@ from relaynet.eikonal import (
     _CHORD_BLOCK,
     PathExtractionError,
     UnreachableError,
-    VelocityField,
     _chord_costs,
     _shortcut,
     extract_path,
@@ -120,7 +119,7 @@ def test_extract_path_equals_scalar_string_pulling(seed, w, h, density):
     assume(len(free) >= 2)
     rng = np.random.default_rng(seed + 1)
     (sr, sc), (gr, gc) = free[rng.choice(len(free), 2, replace=False)]
-    dfield = solve_eikonal(VelocityField(grid=grid, F=F), (int(gc), int(gr)))
+    dfield = solve_eikonal(grid, F, (int(gc), int(gr)))
     assume(np.isfinite(dfield.at((int(sc), int(sr)))))
     try:
         path = extract_path(dfield, (int(sc), int(sr)))
@@ -153,13 +152,13 @@ def descent_problems(draw):
     start = draw(st.sampled_from(border) | st.sampled_from(free)
                  | st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)))
     reads = draw(st.lists(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)), max_size=3))
-    return VelocityField(grid=grid, F=F), source, start, reads
+    return grid, F, source, start, reads
 
 
-def _descent(extract, velocity, source, start, reads):
+def _descent(extract, grid, F, source, start, reads):
     """The path's points and length, or the error raised, and how many
     cells the lazy field had accepted after the call."""
-    dfield = solve_eikonal(velocity, source)
+    dfield = solve_eikonal(grid, F, source)
     for c in reads:
         dfield.at(c)
     try:
