@@ -77,6 +77,8 @@ class TestScenarioSchema:
         sc = load_scenario(write_fig2_files(tmp_path))
         assert len(sc.goals) == 6
         assert sc.radio.p_tx == -14.65
+        # w_c's minimum is inclusive
+        assert load_scenario(write_fig2_files(tmp_path, w_c=0)).w_c == 0.0
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_fig2_files(tmp_path, extra_knob=1)
@@ -110,6 +112,7 @@ class TestScenarioSchema:
         ("unknown knob keys", {"knobs": {"surprise": 1}}),
         ("goals must occupy distinct cells", {"goals": [[9.0, 4.5], [9.2, 4.7], [16.0, 5.5],
                                                         [17.0, 10.0], [15.5, 1.0], [18.5, 1.0]]}),
+        (r"must be an \[x, y\] pair", {"bs": [3.0, 6.0, 1.0]}),
     ])
     def test_malformed_field_is_a_schema_error(self, tmp_path, key, extra):
         path = write_fig2_files(tmp_path, **extra)
@@ -425,12 +428,22 @@ class TestSweep:
         }
 
     def test_dpa_only_sweep_plans_and_executes_only_dpa(self, tmp_path, monkeypatch):
-        # the CI sweep's experiment, with all modes and with DPA-FMM alone
+        # a 12-trial sweep on 32x32 maps, with all modes and with DPA-FMM
+        # alone. With all modes it runs relay synthesis, Hungarian matching
+        # and the deterministic tick loop on every trial, and writes one
+        # DP-FMM NA row; a change that means to alter its CSVs records the
+        # new hashes in the same change
         exp = {"map_size": [32, 32], "goal_counts": [4, 6, 8], "trials": 4, "seed_base": 0,
                "radio": {"p_tx": -16.0}}
         (tmp_path / "all.json").write_text(json.dumps(exp))
         (tmp_path / "dpa.json").write_text(json.dumps(dict(exp, modes=["dpa"])))
         assert main(["sweep", str(tmp_path / "all.json"), "--out", str(tmp_path / "all")]) == EXIT_OK
+        digests = {name: hashlib.sha256((tmp_path / "all" / name).read_bytes()).hexdigest()
+                   for name in ("trials.csv", "aggregate.csv")}
+        assert digests == {
+            "trials.csv": "c52c33e0d39714ede2a7db31ab27647a7028f8530132d6e657004451d80c42b3",
+            "aggregate.csv": "dd21c985bed9f82d70314ffc888bbf4d72a775d2ba4f08a4d252e0ecfa6561ac",
+        }
         planned, executed = [], []
 
         def plan(sc, mode, *args, **kwargs):
@@ -460,6 +473,11 @@ class TestSweep:
             "goal_count,trial,seed,mode,d_max,d_tot,T,C_mean,C_min,O_mean,R\n")
         assert (tmp_path / "sw" / "aggregate.csv").read_text() == (
             "goal_count,mode,trials,d_max,d_tot,T,C_mean,C_min,O_mean,R\n")
+
+    def test_obstacle_density_zero_is_accepted(self, tmp_path):
+        # the inclusive minimum, as w_c 0 is for a scenario
+        (tmp_path / "exp.json").write_text(json.dumps({"obstacle_density": 0}))
+        assert load_experiment(tmp_path / "exp.json")["obstacle_density"] == 0.0
 
     def test_unknown_experiment_key_exit_2(self, tmp_path):
         (tmp_path / "exp.json").write_text(json.dumps({"surprise": 1}))

@@ -189,6 +189,10 @@ class TestHungarian:
             hungarian_assign([])
         with pytest.raises(ValueError):
             hungarian_assign([[math.inf]])
+        # finite negative costs, which the sentinel check would not catch
+        for costs in ([[-1.0]], [[1.0, 2.0], [-0.5, 3.0]]):
+            with pytest.raises(ValueError, match="costs must be finite and nonnegative"):
+                hungarian_assign(costs)
 
     @pytest.mark.parametrize("costs", [
         [[1e308, 1.0]],

@@ -54,6 +54,8 @@ def test_benchmark_recipes_equal_the_reference(args):
     ((0, 7, 7, 12, 0.5), "generated map has too few free cells"),
     ((5, 12, 7, 8, 1.0), "base station room is too small"),
     ((0, 7, 7, 4, 0.5), "could not sample enough separated goals"),
+    # exactly 2 * 13 + 1 free cells: the free-cell bound lets it through
+    ((0, 8, 7, 13, 0.0), "could not sample enough separated goals"),
 ])
 def test_each_resample_reason_equals_the_reference(args, message):
     assert outcome(random_scenario, *args) == f"InfeasibleScenarioError: {message}"

@@ -1,6 +1,7 @@
 """Property tests of the wave planners (DP-FMM and DPA-FMM) over small
-random scenarios, with DPA-FMM's visit cap below and above the number of
-goals, and of the cluster split that promotes far goals to destinations."""
+random scenarios (the planner census draws of pins.py), with DPA-FMM's
+visit cap below and above the number of goals, a slice of the census
+itself, and the cluster split that promotes far goals to destinations."""
 
 import functools
 from dataclasses import replace
@@ -10,8 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relaynet.cli import random_scenario
-from relaynet.connectivity import check_feasibility, movement_cost
+from relaynet.connectivity import movement_cost
 from relaynet.mission import (
     InfeasibleScenarioError,
     _Planner,
@@ -20,12 +20,12 @@ from relaynet.mission import (
     execute_mission,
     plan_deployment,
 )
-from relaynet.radio import RadioParams
 
 import helpers
+import pins
 from conftest import fig2_map
 
-N_GOALS = 5
+N_GOALS = pins.N_GOALS
 FIG2 = fig2_map()
 FREE_POINTS = [FIG2.to_world((c, r)) for r in range(FIG2.height) for c in range(FIG2.width)
                if FIG2.is_free_cell((c, r))]
@@ -61,11 +61,8 @@ def test_split_to_cap_places_every_waypoint_once_under_the_cap(points, n_posts, 
        mode_cap=st.sampled_from([("dp", 9), ("dpa", 1), ("dpa", 2), ("dpa", 9)]))
 def test_wave_plan_visits_every_goal_once_and_completes_connected(seed, mode_cap):
     mode, cap = mode_cap
-    try:
-        sc = random_scenario(seed, 24, 24, N_GOALS, 0.5, RadioParams(p_tx=-16.0, seed=seed))
-    except InfeasibleScenarioError:
-        assume(False)
-    assume(check_feasibility(sc.map, sc.bs, sc.goals, N_GOALS, sc.radio).feasible)
+    sc = pins.draw(seed)
+    assume(sc is not None)
     sc = replace(sc, visit_cap=cap)
     try:
         plan = plan_deployment(sc, mode)
@@ -83,6 +80,18 @@ def test_wave_plan_visits_every_goal_once_and_completes_connected(seed, mode_cap
     assert events and all(e.data["connected"] for e in events)
 
     assert plan_deployment(sc, mode).to_json() == plan.to_json()
+
+
+def test_census_slice_meets_only_recorded_outcomes():
+    # seeds 1-40 hold 38 draws and come before the first defect seed (87)
+    got = pins.census(range(1, 41))
+    assert got["draws"] == 38
+    for mode in pins.MODES:
+        assert set(got["counts"][mode]) <= set(pins.CENSUS["counts"][mode])
+        assert got["defects"][mode] == []
+    # a cut run is a mismatch, so it cannot pass for the whole census
+    assert got != pins.CENSUS
+    assert pins.census_table(got)[0] == "planner census: 38 draws, MISMATCH"
 
 
 @pytest.mark.parametrize("parents, inactive, expected", [
@@ -104,9 +113,8 @@ def test_uplink_tree_problems(parents, inactive, expected):
                           "at tick 81)")
 @pytest.mark.parametrize("seed", [87, 293, 2256])
 def test_dp_plan_at_defect_seed_reaches_every_goal_connected(seed):
-    sc = random_scenario(seed, 24, 24, N_GOALS, 0.5, RadioParams(p_tx=-16.0, seed=seed))
-    assert check_feasibility(sc.map, sc.bs, sc.goals, N_GOALS, sc.radio).feasible
-    sc = replace(sc, visit_cap=9)
+    sc = pins.draw(seed)
+    assert sc is not None
     log = []
     with mock.patch.object(_Planner, "relocate", _logging(_Planner.relocate, log)):
         plan = plan_deployment(sc, "dp")
@@ -141,8 +149,7 @@ def _logging(relocate, log: list):
 # seed 62 ends in "DP planning stalled with goals [0] unplanned"
 @pytest.mark.parametrize("seed", [1, 12, 59, 62, 87, 241, 281])
 def test_relocate_equals_the_rewire_reference(seed):
-    sc = random_scenario(seed, 24, 24, N_GOALS, 0.5, RadioParams(p_tx=-16.0, seed=seed))
-    sc = replace(sc, visit_cap=9)
+    sc = pins.draw(seed)
     rehomes: list[dict] = []
     reference = functools.partial(helpers.relocate_reference, rehomes=rehomes)
     expected_log, log = [], []

@@ -61,6 +61,12 @@ class TestPathLoss:
         other = path_loss(m, a, (6.25, 6.75), params, mode="stochastic")
         assert other != l1
 
+    def test_zero_los_variance_draws_no_los_multipath(self):
+        m = open_map(20, 20)
+        params = RadioParams(sigma2_los=0.0, seed=5)
+        a, b = (1.25, 1.75), (8.25, 4.25)
+        assert path_loss(m, a, b, params, "stochastic") == path_loss(m, a, b, params)
+
     def test_stochastic_reciprocal(self):
         m = open_map(20, 20)
         params = RadioParams(seed=3)
